@@ -20,6 +20,7 @@ from .errors import EmptyGraphError, NotTightError, PreconditionViolatedError
 from .graph import (
     CompleteBipartiteWitness,
     Graph,
+    NeighborhoodDegreeSums,
     bipartite_semiregular_degrees,
     count_triangles_brute,
     first_triangle,
@@ -42,8 +43,13 @@ class BoundKind(Enum):
     CLOSED_NEIGHBORHOOD = "thm11"
 
 
-def bound_value(g: Graph, kind: BoundKind) -> float:
-    """Evaluate one bound formula on a graph."""
+def bound_value(g: Graph, kind: BoundKind,
+                sums: NeighborhoodDegreeSums | None = None) -> float:
+    """Evaluate one bound formula on a graph.
+
+    ``sums`` are g's neighborhood degree sums when the caller already has
+    them; the lemma3 and thm11 formulas read them.
+    """
     if g.n == 0:
         raise EmptyGraphError("bounds need at least one vertex")
     degs = g.degrees()
@@ -59,9 +65,10 @@ def bound_value(g: Graph, kind: BoundKind) -> float:
     if kind is BoundKind.HONG_SHU_FANG_NIKIFOROV:
         return (delta - 1) / 2 + math.sqrt(2 * m - n * delta + (delta + 1) ** 2 / 4)
     if kind is BoundKind.OPEN_NEIGHBORHOOD:
-        return math.sqrt(neighborhood_degree_sums(g).max_open)
+        return math.sqrt((sums or neighborhood_degree_sums(g)).max_open)
     if kind is BoundKind.CLOSED_NEIGHBORHOOD:
-        return (-1 + math.sqrt(1 + 4 * neighborhood_degree_sums(g).max_closed)) / 2
+        max_closed = (sums or neighborhood_degree_sums(g)).max_closed
+        return (-1 + math.sqrt(1 + 4 * max_closed)) / 2
     raise ValueError(f"{kind.value} carries no numeric bound")
 
 

@@ -193,9 +193,10 @@ def cmd_fuzz(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     theorems = _parse_theorems(args.theorem)
-    if args.count < 0:
-        return _fail(EXIT_CONFIG, "count must be nonnegative")
-    report = fuzz(dist, args.count, args.seed, theorems, jobs=args.jobs)
+    try:
+        report = fuzz(dist, args.count, args.seed, theorems, jobs=args.jobs)
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     return _emit_sweep(report, args)
 
 

@@ -75,3 +75,7 @@ class OrderTooLargeError(SpectoolError, ValueError):
 
 class SearchBudgetExceededError(SpectoolError):
     """Cycle search hit its node-expansion budget before completing."""
+
+
+class InvalidWalkTableError(SpectoolError, ValueError):
+    """Walk table breaks an identity every exact walk count satisfies."""

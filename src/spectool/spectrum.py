@@ -29,16 +29,14 @@ EQ_EPS = 1e-9
 JACOBI_MAX_SWEEPS = 100
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense float64 adjacency matrix."""
-    a = np.zeros((g.n, g.n))
-    for v, row in enumerate(g.adj):
-        r = row
-        while r:
-            low = r & -r
-            a[v, low.bit_length() - 1] = 1.0
-            r ^= low
-    return a
+def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
+    """Dense 0/1 adjacency matrix, unpacked from the bitset rows."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in g.adj),
+        dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(packed, axis=1, count=g.n,
+                         bitorder="little").astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)

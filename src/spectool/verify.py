@@ -9,6 +9,7 @@ for any worker count; merging is commutative (counters plus sorted lists).
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 import itertools
 import json
 import math
@@ -27,7 +28,18 @@ from .cycles import (
 )
 from .errors import OrderTooLargeError, PreconditionViolatedError
 from .families import gnp, random_bipartite, random_regular
-from .graph import Graph, bipartition, connectivity, from_edge_mask, is_connected
+from .graph import (
+    Bipartition,
+    Connectivity,
+    Graph,
+    NeighborhoodDegreeSums,
+    bipartition,
+    connectivity,
+    first_triangle,
+    from_edge_mask,
+    is_connected,
+    neighborhood_degree_sums,
+)
 from .graph6 import from_edge_list, from_graph6, graph_text, to_graph6
 from .spectrum import (
     EQ_EPS,
@@ -37,7 +49,12 @@ from .spectrum import (
     is_spectrum_symmetric,
 )
 from .verdicts import CounterexampleReport, Verdict
-from .walks import decomposition_identity_check, walk_counts, walk_inequality_holds
+from .walks import (
+    WalkTable,
+    decomposition_identity_check,
+    walk_counts,
+    walk_inequality_holds,
+)
 
 WALK_DEPTH = 12
 MAX_EXHAUSTIVE_N = 8
@@ -95,39 +112,84 @@ def _report(g: Graph, theorem: TheoremId, quantities: dict,
         quantities=quantities, witness=witness or {})
 
 
-def _check_bound(g: Graph, theorem: TheoremId, spec: Spectrum) -> Verdict:
-    kind = BOUND_THEOREMS[theorem]
+class GraphFacts:
+    """One graph's shared quantities, each computed on first use.
+
+    Every checker a battery runs on the graph reads the same object, so the
+    spectrum, the walk table and the neighborhood sums are built once per
+    graph. ``tight_bounds`` collects the bound theorems whose value met
+    lambda_1 within ``EQ_EPS``, recorded when the bound is checked.
+    """
+
+    def __init__(self, g: Graph, spec: Spectrum | None = None,
+                 budget: int = DEFAULT_BUDGET, walk_depth: int = WALK_DEPTH):
+        if walk_depth < 0:
+            raise ValueError("walk_depth must be nonnegative")
+        self.g = g
+        self.budget = budget
+        self.walk_depth = walk_depth
+        self.tight_bounds: set[TheoremId] = set()
+        if spec is not None:
+            self.spec = spec
+
+    @cached_property
+    def spec(self) -> Spectrum:
+        return eigendecompose(self.g)
+
+    @cached_property
+    def sums(self) -> NeighborhoodDegreeSums:
+        return neighborhood_degree_sums(self.g)
+
+    @cached_property
+    def walks(self) -> WalkTable:
+        """Walk table of depth max(2, walk_depth), for both walk checkers."""
+        return walk_counts(self.g, max(2, self.walk_depth))
+
+    @cached_property
+    def connectivity(self) -> Connectivity:
+        return connectivity(self.g)
+
+    @cached_property
+    def bipartition(self) -> Bipartition | None:
+        return bipartition(self.g)
+
+
+def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
+    g = facts.g
     try:
-        value = bound_value(g, kind)
+        value = bound_value(g, BOUND_THEOREMS[theorem], facts.sums)
     except PreconditionViolatedError as exc:
         return Verdict.vacuous(str(exc))
-    slack = value - spec.lambda1
+    lambda1 = facts.spec.lambda1
+    slack = value - lambda1
+    if abs(slack) <= EQ_EPS:
+        facts.tight_bounds.add(theorem)
     if slack >= -EQ_EPS:
         return Verdict.holds()
     return Verdict.violated(_report(
         g, theorem,
-        {"lambda1": spec.lambda1, "bound": value, "slack": slack, "m": g.m}))
+        {"lambda1": lambda1, "bound": value, "slack": slack, "m": g.m}))
 
 
-def _check_mantel(g: Graph, spec, budget, walk_depth) -> Verdict:
-    return mantel_check(g)
+def _check_mantel(facts: GraphFacts) -> Verdict:
+    return mantel_check(facts.g)
 
 
-def _check_nosal(g: Graph, spec, budget, walk_depth) -> Verdict:
-    lam1 = spec.lambda1
+def _check_nosal(facts: GraphFacts) -> Verdict:
+    g = facts.g
+    lam1 = facts.spec.lambda1
     sqrt_m = math.sqrt(g.m)
     if lam1 <= sqrt_m + EQ_EPS:
         return Verdict.vacuous(f"lambda1 {lam1:.6f} <= sqrt(m) {sqrt_m:.6f}")
-    from .graph import first_triangle
-
     if first_triangle(g) is not None:
         return Verdict.holds()
     return Verdict.violated(_report(
         g, TheoremId.NOSAL, {"lambda1": lam1, "m": g.m, "sqrt_m": sqrt_m}))
 
 
-def _check_spectral_mantel(g: Graph, spec, budget, walk_depth) -> Verdict:
-    result = spectral_mantel_classify(g, spec)
+def _check_spectral_mantel(facts: GraphFacts) -> Verdict:
+    g = facts.g
+    result = spectral_mantel_classify(g, facts.spec)
     if result.kind == "below_threshold":
         return Verdict.vacuous("lambda1 below sqrt(m)")
     if result.kind in ("has_triangle", "extremal_complete_bipartite"):
@@ -138,26 +200,30 @@ def _check_spectral_mantel(g: Graph, spec, budget, walk_depth) -> Verdict:
         {"kind": result.kind}))
 
 
-def _check_walk_inequality(g: Graph, spec, budget, walk_depth) -> Verdict:
+def _check_walk_inequality(facts: GraphFacts) -> Verdict:
+    g, depth = facts.g, facts.walk_depth
     if g.m == 0:
         return Verdict.vacuous("edgeless graph: no evaluable index")
-    table = walk_counts(g, walk_depth)
-    if walk_inequality_holds(g, walk_depth, table):
+    table = facts.walks
+    if walk_inequality_holds(g, depth, table, facts.sums):
         return Verdict.holds()
     return Verdict.violated(_report(
         g, TheoremId.WALK_INEQUALITY,
-        {"m": g.m, "K": walk_depth},
-        {"totals": [str(w) for w in table.totals]}))
+        {"m": g.m, "K": depth},
+        {"totals": [str(w) for w in table.totals[:depth + 1]]}))
 
 
-def _check_decomposition(g: Graph, spec, budget, walk_depth) -> Verdict:
-    if decomposition_identity_check(g, max(2, walk_depth)):
+def _check_decomposition(facts: GraphFacts) -> Verdict:
+    g = facts.g
+    if decomposition_identity_check(g, max(2, facts.walk_depth), facts.walks,
+                                    facts.sums):
         return Verdict.holds()
     return Verdict.violated(_report(
-        g, TheoremId.DECOMPOSITION_IDENTITY, {"m": g.m, "K": walk_depth}))
+        g, TheoremId.DECOMPOSITION_IDENTITY, {"m": g.m, "K": facts.walk_depth}))
 
 
-def _check_lemma5_peel(g: Graph, spec, budget, walk_depth) -> Verdict:
+def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
+    g = facts.g
     m = g.m
     applicable = [k for k in (1, 2, 3) if m >= k * g.n]
     if not applicable:
@@ -172,43 +238,37 @@ def _check_lemma5_peel(g: Graph, spec, budget, walk_depth) -> Verdict:
     return Verdict.holds()
 
 
-def _check_lemma6_bondy(g: Graph, spec, budget, walk_depth) -> Verdict:
-    return bondy_pancyclicity_check(g, budget)
+def _check_lemma6_bondy(facts: GraphFacts) -> Verdict:
+    return bondy_pancyclicity_check(facts.g, facts.budget)
 
 
-def _check_thm7(g: Graph, spec, budget, walk_depth) -> Verdict:
-    return consecutive_even_cycles_check(g, spec=spec, budget=budget)
+def _check_thm7(facts: GraphFacts) -> Verdict:
+    return consecutive_even_cycles_check(facts.g, spec=facts.spec,
+                                         budget=facts.budget)
 
 
-def _check_lemma1(g: Graph, spec, budget, walk_depth) -> Verdict:
-    symmetric = is_spectrum_symmetric(spec)
-    bip = bipartition(g) is not None
+def _check_lemma1(facts: GraphFacts) -> Verdict:
+    symmetric = is_spectrum_symmetric(facts.spec)
+    bip = facts.bipartition is not None
     if symmetric == bip:
         return Verdict.holds()
     return Verdict.violated(_report(
-        g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
-        {"m": g.m},
+        facts.g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
+        {"m": facts.g.m},
         {"spectrum_symmetric": symmetric, "bipartite": bip}))
 
 
-def _check_lemma2(g: Graph, spec, budget, walk_depth) -> Verdict:
-    conn = connectivity(g)
+def _check_lemma2(facts: GraphFacts) -> Verdict:
+    conn = facts.connectivity
     if not conn.is_connected:
         return Verdict.vacuous("disconnected")
-    distinct = distinct_eigenvalue_count(spec)
+    distinct = distinct_eigenvalue_count(facts.spec)
     if distinct >= conn.diameter + 1:
         return Verdict.holds()
     return Verdict.violated(_report(
-        g, TheoremId.LEMMA2_DIAMETER_DISTINCT,
+        facts.g, TheoremId.LEMMA2_DIAMETER_DISTINCT,
         {"diameter": conn.diameter, "distinct_eigenvalues": distinct}))
 
-
-_NEEDS_SPECTRUM = {
-    TheoremId.NOSAL, TheoremId.SPECTRAL_MANTEL, TheoremId.STANLEY,
-    TheoremId.HONG, TheoremId.HSF, TheoremId.THM11, TheoremId.LEMMA3_BOUND,
-    TheoremId.THM7_EVEN_CYCLES, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
-    TheoremId.LEMMA2_DIAMETER_DISTINCT,
-}
 
 _CHECKERS = {
     TheoremId.MANTEL: _check_mantel,
@@ -226,14 +286,19 @@ _CHECKERS = {
 
 def check_theorem(g: Graph, theorem, spec: Spectrum | None = None,
                   budget: int = DEFAULT_BUDGET,
-                  walk_depth: int = WALK_DEPTH) -> Verdict:
-    """Deterministic verdict of one theorem on one graph."""
+                  walk_depth: int = WALK_DEPTH, *,
+                  facts: GraphFacts | None = None) -> Verdict:
+    """Deterministic verdict of one theorem on one graph.
+
+    ``facts`` shares g's computed quantities across calls; when it is
+    given, its spectrum, budget and walk depth replace the other arguments.
+    """
     theorem = coerce_theorem(theorem)
-    if spec is None and theorem in _NEEDS_SPECTRUM:
-        spec = eigendecompose(g)
+    if facts is None:
+        facts = GraphFacts(g, spec, budget, walk_depth)
     if theorem in BOUND_THEOREMS:
-        return _check_bound(g, theorem, spec)
-    return _CHECKERS[theorem](g, spec, budget, walk_depth)
+        return _check_bound(facts, theorem)
+    return _CHECKERS[theorem](facts)
 
 
 def replay(report: CounterexampleReport,
@@ -473,37 +538,22 @@ def _merge_partial(acc: dict, part: dict) -> dict:
 
 def _battery(g: Graph, theorems, budget: int, walk_depth: int,
              partial: dict) -> None:
-    spec = None
-    if any(t in _NEEDS_SPECTRUM or t in BOUND_THEOREMS for t in theorems):
-        spec = eigendecompose(g)
+    facts = GraphFacts(g, budget=budget, walk_depth=walk_depth)
     text = None
     for t in theorems:
-        verdict = check_theorem(g, t, spec, budget, walk_depth)
+        verdict = check_theorem(g, t, facts=facts)
         partial["totals"][t.value][verdict.status] += 1
         if verdict.counterexample is not None:
             partial["counterexamples"].append(verdict.counterexample)
-        if t in BOUND_THEOREMS and verdict.status == "holds":
-            kind = BOUND_THEOREMS[t]
-            value = bound_value(g, kind)
-            if abs(value - spec.lambda1) <= EQ_EPS:
-                if text is None:
-                    text = to_graph6(g) if g.n <= 62 else graph_text(g)[1]
-                partial["tight"][kind.value].append(text)
+        if t in facts.tight_bounds:
+            if text is None:
+                text = to_graph6(g) if g.n <= 62 else graph_text(g)[1]
+            partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
-def _labeled_shard(args) -> dict:
-    n, start, stop, theorem_values, connected_only, budget, walk_depth = args
-    theorems = tuple(TheoremId(v) for v in theorem_values)
-    partial = _empty_partial(theorems)
-    for mask in range(start, stop):
-        g = from_edge_mask(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        _battery(g, theorems, budget, walk_depth, partial)
-    return partial
-
-
-def _mask_list_shard(args) -> dict:
+def _graph_shard(args) -> dict:
+    """Per-graph battery over a mask source: a range of labeled masks or a
+    list of canonical ones."""
     n, masks, theorem_values, connected_only, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
     partial = _empty_partial(theorems)
@@ -579,31 +629,22 @@ def sweep(config: SweepConfig) -> SweepReport:
         and config.n_max >= 6
     )
     shard_args = []
-    worker = None
     for n in range(config.n_min, config.n_max + 1):
         if config.dedup == "labeled":
-            total = labeled_graph_count(n)
-            step = max(1, math.ceil(total / SHARDS_PER_ORDER))
-            for start in range(0, total, step):
-                stop = min(start + step, total)
-                if use_vector:
-                    shard_args.append(
-                        (n, start, stop, theorem_values, config.connected_only))
-                else:
-                    shard_args.append(
-                        (n, start, stop, theorem_values, config.connected_only,
-                         config.budget, config.walk_depth))
+            masks = range(labeled_graph_count(n))
         else:
             masks = canonical_masks(n)
-            step = max(1, math.ceil(len(masks) / SHARDS_PER_ORDER))
-            for i in range(0, len(masks), step):
+        step = max(1, math.ceil(len(masks) / SHARDS_PER_ORDER))
+        for i in range(0, len(masks), step):
+            shard = masks[i:i + step]
+            if use_vector:  # labeled only, so the shard is a range
+                shard_args.append((n, shard.start, shard.stop, theorem_values,
+                                   config.connected_only))
+            else:
                 shard_args.append(
-                    (n, masks[i:i + step], theorem_values,
-                     config.connected_only, config.budget, config.walk_depth))
-    if config.dedup == "labeled":
-        worker = _vector_shard if use_vector else _labeled_shard
-    else:
-        worker = _mask_list_shard
+                    (n, shard, theorem_values, config.connected_only,
+                     config.budget, config.walk_depth))
+    worker = _vector_shard if use_vector else _graph_shard
     merged = _run_shards(worker, shard_args, config.jobs)
     if merged is None:
         merged = _empty_partial(theorems)
@@ -675,6 +716,8 @@ def fuzz(distribution, count: int, seed: int,
         dist = tuple(distribution)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     started = time.perf_counter()
     theorem_ids = tuple(coerce_theorem(t) for t in theorems)
     theorem_values = tuple(t.value for t in theorem_ids)

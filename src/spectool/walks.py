@@ -4,8 +4,10 @@ w_k is the number of walks of length k (k+1 vertices, consecutive pairs
 adjacent) and w_k(i) counts those starting at vertex i. Totals satisfy
 w_k = ones^T A^k ones, which the expansion w_k = sum_i c_i lambda_i^k
 reproduces with c_i = (sum of the entries of eigenvector u_i)^2 >= 0.
-Counts grow like lambda_1^k, so everything integer here is arbitrary
-precision; ratios are reduced fractions until the final float rounding.
+Counts grow like lambda_1^k, so walk tables are built in int64 only where
+the maximum degree proves that exact and in Python ints otherwise; every
+count handed out is a Python int, and ratios are reduced fractions until the
+final float rounding.
 """
 
 from dataclasses import dataclass
@@ -17,9 +19,21 @@ from .errors import (
     DisconnectedInputError,
     EmptyGraphError,
     ExpansionMismatchError,
+    InvalidWalkTableError,
 )
-from .graph import Graph, bits, is_connected, neighborhood_degree_sums
-from .spectrum import CLUSTER_EPS, Spectrum, eigendecompose, eigenvalue_clusters
+from .graph import (
+    Graph,
+    NeighborhoodDegreeSums,
+    is_connected,
+    neighborhood_degree_sums,
+)
+from .spectrum import (
+    CLUSTER_EPS,
+    Spectrum,
+    adjacency_matrix,
+    eigendecompose,
+    eigenvalue_clusters,
+)
 
 
 @dataclass(frozen=True)
@@ -31,45 +45,75 @@ class WalkTable:
     per_vertex: tuple[tuple[int, ...], ...]  # per_vertex[k][i] = w_k(i)
 
     def validate(self) -> None:
+        """Raise InvalidWalkTableError unless the table meets the identities
+        every exact walk table does: w_0 = n, totals are the sums of the
+        per-vertex counts, counts are nonnegative, w_1 = sum d(i),
+        w_2 = sum d(i)^2 and w_1 <= w_2 <= ... <= w_K."""
         n = len(self.per_vertex[0])
         degrees = self.per_vertex[1] if self.K >= 1 else ()
-        assert self.totals[0] == n
+        _require(self.totals[0] == n, f"w_0 = {self.totals[0]} != n = {n}")
         for k in range(self.K + 1):
-            assert self.totals[k] == sum(self.per_vertex[k])
-            assert all(w >= 0 for w in self.per_vertex[k])
+            _require(self.totals[k] == sum(self.per_vertex[k]),
+                     f"w_{k} differs from the sum of its per-vertex counts")
+            _require(all(w >= 0 for w in self.per_vertex[k]),
+                     f"negative per-vertex count at length {k}")
         if self.K >= 1:
-            assert self.totals[1] == sum(degrees)
+            _require(self.totals[1] == sum(degrees),
+                     "w_1 differs from the degree sum")
         if self.K >= 2:
-            assert self.totals[2] == sum(d * d for d in degrees)
+            _require(self.totals[2] == sum(d * d for d in degrees),
+                     "w_2 differs from the sum of squared degrees")
         for k in range(1, self.K):
-            assert self.totals[k + 1] >= self.totals[k]
+            _require(self.totals[k + 1] >= self.totals[k],
+                     f"w_{k + 1} < w_{k}")
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidWalkTableError(message)
+
+
+def _walk_dtype(max_degree: int, K: int):
+    """int64 when it holds every count exactly, else exact Python ints.
+
+    w_k(i) <= max_degree**k, and every partial sum of the product that
+    yields w_k(i) is at most w_k(i), so max_degree**K < 2**63 rules out
+    overflow. Totals can exceed that (n * max_degree**K), so they are summed
+    in Python ints.
+    """
+    return np.int64 if max_degree ** K < 2 ** 63 else object
 
 
 def walk_counts(g: Graph, K: int) -> WalkTable:
-    """Walk table up to length K by exact integer matrix-vector products."""
+    """Walk table up to length K by K exact matrix-vector products."""
     if g.n == 0:
         raise EmptyGraphError("walks need at least one vertex")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    current = [1] * g.n
-    per_vertex = [tuple(current)]
+    dtype = _walk_dtype(max(g.degrees()), K)
+    a = adjacency_matrix(g, dtype)
+    current = np.ones(g.n, dtype=dtype)
+    per_vertex = [tuple(current.tolist())]
     for _ in range(K):
-        current = [sum(current[u] for u in bits(row)) for row in g.adj]
-        per_vertex.append(tuple(current))
+        current = a.dot(current)
+        per_vertex.append(tuple(current.tolist()))
     totals = tuple(sum(level) for level in per_vertex)
     return WalkTable(K, totals, tuple(per_vertex))
 
 
-def decomposition_identity_check(g: Graph, K: int,
-                                 table: WalkTable | None = None) -> bool:
+def decomposition_identity_check(
+        g: Graph, K: int, table: WalkTable | None = None,
+        sums: NeighborhoodDegreeSums | None = None) -> bool:
     """Exact check of w_k = sum_i w_{k-2}(i) w_2(i) for 2 <= k <= K,
     plus w_2(i) = sum_{j in N(i)} d(j)."""
     if K < 2:
         raise ValueError("K must be at least 2")
     if table is None:
         table = walk_counts(g, K)
+    if sums is None:
+        sums = neighborhood_degree_sums(g)
     w2 = table.per_vertex[2]
-    if w2 != neighborhood_degree_sums(g).open_sums:
+    if w2 != sums.open_sums:
         return False
     for k in range(2, K + 1):
         lhs = table.totals[k]
@@ -104,14 +148,17 @@ def nikiforov_walk_inequality(g: Graph, K: int,
     return residuals
 
 
-def walk_inequality_holds(g: Graph, K: int,
-                          table: WalkTable | None = None) -> bool:
+def walk_inequality_holds(
+        g: Graph, K: int, table: WalkTable | None = None,
+        sums: NeighborhoodDegreeSums | None = None) -> bool:
     """Integer-only form of the residual check: w_k + w_{k-1} <= M w_{k-2}."""
     if table is None:
         table = walk_counts(g, K)
     if g.m == 0:
         return True
-    max_closed = neighborhood_degree_sums(g).max_closed
+    if sums is None:
+        sums = neighborhood_degree_sums(g)
+    max_closed = sums.max_closed
     return all(
         table.totals[k] + table.totals[k - 1] <= max_closed * table.totals[k - 2]
         for k in range(2, K + 1)

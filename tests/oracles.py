@@ -41,3 +41,15 @@ def has_cycle_by_subsets(g: Graph, l: int) -> bool:
             if all(g.has_edge(seq[i], seq[(i + 1) % l]) for i in range(l)):
                 return True
     return False
+
+
+def walk_levels_by_bitsets(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """Per-vertex walk counts w_0(i)..w_k(i) in pure Python ints, each level
+    by summing the previous one over the bitset neighbourhoods."""
+    current = [1] * g.n
+    levels = [tuple(current)]
+    for _ in range(k):
+        current = [sum(current[u] for u in range(g.n) if row >> u & 1)
+                   for row in g.adj]
+        levels.append(tuple(current))
+    return levels

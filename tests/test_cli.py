@@ -122,6 +122,13 @@ def test_fuzz_bad_distribution_exit3():
     assert run_cli(["fuzz", "--dist", "gnp:30,1.5"]).returncode == 3
 
 
+def test_fuzz_jobs_zero_exit3():
+    result = run_cli(["fuzz", "--dist", "gnp:5,0.5", "--count", "3",
+                      "--jobs", "0"])
+    assert result.returncode == 3
+    assert "jobs must be positive" in result.stderr
+
+
 def test_env_var_sets_default_jobs(monkeypatch):
     monkeypatch.setenv("SPECTOOL_JOBS", "3")
     from spectool.cli import build_parser

@@ -2,15 +2,24 @@
 
 import pytest
 
-from spectool.errors import OrderTooLargeError
-from spectool.families import complete, cycle, star
+from spectool.bounds import bound_value
+from spectool.cycles import DEFAULT_BUDGET
+from spectool.errors import OrderTooLargeError, PreconditionViolatedError
+from spectool.families import complete, cycle, gnp, star
 from spectool.graph import from_edge_mask, to_edge_mask
+from spectool.graph6 import to_graph6
+from spectool.spectrum import EQ_EPS, eigendecompose
 from spectool.verdicts import CounterexampleReport
 from spectool.verify import (
     ALL_THEOREMS,
+    BOUND_THEOREMS,
     VECTORIZABLE,
+    WALK_DEPTH,
     SweepConfig,
     TheoremId,
+    _battery,
+    _empty_partial,
+    _graph_shard,
     canonical_form,
     canonical_masks,
     check_theorem,
@@ -85,6 +94,71 @@ class TestCheckTheorem:
         for theorem in ALL_THEOREMS:
             verdict = check_theorem(complete(5), theorem)
             assert verdict.status in ("holds", "vacuous")
+
+
+def _fresh_tight(g, theorem) -> bool:
+    """Tightness recomputed from scratch, the way the census used to."""
+    try:
+        value = bound_value(g, BOUND_THEOREMS[theorem])
+    except PreconditionViolatedError:
+        return False
+    return abs(value - eigendecompose(g).lambda1) <= EQ_EPS
+
+
+def _assert_battery_matches_fresh_checks(g):
+    partial = _empty_partial(ALL_THEOREMS)
+    _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
+    expected_counterexamples = []
+    for t in ALL_THEOREMS:
+        fresh = check_theorem(g, t)
+        counts = partial["totals"][t.value]
+        assert counts[fresh.status] == 1 and sum(counts.values()) == 1, \
+            (to_graph6(g), t, counts, fresh)
+        if fresh.counterexample is not None:
+            expected_counterexamples.append(fresh.counterexample)
+        if t in BOUND_THEOREMS:
+            tight = fresh.status == "holds" and _fresh_tight(g, t)
+            entries = partial["tight"][BOUND_THEOREMS[t].value]
+            assert entries == ([to_graph6(g)] if tight else []), (g, t)
+    assert partial["counterexamples"] == expected_counterexamples
+
+
+class TestSharedFacts:
+    """One facts object per graph gives each theorem the verdict and tight
+    entry that a fresh ``check_theorem`` call gives."""
+
+    def test_every_labeled_graph_up_to_n5(self):
+        for n in range(1, 6):
+            for mask in range(labeled_graph_count(n)):
+                _assert_battery_matches_fresh_checks(from_edge_mask(n, mask))
+
+    @pytest.mark.parametrize("n,p,count", [(30, 0.5, 25), (12, 0.9, 100)])
+    def test_seeded_gnp_samples(self, n, p, count):
+        for seed in range(count):
+            _assert_battery_matches_fresh_checks(gnp(n, p, seed))
+
+    def test_regular_graphs_are_tight(self):
+        # Connected regular graphs meet the Stanley-type bounds with
+        # equality, so the tight census is exercised, not just empty.
+        g = cycle(7)
+        partial = _empty_partial(ALL_THEOREMS)
+        _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
+        assert partial["tight"]["thm11"] == [to_graph6(g)]
+        _assert_battery_matches_fresh_checks(g)
+
+    def test_negative_walk_depth_rejected(self):
+        with pytest.raises(ValueError):
+            check_theorem(complete(3), TheoremId.WALK_INEQUALITY,
+                          walk_depth=-1)
+
+    def test_shard_over_range_equals_shard_over_list(self):
+        theorems = tuple(t.value for t in ALL_THEOREMS)
+        masks = range(100, 400)
+        by_range = _graph_shard(
+            (5, masks, theorems, False, DEFAULT_BUDGET, WALK_DEPTH))
+        by_list = _graph_shard(
+            (5, list(masks), theorems, False, DEFAULT_BUDGET, WALK_DEPTH))
+        assert by_range == by_list
 
 
 class TestSweep:
@@ -174,6 +248,10 @@ class TestFuzz:
         assert rep.violated_count() == 0
         # every connected k-regular sample is tight for thm11
         assert len(rep.tight["thm11"]) > 0
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs"):
+            fuzz("gnp:5,0.5", 3, 1, jobs=0)
 
     def test_parse_distribution(self):
         assert parse_distribution("gnp:30,0.5") == ("gnp", 30, 0.5)

@@ -1,14 +1,25 @@
 """Walk tables, the decomposition identity, and the spectral expansion."""
 
 from fractions import Fraction
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from spectool.errors import DisconnectedInputError, EmptyGraphError
-from spectool.families import complete, complete_bipartite, cycle, path, star
+import spectool.walks
+from spectool.errors import (
+    DisconnectedInputError,
+    EmptyGraphError,
+    InvalidWalkTableError,
+)
+from spectool.families import complete, complete_bipartite, cycle, gnp, path, star
 from spectool.graph import Graph, bipartition, from_edge_mask, from_edges, is_connected
 from spectool.spectrum import eigendecompose
 from spectool.walks import (
+    WalkTable,
+    _walk_dtype,
     a_greater_b_check,
     decomposition_identity_check,
     nikiforov_walk_inequality,
@@ -18,7 +29,7 @@ from spectool.walks import (
     walk_inequality_holds,
 )
 
-from oracles import walks_by_enumeration
+from oracles import walk_levels_by_bitsets, walks_by_enumeration
 
 
 def test_walk_counts_examples():
@@ -34,6 +45,74 @@ def test_walk_counts_match_brute_enumeration():
             table = walk_counts(g, 6)
             for k in range(7):
                 assert table.totals[k] == walks_by_enumeration(g, k)
+
+
+def test_walk_dtype_switch_at_int64_boundary():
+    # K_30 has max degree 29, and 29**12 < 2**63 <= 29**13.
+    assert 29 ** 12 < 2 ** 63 <= 29 ** 13
+    assert _walk_dtype(29, 12) is np.int64
+    assert _walk_dtype(29, 13) is object
+    assert _walk_dtype(0, 0) is np.int64
+
+
+@pytest.mark.parametrize("K", [12, 13])
+def test_walk_counts_k30_on_both_sides_of_the_boundary(K):
+    g = complete(30)
+    table = walk_counts(g, K)
+    assert list(table.per_vertex) == walk_levels_by_bitsets(g, K)
+    for k in range(K + 1):
+        assert table.per_vertex[k] == (29 ** k,) * 30
+        assert table.totals[k] == 30 * 29 ** k
+        assert type(table.totals[k]) is int
+    # Totals outgrow int64 before the per-vertex counts do.
+    assert table.totals[12] >= 2 ** 63
+    table.validate()
+
+
+def test_walk_kernel_object_dtype_matches_enumeration(monkeypatch):
+    # Small graphs take the int64 path on their own, which
+    # test_walk_counts_match_brute_enumeration covers;
+    # forcing the exact-int fallback checks it against the same oracles.
+    monkeypatch.setattr(spectool.walks, "_walk_dtype", lambda d, K: object)
+    for n in range(1, 5):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = from_edge_mask(n, mask)
+            table = walk_counts(g, 5)
+            assert list(table.per_vertex) == walk_levels_by_bitsets(g, 5)
+            for k in range(6):
+                assert table.totals[k] == walks_by_enumeration(g, k)
+                assert all(type(w) is int for w in table.per_vertex[k])
+
+
+def test_walk_kernel_matches_python_reference_gnp30():
+    for seed in range(3):
+        g = gnp(30, 0.5, seed)
+        for K in (12, 40):  # int64 at K = 12, Python ints at K = 40
+            assert list(walk_counts(g, K).per_vertex) \
+                == walk_levels_by_bitsets(g, K)
+
+
+@pytest.mark.parametrize("table,match", [
+    (WalkTable(1, (5, 0), ((1, 1), (0, 0))), "w_0"),
+    (WalkTable(1, (2, 3), ((1, 1), (1, 1))), "per-vertex"),
+    (WalkTable(1, (2, 0), ((1, 1), (1, -1))), "negative"),
+    (WalkTable(2, (2, 2, 3), ((1, 1), (1, 1), (2, 1))), "squared degrees"),
+    (WalkTable(3, (2, 2, 2, 1), ((1, 1), (1, 1), (1, 1), (1, 0))), "w_3 < w_2"),
+])
+def test_walk_table_validate_rejects_bad_tables(table, match):
+    with pytest.raises(InvalidWalkTableError, match=match):
+        table.validate()
+
+
+def test_walk_table_validate_under_python_O():
+    code = ("from spectool.walks import WalkTable\n"
+            "WalkTable(1, (5, 0), ((1, 1), (0, 0))).validate()\n")
+    src = os.path.dirname(os.path.dirname(spectool.walks.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-O", "-c", code],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode != 0
+    assert "InvalidWalkTableError" in result.stderr
 
 
 def test_walk_table_validate_small_exhaustive():
