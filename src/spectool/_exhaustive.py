@@ -1,10 +1,12 @@
 """Batched numpy engine for exhaustive labeled sweeps on small orders.
 
 Graphs are edge bitmasks; blocks of a few thousand are expanded into stacked
-adjacency matrices and processed with batched LAPACK and boolean matrix
-powers. Semantics (thresholds, formulas, epsilons) mirror the per-graph
-checkers exactly; graphs needing combinatorial confirmation (extremal
-classification, actual violations) are handed back to the caller as masks.
+adjacency matrices for batched LAPACK and into bitset rows for the
+structural facts (connectivity, bipartiteness, diameter). Semantics
+(thresholds, formulas, epsilons) mirror the per-graph checkers exactly;
+graphs needing combinatorial confirmation (extremal classification, actual
+violations) or whose eigenvalues fail the trace certificate are handed back
+to the caller as masks.
 """
 
 from functools import lru_cache
@@ -12,9 +14,17 @@ import itertools
 
 import numpy as np
 
+from .errors import OrderTooLargeError
 from .spectrum import CLUSTER_EPS, EQ_EPS
 
 BLOCK = 4096
+# A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
+MAX_EXHAUSTIVE_N = 8
+# Bound on |sum lambda^k - trace(A^k)| for k = 1, 2, 3 (0, 2m and 6 triangles).
+TRACE_EPS = 1e-6
+
+_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
+_LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 
 
 @lru_cache(maxsize=None)
@@ -32,67 +42,100 @@ def _tables(n: int):
 
 def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
                 want_diam: bool = False) -> dict:
-    """Vectorized per-graph quantities for a block of edge masks."""
+    """Vectorized per-graph quantities for a block of edge masks.
+
+    ``certified`` flags the graphs whose eigenvalues meet the exact trace
+    identities sum(lambda) = 0, sum(lambda^2) = 2m and sum(lambda^3) =
+    6 * triangles within ``TRACE_EPS``.
+    """
+    if n > MAX_EXHAUSTIVE_N:
+        raise OrderTooLargeError(
+            f"batch engine capped at n = {MAX_EXHAUSTIVE_N}")
     u_idx, v_idx, triple_masks = _tables(n)
     nbits = n * (n - 1) // 2
     b = len(masks)
     bits = ((masks[:, None] >> np.arange(nbits, dtype=np.int64)) & 1)
-    a = np.zeros((b, n, n))
-    if nbits:
-        values = bits.astype(np.float64)
-        a[:, u_idx, v_idx] = values
-        a[:, v_idx, u_idx] = values
-    degrees = a.sum(axis=2)
-    deg_int = degrees.astype(np.int64)
-    m = bits.sum(axis=1)
+    adj = np.zeros((b, n, n), dtype=np.uint8)
+    adj[:, u_idx, v_idx] = bits
+    adj[:, v_idx, u_idx] = bits
+    # rows[:, v] has bit u set iff u ~ v; distinct powers of two sum to at
+    # most 255, so the uint8 product is exact.
+    rows = adj @ (np.uint8(1) << np.arange(n, dtype=np.uint8))
+    degrees = _POPCOUNT[rows]
+    m = degrees.sum(axis=1) // 2
+    a = adj.astype(np.float64)
     ev = np.linalg.eigvalsh(a)  # ascending
-    lam1 = ev[:, -1]
     tri = np.zeros(b, dtype=np.int64)
     for tm in triple_masks:
         tri += (masks & tm) == tm
-    open_sums = np.einsum("bij,bj->bi", a, degrees)
-    closed_sums = open_sums + degrees
+    ev2 = ev * ev
+    sum_cubes = (ev2 * ev).sum(axis=1)
+    open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
     out = {
         "masks": masks,
         "m": m,
-        "min_deg": deg_int.min(axis=1) if n else np.zeros(b, dtype=np.int64),
-        "degrees": deg_int,
+        "min_deg": degrees.min(axis=1),
+        "degrees": degrees,
         "ev": ev,
-        "lam1": lam1,
-        "sum_cubes": (ev ** 3).sum(axis=1),
+        "lam1": ev[:, -1],
+        "sum_cubes": sum_cubes,
         "tri": tri,
         "max_open": open_sums.max(axis=1).astype(np.int64),
-        "max_closed": closed_sums.max(axis=1).astype(np.int64),
+        "max_closed": (open_sums + degrees).max(axis=1).astype(np.int64),
+        "certified": (np.abs(ev.sum(axis=1)) <= TRACE_EPS)
+        & (np.abs(ev2.sum(axis=1) - 2 * m) <= TRACE_EPS)
+        & (np.abs(sum_cubes - 6 * tri) <= TRACE_EPS),
     }
-    reach = a + np.eye(n)
-    power = 1
-    while power < n - 1:
-        reach = reach @ reach
-        power *= 2
-    out["connected"] = (reach[:, 0, :] > 0).all(axis=1)
+    connected, bipartite, diameter = _walk_facts(n, rows, want_bip)
+    out["connected"] = connected
     if want_bip:
-        odd_trace = np.zeros(b)
-        a2 = a @ a
-        walk = a
-        for _ in range(3, n + 1, 2):
-            walk = walk @ a2
-            odd_trace += np.trace(walk, axis1=1, axis2=2)
-        out["bipartite"] = odd_trace == 0
+        out["bipartite"] = bipartite
         out["symmetric"] = np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS
     if want_diam:
-        if n == 1:
-            out["diameter"] = np.zeros(b, dtype=np.int64)
-        else:
-            walk = a + np.eye(n)
-            diam = np.zeros(b, dtype=np.int64)
-            current = walk
-            diam += ~((current > 0).all(axis=(1, 2)))
-            for _ in range(2, n):
-                current = current @ walk
-                diam += ~((current > 0).all(axis=(1, 2)))
-            out["diameter"] = diam + 1
+        out["diameter"] = diameter
         out["distinct"] = (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1
     return out
+
+
+def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
+    """Connectivity, bipartiteness and diameter from exact-length walk sets.
+
+    W_k[v] is the set of ends of walks of length k from v: W_0[v] = {v} and
+    W_k[v] is the OR of rows[u] over u in W_{k-1}[v]. Each graph keeps its
+    n walk sets in one 64-bit word, W_k[v] in bits 8v..8v+7, so a round is
+    n vectorised ORs over the block: for each u, row u is copied into every
+    byte and kept in the bytes whose walk set holds u.
+
+    The graph is connected iff the walks of length < n from vertex 0 reach
+    every vertex, and bipartite iff no odd k <= n has v in W_k[v]. The
+    diameter is the number of k in 0..n-1 at which some ball of radius k is
+    not the whole vertex set: the first k at which all balls are whole, 0
+    for n = 1 and n for disconnected graphs. ``bipartite`` is None unless
+    ``want_bip``, since the odd rounds up to n are only run then.
+    """
+    b = len(rows)
+    full = (1 << n) - 1
+    diag = np.uint64(sum(1 << (9 * v) for v in range(n)))  # v in byte v
+    all_full = np.uint64(sum(full << (8 * v) for v in range(n)))
+    spread = [rows[:, u].astype(np.uint64) * _LOW_BITS for u in range(n)]
+    walk = np.full(b, diag, dtype=np.uint64)
+    seen = np.zeros(b, dtype=np.uint64)
+    diameter = np.zeros(b, dtype=np.int64)
+    odd_closed = np.zeros(b, dtype=bool)
+    for k in range(n + 1 if want_bip else n):
+        if k:
+            step = np.zeros(b, dtype=np.uint64)
+            for u in range(n):
+                holds_u = ((walk >> np.uint64(u)) & _LOW_BITS) * np.uint64(0xFF)
+                step |= spread[u] & holds_u
+            walk = step
+        if k < n:
+            seen |= walk
+            diameter += seen != all_full
+        if k % 2:
+            odd_closed |= (walk & diag) != 0
+    connected = (seen & np.uint64(0xFF)) == np.uint64(full)
+    return connected, (~odd_closed if want_bip else None), diameter
 
 
 def _bound_arrays(stats: dict, n: int) -> dict:
@@ -114,7 +157,8 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
     """Tally vectorizable theorems over masks [start, stop).
 
     Returns counts, tight-census masks per bound, and ``resolve`` masks that
-    the caller must re-check per graph (extremal confirmations, violations).
+    the caller must re-check per graph (extremal confirmations, violations,
+    graphs that fail the trace certificate).
     """
     counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
               for t in theorems}
@@ -127,16 +171,16 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
         masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
         stats = block_stats(n, masks, want_bip, want_diam)
         if connected_only:
-            keep = stats["connected"]
-            if not keep.all():
-                stats = {
-                    key: (value[keep] if isinstance(value, np.ndarray) else value)
-                    for key, value in stats.items()
-                }
-            if len(stats["masks"]) == 0:
-                continue
+            stats = _select(stats, stats["connected"])
         _tally_block(n, stats, theorems, counts, tight, resolve)
     return {"counts": counts, "tight": tight, "resolve": resolve}
+
+
+def _select(stats: dict, keep: np.ndarray) -> dict:
+    """The per-graph entries of ``stats`` for the graphs ``keep`` marks."""
+    if keep.all():
+        return stats
+    return {key: value[keep] for key, value in stats.items()}
 
 
 def _collect(resolve: dict, theorem: str, masks: np.ndarray) -> None:
@@ -146,6 +190,13 @@ def _collect(resolve: dict, theorem: str, masks: np.ndarray) -> None:
 
 def _tally_block(n: int, stats: dict, theorems: set, counts: dict,
                  tight: dict, resolve: dict) -> None:
+    # A graph whose eigenvalues fail the trace certificate gets every
+    # requested theorem from the per-graph reference checker instead.
+    certified = stats["certified"]
+    uncertified = stats["masks"][~certified]
+    for theorem in theorems:
+        _collect(resolve, theorem, uncertified)
+    stats = _select(stats, certified)
     masks = stats["masks"]
     m = stats["m"]
     lam1 = stats["lam1"]

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from . import _exhaustive
+from ._exhaustive import MAX_EXHAUSTIVE_N
 from .bounds import BoundKind, bound_value, mantel_check, spectral_mantel_classify
 from .cycles import (
     DEFAULT_BUDGET,
@@ -57,7 +58,6 @@ from .walks import (
 )
 
 WALK_DEPTH = 12
-MAX_EXHAUSTIVE_N = 8
 MAX_CANONICAL_N = 7
 
 
@@ -577,26 +577,32 @@ def _vector_shard(args) -> dict:
     for bound_id, mask_list in result["tight"].items():
         partial["tight"][bound_id].extend(
             to_graph6(from_edge_mask(n, mask)) for mask in mask_list)
-    # Graphs the batch engine cannot decide alone (extremal confirmations
-    # and any apparent violation) get the per-graph reference checker.
+    # Graphs the batch engine cannot decide alone (extremal confirmations,
+    # any apparent violation, a failed trace certificate) get the per-graph
+    # reference checker for the theorems it left open.
+    open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:
-            verdict = check_theorem(from_edge_mask(n, mask), tid_value)
-            partial["totals"][tid_value][verdict.status] += 1
-            if verdict.counterexample is not None:
-                partial["counterexamples"].append(verdict.counterexample)
+            open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
+    for mask, ids in open_theorems.items():
+        _battery(from_edge_mask(n, mask), ids, DEFAULT_BUDGET, WALK_DEPTH,
+                 partial)
     return partial
+
+
+def _shard_results(worker, shard_args, jobs: int):
+    """The worker's result for each shard, in shard order: computed lazily in
+    this process for one job, or by a pool of ``jobs`` forked workers."""
+    if jobs <= 1 or len(shard_args) <= 1:
+        return map(worker, shard_args)
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(jobs) as pool:
+        return pool.map(worker, shard_args, chunksize=1)
 
 
 def _run_shards(worker, shard_args, jobs: int) -> dict:
     merged = None
-    if jobs <= 1 or len(shard_args) <= 1:
-        results = map(worker, shard_args)
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(worker, shard_args, chunksize=1)
-    for part in results:
+    for part in _shard_results(worker, shard_args, jobs):
         merged = part if merged is None else _merge_partial(merged, part)
     return merged
 
@@ -623,11 +629,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     started = time.perf_counter()
     theorems = config.theorem_ids()
     theorem_values = tuple(t.value for t in theorems)
-    use_vector = (
-        config.dedup == "labeled"
-        and set(theorems) <= VECTORIZABLE
-        and config.n_max >= 6
-    )
+    use_vector = config.dedup == "labeled" and set(theorems) <= VECTORIZABLE
     shard_args = []
     for n in range(config.n_min, config.n_max + 1):
         if config.dedup == "labeled":
@@ -662,12 +664,13 @@ def parse_distribution(spec_text: str) -> tuple:
     try:
         if name == "gnp":
             n, p = int(params[0]), float(params[1])
-            if len(params) != 2 or n < 0 or not 0 <= p <= 1:
+            if len(params) != 2 or n < 1 or not 0 <= p <= 1:
                 raise ValueError
             return ("gnp", n, p)
         if name == "bipartite":
             a, b, p = int(params[0]), int(params[1]), float(params[2])
-            if len(params) != 3 or a < 0 or b < 0 or not 0 <= p <= 1:
+            if (len(params) != 3 or a < 0 or b < 0 or a + b < 1
+                    or not 0 <= p <= 1):
                 raise ValueError
             return ("bipartite", a, b, p)
         if name == "regular":
@@ -799,15 +802,8 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
         step = max(1, math.ceil(total / SHARDS_PER_ORDER))
         for start in range(0, total, step):
             shard_args.append((n, start, min(start + step, total)))
-    if jobs <= 1:
-        parts = [_audit_shard(a) for a in shard_args]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            parts = pool.map(_audit_shard, shard_args, chunksize=1)
-
     by_n: dict[int, list] = {}
-    for part in parts:
+    for part in _shard_results(_audit_shard, shard_args, jobs):
         by_n.setdefault(part["n"], []).append(part)
     merged_by_n = {n: _exhaustive.merge_audits(ps) for n, ps in by_n.items()}
 

@@ -122,6 +122,13 @@ def test_fuzz_bad_distribution_exit3():
     assert run_cli(["fuzz", "--dist", "gnp:30,1.5"]).returncode == 3
 
 
+def test_fuzz_empty_order_exit3():
+    for spec in ("gnp:0,0.5", "bipartite:0,0,0.5"):
+        result = run_cli(["fuzz", "--dist", spec, "--count", "2"])
+        assert result.returncode == 3
+        assert f"bad distribution spec '{spec}'" in result.stderr
+
+
 def test_fuzz_jobs_zero_exit3():
     result = run_cli(["fuzz", "--dist", "gnp:5,0.5", "--count", "3",
                       "--jobs", "0"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from spectool import _exhaustive
 from spectool.bounds import bound_value
 from spectool.cycles import DEFAULT_BUDGET
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
@@ -24,6 +25,7 @@ from spectool.verify import (
     canonical_masks,
     check_theorem,
     enumerate_graphs,
+    exhaustive_spectral_audit,
     fuzz,
     labeled_graph_count,
     parse_distribution,
@@ -188,18 +190,35 @@ class TestSweep:
         assert to_graph6(complete(5)) in tight
         assert to_graph6(star(5)) in tight
 
-    def test_vector_engine_matches_reference(self):
+    def test_vector_engine_matches_reference(self, monkeypatch):
         spectral = tuple(sorted(VECTORIZABLE, key=lambda t: t.value))
-        fast = sweep(SweepConfig(n_min=1, n_max=5, theorems=spectral,
-                                 jobs=1))
-        # Force the per-graph reference path by adding one slow theorem,
-        # then compare the shared counters.
-        slow = sweep(SweepConfig(
-            n_min=1, n_max=5,
-            theorems=spectral + (TheoremId.DECOMPOSITION_IDENTITY,), jobs=1))
-        for t in spectral:
-            assert fast.totals[t.value] == slow.totals[t.value]
-        assert fast.tight == {k: v for k, v in slow.tight.items()}
+        blocks = []
+        sweep_range = _exhaustive.sweep_range
+
+        def spy(*args):
+            blocks.append(args[0])
+            return sweep_range(*args)
+
+        monkeypatch.setattr(_exhaustive, "sweep_range", spy)
+        for connected_only in (False, True):
+            blocks.clear()
+            fast = sweep(SweepConfig(n_min=1, n_max=5, theorems=spectral,
+                                     connected_only=connected_only, jobs=1))
+            assert set(blocks) == {1, 2, 3, 4, 5}
+            # Force the per-graph reference path by adding one slow theorem,
+            # then compare the shared counters.
+            blocks.clear()
+            slow = sweep(SweepConfig(
+                n_min=1, n_max=5, connected_only=connected_only,
+                theorems=spectral + (TheoremId.DECOMPOSITION_IDENTITY,),
+                jobs=1))
+            assert not blocks
+            for t in spectral:
+                assert fast.totals[t.value] == slow.totals[t.value]
+            assert fast.tight == slow.tight
+            assert [c.to_dict() for c in fast.counterexamples] == [
+                c.to_dict() for c in slow.counterexamples
+                if c.theorem != TheoremId.DECOMPOSITION_IDENTITY.value]
 
     def test_jobs_do_not_change_report(self):
         config1 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=1)
@@ -258,9 +277,17 @@ class TestFuzz:
         assert parse_distribution("bipartite:8,8,0.7") == ("bipartite", 8, 8, 0.7)
         assert parse_distribution("regular:20,3") == ("regular", 20, 3)
         for bad in ("gnp:30,1.5", "gnp:30", "regular:10,11", "nope:1",
-                    "regular:9,3"):
+                    "regular:9,3", "gnp:0,0.5", "bipartite:0,0,0.5"):
             with pytest.raises(ValueError):
                 parse_distribution(bad)
+
+
+class TestSpectralAudit:
+    def test_jobs_do_not_change_audit(self):
+        one = exhaustive_spectral_audit(1, 5, jobs=1)
+        assert one.ok() and one.graphs == sum(
+            labeled_graph_count(n) for n in range(1, 6))
+        assert exhaustive_spectral_audit(1, 5, jobs=2) == one
 
 
 class TestReplay:
