@@ -1,16 +1,18 @@
 """Batched numpy engine for exhaustive labeled sweeps on small orders.
 
 Graphs are edge bitmasks; blocks of a few thousand are expanded into stacked
-adjacency matrices for batched LAPACK and into bitset rows for the
-structural facts (connectivity, bipartiteness, diameter). Semantics
-(thresholds, formulas, epsilons) mirror the per-graph checkers exactly;
-graphs needing combinatorial confirmation (extremal classification, actual
-violations) or whose eigenvalues fail the trace certificate are handed back
-to the caller as masks.
+adjacency matrices for batched LAPACK and exact int64 walk counts, and into
+bitset rows for the structural facts (connectivity, bipartiteness, diameter,
+peeling cores). Semantics (thresholds, formulas, epsilons) mirror the
+per-graph checkers exactly; graphs needing combinatorial confirmation
+(extremal classification, cycle search, actual violations) or whose
+eigenvalues fail the trace certificate are handed back to the caller as
+masks.
 """
 
 from functools import lru_cache
 import itertools
+import math
 
 import numpy as np
 
@@ -22,6 +24,8 @@ BLOCK = 4096
 MAX_EXHAUSTIVE_N = 8
 # Bound on |sum lambda^k - trace(A^k)| for k = 1, 2, 3 (0, 2m and 6 triangles).
 TRACE_EPS = 1e-6
+
+WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
@@ -40,24 +44,42 @@ def _tables(n: int):
     return u_idx, v_idx, triple_masks
 
 
+def walks_exact(n: int, K: int) -> bool:
+    """Whether int64 holds every walk quantity of an n-vertex graph up to
+    length K exactly.
+
+    w_k(i) <= (n-1)^k, so totals, the decomposition sums and the walk
+    inequality's right side max_closed * w_{k-2} (max_closed <= n(n-1)) all
+    stay at or below n^2 (n-1)^K.
+    """
+    return n * n * (n - 1) ** K < 2 ** 63
+
+
+def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (b, n, n) uint8 adjacency matrices of a block of edge masks."""
+    u_idx, v_idx, _ = _tables(n)
+    bits = (masks[:, None] >> np.arange(len(u_idx), dtype=np.int64)) & 1
+    adj = np.zeros((len(masks), n, n), dtype=np.uint8)
+    adj[:, u_idx, v_idx] = bits
+    adj[:, v_idx, u_idx] = bits
+    return adj
+
+
 def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
-                want_diam: bool = False) -> dict:
+                want_diam: bool = False, walk_depth: int | None = None) -> dict:
     """Vectorized per-graph quantities for a block of edge masks.
 
     ``certified`` flags the graphs whose eigenvalues meet the exact trace
     identities sum(lambda) = 0, sum(lambda^2) = 2m and sum(lambda^3) =
-    6 * triangles within ``TRACE_EPS``.
+    6 * triangles within ``TRACE_EPS``. A ``walk_depth`` adds the walk
+    inequality and decomposition identity verdicts at that depth.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(
             f"batch engine capped at n = {MAX_EXHAUSTIVE_N}")
-    u_idx, v_idx, triple_masks = _tables(n)
-    nbits = n * (n - 1) // 2
+    _, _, triple_masks = _tables(n)
     b = len(masks)
-    bits = ((masks[:, None] >> np.arange(nbits, dtype=np.int64)) & 1)
-    adj = np.zeros((b, n, n), dtype=np.uint8)
-    adj[:, u_idx, v_idx] = bits
-    adj[:, v_idx, u_idx] = bits
+    adj = adjacency(n, masks)
     # rows[:, v] has bit u set iff u ~ v; distinct powers of two sum to at
     # most 255, so the uint8 product is exact.
     rows = adj @ (np.uint8(1) << np.arange(n, dtype=np.uint8))
@@ -71,17 +93,19 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     ev2 = ev * ev
     sum_cubes = (ev2 * ev).sum(axis=1)
     open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
+    max_closed = (open_sums + degrees).max(axis=1).astype(np.int64)
     out = {
         "masks": masks,
         "m": m,
         "min_deg": degrees.min(axis=1),
         "degrees": degrees,
+        "rows": rows,
         "ev": ev,
         "lam1": ev[:, -1],
         "sum_cubes": sum_cubes,
         "tri": tri,
         "max_open": open_sums.max(axis=1).astype(np.int64),
-        "max_closed": (open_sums + degrees).max(axis=1).astype(np.int64),
+        "max_closed": max_closed,
         "certified": (np.abs(ev.sum(axis=1)) <= TRACE_EPS)
         & (np.abs(ev2.sum(axis=1) - 2 * m) <= TRACE_EPS)
         & (np.abs(sum_cubes - 6 * tri) <= TRACE_EPS),
@@ -94,7 +118,71 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     if want_diam:
         out["diameter"] = diameter
         out["distinct"] = (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1
+    if walk_depth is not None:
+        out["walk_inequality"], out["decomposition"] = _walk_checks(
+            adj, open_sums.astype(np.int64), max_closed, walk_depth)
     return out
+
+
+def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
+    """Per-vertex walk counts W_0..W_K of a block, each a (b, n) int64 array.
+
+    W_0 is all ones and W_k = A W_{k-1} is one batched int64 product.
+    """
+    n = adj.shape[1]
+    if not walks_exact(n, K):
+        raise OrderTooLargeError(
+            f"int64 walk counts are not exact at n = {n}, K = {K}")
+    a = adj.astype(np.int64)
+    levels = [np.ones(adj.shape[:2], dtype=np.int64)]
+    for _ in range(K):
+        levels.append(np.matmul(a, levels[-1][:, :, None])[:, :, 0])
+    return levels
+
+
+def _walk_checks(adj: np.ndarray, open_sums: np.ndarray,
+                 max_closed: np.ndarray, walk_depth: int):
+    """Walk inequality and decomposition identity, as the per-graph
+    ``walk_inequality_holds`` and ``decomposition_identity_check`` decide
+    them on a walk table of depth K = max(2, walk_depth).
+
+    The inequality w_k + w_{k-1} <= max_closed * w_{k-2} is checked for k
+    in 2..walk_depth with w_{k-2} > 0; the identity needs W_2 to equal the
+    open neighbourhood sums and w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K.
+    """
+    levels = walk_levels(adj, max(2, walk_depth))
+    totals = [level.sum(axis=1) for level in levels]
+    inequality = np.ones(len(adj), dtype=bool)
+    for k in range(2, walk_depth + 1):
+        inequality &= (totals[k - 2] <= 0) | (
+            totals[k] + totals[k - 1] <= max_closed * totals[k - 2])
+    w2 = levels[2]
+    decomposition = (w2 == open_sums).all(axis=1)
+    for k in range(2, len(levels)):
+        decomposition &= totals[k] == (levels[k - 2] * w2).sum(axis=1)
+    return inequality, decomposition
+
+
+def peel_survivors(rows: np.ndarray, k: int) -> np.ndarray:
+    """Vertex bitmask of each graph's (k+1)-core, which is the survivor set
+    of ``cycles.erdos_peel(g, k)``.
+
+    Each round deletes every surviving vertex with at most k surviving
+    neighbours. The survivors contain the core, so such a vertex has at most
+    k neighbours in it and lies outside it; the rounds therefore stop at the
+    core, whatever order the per-graph peel deletes in. Every round but the
+    last deletes a vertex, so n rounds suffice.
+    """
+    n = rows.shape[1]
+    weights = np.uint8(1) << np.arange(n, dtype=np.uint8)
+    alive = np.full(len(rows), (1 << n) - 1, dtype=np.uint8)
+    for _ in range(n):
+        low = _POPCOUNT[rows & alive[:, None]] <= k
+        drop = (low * weights).sum(axis=1, dtype=np.uint8) & alive
+        if not drop.any():
+            break
+        alive &= ~drop
+    return alive
 
 
 def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
@@ -153,12 +241,12 @@ def _bound_arrays(stats: dict, n: int) -> dict:
 
 
 def sweep_range(n: int, start: int, stop: int, theorems: set,
-                connected_only: bool) -> dict:
-    """Tally vectorizable theorems over masks [start, stop).
+                connected_only: bool, walk_depth: int) -> dict:
+    """Tally theorems over masks [start, stop).
 
     Returns counts, tight-census masks per bound, and ``resolve`` masks that
-    the caller must re-check per graph (extremal confirmations, violations,
-    graphs that fail the trace certificate).
+    the caller must re-check per graph (extremal confirmations, Bondy's
+    cycle search, violations, graphs that fail the trace certificate).
     """
     counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
               for t in theorems}
@@ -167,9 +255,10 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
     resolve: dict = {}
     want_bip = "lemma1-spectrum-symmetry" in theorems
     want_diam = "lemma2-diameter-distinct" in theorems
+    depth = walk_depth if WALK_THEOREMS & theorems else None
     for lo in range(start, stop, BLOCK):
         masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
-        stats = block_stats(n, masks, want_bip, want_diam)
+        stats = block_stats(n, masks, want_bip, want_diam, depth)
         if connected_only:
             stats = _select(stats, stats["connected"])
         _tally_block(n, stats, theorems, counts, tight, resolve)
@@ -249,6 +338,35 @@ def _tally_block(n: int, stats: dict, theorems: set, counts: dict,
         counts["lemma2-diameter-distinct"]["vacuous"] += int((~conn).sum())
         counts["lemma2-diameter-distinct"]["holds"] += int(ok.sum())
         _collect(resolve, "lemma2-diameter-distinct", masks[conn & ~ok])
+    if "walk-inequality" in theorems:
+        nonvac = m > 0
+        holds = nonvac & stats["walk_inequality"]
+        _bump(counts["walk-inequality"], nonvac, holds)
+        _collect(resolve, "walk-inequality", masks[nonvac & ~holds])
+    if "decomposition-identity" in theorems:
+        holds = stats["decomposition"]
+        counts["decomposition-identity"]["holds"] += int(holds.sum())
+        _collect(resolve, "decomposition-identity", masks[~holds])
+    if "lemma5-peel" in theorems:
+        nonvac = m >= n
+        holds = nonvac.copy()
+        for k in (1, 2, 3):
+            applies = m >= k * n
+            if applies.any():
+                holds &= ~applies | (peel_survivors(stats["rows"], k) != 0)
+        _bump(counts["lemma5-peel"], nonvac, holds)
+        _collect(resolve, "lemma5-peel", masks[nonvac & ~holds])
+    if "lemma6-bondy" in theorems:
+        # Above the degree threshold the cycle search stays per graph.
+        nonvac = 2 * stats["min_deg"] > n
+        counts["lemma6-bondy"]["vacuous"] += int((~nonvac).sum())
+        _collect(resolve, "lemma6-bondy", masks[nonvac])
+    if "thm7-even-cycles" in theorems:
+        # No even length lies in [4, ceil(n/28)] at these orders.
+        if math.ceil(n / 28) >= 4:
+            raise OrderTooLargeError(
+                f"thm7-even-cycles is not vacuous at n = {n}")
+        counts["thm7-even-cycles"]["vacuous"] += len(masks)
 
 
 def _bump(slot: dict, nonvac: np.ndarray, holds: np.ndarray) -> None:

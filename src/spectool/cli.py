@@ -13,7 +13,12 @@ import sys
 
 from .bounds import evaluate_all, spectral_mantel_classify
 from .cycles import cycle_spectrum
-from .errors import Graph6Error, OrderTooLargeError, SpectoolError
+from .errors import (
+    Graph6Error,
+    OrderTooLargeError,
+    RedrawLimitError,
+    SpectoolError,
+)
 from .families import complete, complete_bipartite, cycle, path, petersen, star
 from .graph import Graph, basic_stats, connectivity, count_triangles_brute
 from .graph6 import HEADER_LINE, from_graph6, to_graph6
@@ -46,8 +51,11 @@ def _read_graphs(source: str | None) -> list[Graph]:
     if source is None or source == "-":
         text = sys.stdin.read()
     else:
-        with open(source, "r", encoding="ascii") as handle:
-            text = handle.read()
+        try:
+            with open(source, "r", encoding="ascii") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SystemExit(_fail(EXIT_PARSE, f"cannot read {source}: {exc}"))
     graphs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -58,10 +66,14 @@ def _read_graphs(source: str | None) -> list[Graph]:
             if not line:
                 continue
         try:
-            graphs.append(from_graph6(line))
+            g = from_graph6(line)
         except Graph6Error as exc:
             raise SystemExit(
                 _fail(EXIT_PARSE, f"line {lineno}: {exc}"))
+        if g.n == 0:
+            raise SystemExit(
+                _fail(EXIT_PARSE, f"line {lineno}: graph has no vertices"))
+        graphs.append(g)
     return graphs
 
 
@@ -129,6 +141,8 @@ def _print_analysis_table(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.walks < 0:
+        return _fail(EXIT_CONFIG, "--walks must be nonnegative")
     graphs = _read_graphs(args.input)
     reports = [_analyze_one(g, args) for g in graphs]
     if args.json:
@@ -195,6 +209,8 @@ def cmd_fuzz(args) -> int:
     theorems = _parse_theorems(args.theorem)
     try:
         report = fuzz(dist, args.count, args.seed, theorems, jobs=args.jobs)
+    except RedrawLimitError as exc:
+        return _fail(EXIT_CONFIG, f"--dist {args.dist}: {exc}")
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     return _emit_sweep(report, args)

@@ -79,3 +79,7 @@ class SearchBudgetExceededError(SpectoolError):
 
 class InvalidWalkTableError(SpectoolError, ValueError):
     """Walk table breaks an identity every exact walk count satisfies."""
+
+
+class RedrawLimitError(SpectoolError):
+    """Rejection sampler found no valid draw within its redraw bound."""

@@ -2,8 +2,13 @@
 
 import random
 
-from .errors import InvalidOrderError
+from .errors import InvalidOrderError, RedrawLimitError
 from .graph import Graph, from_edges
+
+# A pairing is simple with probability about exp((1 - k^2) / 4) for fixed k:
+# degree 5 needs about 400 draws and degree 6 about 15,000, while degree 10
+# would need about 5 * 10^10.
+MAX_PAIRING_DRAWS = 1 << 16
 
 
 def complete(n: int) -> Graph:
@@ -83,7 +88,8 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
     """Random k-regular graph via the pairing model, deterministic per seed.
 
     Stub pairings with self-loops or repeated edges are discarded and redrawn
-    from the same stream, so the draw always terminates for feasible (n, k).
+    from the same stream, at most ``MAX_PAIRING_DRAWS`` times; raises
+    RedrawLimitError when no draw is simple.
     """
     if n < 0 or k < 0:
         raise InvalidOrderError("n and k must be nonnegative")
@@ -91,7 +97,7 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
         raise InvalidOrderError(f"no {k}-regular graph on {n} vertices")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(k)]
-    while True:
+    for _ in range(MAX_PAIRING_DRAWS):
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -103,3 +109,6 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return from_edges(n, edges)
+    raise RedrawLimitError(
+        f"no simple {k}-regular pairing on {n} vertices in "
+        f"{MAX_PAIRING_DRAWS} draws (sample seed {seed})")

@@ -76,6 +76,23 @@ def to_graph6(g: Graph) -> str:
     return "".join(chars)
 
 
+def mask_to_graph6(n: int, mask: int) -> str:
+    """Short-form graph6 of ``from_edge_mask(n, mask)`` without building it.
+
+    Bit k of the mask is edge k of ``edge_order``, which is also the k-th bit
+    of the graph6 body, so the body is the mask's bits read low to high.
+    """
+    if not 0 <= n <= 62:
+        raise UnsupportedOrderError(f"n = {n} outside the short-form range")
+    nbits = n * (n - 1) // 2
+    if not 0 <= mask < 1 << nbits:
+        raise ValueError(f"mask {mask} has bits beyond the {nbits} edges")
+    body = format(mask, "b").zfill(nbits)[::-1] if nbits else ""
+    body += "0" * (-nbits % 6)
+    return chr(n + 63) + "".join(
+        chr(int(body[i:i + 6], 2) + 63) for i in range(0, len(body), 6))
+
+
 def read_graph6_lines(text: str) -> list[Graph]:
     """Decode one graph per nonempty line, skipping format-header lines."""
     graphs = []

@@ -41,7 +41,13 @@ from .graph import (
     is_connected,
     neighborhood_degree_sums,
 )
-from .graph6 import from_edge_list, from_graph6, graph_text, to_graph6
+from .graph6 import (
+    from_edge_list,
+    from_graph6,
+    graph_text,
+    mask_to_graph6,
+    to_graph6,
+)
 from .spectrum import (
     EQ_EPS,
     Spectrum,
@@ -88,15 +94,6 @@ BOUND_THEOREMS = {
     TheoremId.THM11: BoundKind.CLOSED_NEIGHBORHOOD,
     TheoremId.LEMMA3_BOUND: BoundKind.OPEN_NEIGHBORHOOD,
 }
-
-# Theorem subset the vectorized exhaustive engine covers.
-VECTORIZABLE = frozenset({
-    TheoremId.MANTEL, TheoremId.NOSAL, TheoremId.SPECTRAL_MANTEL,
-    TheoremId.STANLEY, TheoremId.HONG, TheoremId.HSF, TheoremId.THM11,
-    TheoremId.LEMMA3_BOUND, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
-    TheoremId.LEMMA2_DIAMETER_DISTINCT,
-})
-
 
 def coerce_theorem(value) -> TheoremId:
     if isinstance(value, TheoremId):
@@ -463,6 +460,10 @@ class SweepConfig:
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.walk_depth < 0:
+            raise ValueError("walk_depth must be nonnegative")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
         for t in self.theorems:
             coerce_theorem(t)
 
@@ -566,27 +567,30 @@ def _graph_shard(args) -> dict:
 
 
 def _vector_shard(args) -> dict:
-    n, start, stop, theorem_values, connected_only = args
+    """Batch engine over a range of labeled masks, with the per-graph
+    battery for the graphs it hands back."""
+    n, masks, theorem_values, connected_only, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
     partial = _empty_partial(theorems)
     result = _exhaustive.sweep_range(
-        n, start, stop, set(theorem_values), connected_only)
+        n, masks.start, masks.stop, set(theorem_values), connected_only,
+        walk_depth)
     for tid_value, slot in result["counts"].items():
         for status, count in slot.items():
             partial["totals"][tid_value][status] += count
     for bound_id, mask_list in result["tight"].items():
         partial["tight"][bound_id].extend(
-            to_graph6(from_edge_mask(n, mask)) for mask in mask_list)
+            mask_to_graph6(n, mask) for mask in mask_list)
     # Graphs the batch engine cannot decide alone (extremal confirmations,
-    # any apparent violation, a failed trace certificate) get the per-graph
-    # reference checker for the theorems it left open.
+    # Bondy's cycle search, any apparent violation, a failed trace
+    # certificate) get the per-graph reference checker for the theorems it
+    # left open.
     open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:
             open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
     for mask, ids in open_theorems.items():
-        _battery(from_edge_mask(n, mask), ids, DEFAULT_BUDGET, WALK_DEPTH,
-                 partial)
+        _battery(from_edge_mask(n, mask), ids, budget, walk_depth, partial)
     return partial
 
 
@@ -629,7 +633,11 @@ def sweep(config: SweepConfig) -> SweepReport:
     started = time.perf_counter()
     theorems = config.theorem_ids()
     theorem_values = tuple(t.value for t in theorems)
-    use_vector = config.dedup == "labeled" and set(theorems) <= VECTORIZABLE
+    # Labeled sweeps run on the batch engine unless its int64 walk counts
+    # would overflow at the requested depth.
+    use_vector = config.dedup == "labeled" and (
+        not _exhaustive.WALK_THEOREMS & set(theorem_values)
+        or _exhaustive.walks_exact(config.n_max, max(2, config.walk_depth)))
     shard_args = []
     for n in range(config.n_min, config.n_max + 1):
         if config.dedup == "labeled":
@@ -638,14 +646,9 @@ def sweep(config: SweepConfig) -> SweepReport:
             masks = canonical_masks(n)
         step = max(1, math.ceil(len(masks) / SHARDS_PER_ORDER))
         for i in range(0, len(masks), step):
-            shard = masks[i:i + step]
-            if use_vector:  # labeled only, so the shard is a range
-                shard_args.append((n, shard.start, shard.stop, theorem_values,
-                                   config.connected_only))
-            else:
-                shard_args.append(
-                    (n, shard, theorem_values, config.connected_only,
-                     config.budget, config.walk_depth))
+            shard_args.append(
+                (n, masks[i:i + step], theorem_values, config.connected_only,
+                 config.budget, config.walk_depth))
     worker = _vector_shard if use_vector else _graph_shard
     merged = _run_shards(worker, shard_args, config.jobs)
     if merged is None:
@@ -808,7 +811,7 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
     merged_by_n = {n: _exhaustive.merge_audits(ps) for n, ps in by_n.items()}
 
     def decode(n: int, masks) -> list:
-        return [to_graph6(from_edge_mask(n, mask)) for mask in masks]
+        return [mask_to_graph6(n, mask) for mask in masks]
 
     audit = SpectralAudit(
         graphs=0,

@@ -2,12 +2,22 @@
 
 These deliberately avoid the library's own algorithms: triangles by triple
 enumeration, walks by explicit path extension, cycles by subset-and-
-permutation search.
+permutation search. ``per_graph_payload`` is the exception: it runs a sweep
+through the per-graph reference checkers alone, which the batch engine must
+reproduce.
 """
 
 from itertools import combinations, permutations
+import math
 
 from spectool.graph import Graph
+from spectool.verify import (
+    SweepConfig,
+    _finalize,
+    _graph_shard,
+    _run_shards,
+    labeled_graph_count,
+)
 
 
 def triangles_by_triples(g: Graph) -> int:
@@ -53,3 +63,19 @@ def walk_levels_by_bitsets(g: Graph, k: int) -> list[tuple[int, ...]]:
                    for row in g.adj]
         levels.append(tuple(current))
     return levels
+
+
+def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
+    """``sweep(config).payload()`` of a labeled sweep, from ``_graph_shard``
+    over each order's full mask range (split in ``jobs`` slices)."""
+    values = tuple(t.value for t in config.theorem_ids())
+    shard_args = []
+    for n in range(config.n_min, config.n_max + 1):
+        total = labeled_graph_count(n)
+        step = math.ceil(total / jobs)
+        for lo in range(0, total, step):
+            shard_args.append((n, range(lo, min(lo + step, total)), values,
+                               config.connected_only, config.budget,
+                               config.walk_depth))
+    merged = _run_shards(_graph_shard, shard_args, jobs)
+    return _finalize(config.to_dict(), merged, 0.0).payload()

@@ -49,7 +49,7 @@ from spectool.walks import (
     walk_inequality_holds,
 )
 
-from oracles import has_cycle_by_subsets
+from oracles import has_cycle_by_subsets, per_graph_payload
 
 JOBS = min(8, multiprocessing.cpu_count())
 
@@ -339,7 +339,12 @@ def test_criterion_10_sweep_determinism():
     report_1 = sweep(SweepConfig(jobs=1, **base))
     report_16 = sweep(SweepConfig(jobs=16, **base))
     identical = report_1.payload() == report_16.payload()
-    report(10, identical,
+    # The batch engine's report against the per-graph checkers alone.
+    per_graph = per_graph_payload(SweepConfig(jobs=1, **base), jobs=JOBS)
+    engines_agree = per_graph == report_1.payload()
+    report(10, identical and engines_agree,
            "full n <= 6 suite produced identical reports with jobs=1 and "
-           f"jobs=16 (violated: {report_1.violated_count()}, "
+           f"jobs=16 (identical: {identical}) and with the per-graph "
+           f"checkers alone (identical: {engines_agree}; violated: "
+           f"{report_1.violated_count()}, "
            f"inconclusive: {report_1.inconclusive_count()})")

@@ -11,9 +11,9 @@ from spectool.cli import main
 CLI = [sys.executable, "-m", "spectool.cli"]
 
 
-def run_cli(args, stdin_text=""):
+def run_cli(args, stdin_text="", timeout=None):
     return subprocess.run(CLI + args, input=stdin_text, text=True,
-                          capture_output=True)
+                          capture_output=True, timeout=timeout)
 
 
 def test_gen_complete_3_is_Bw():
@@ -72,6 +72,32 @@ def test_analyze_parse_error_exit2():
     result = run_cli(["analyze"], stdin_text="Bw\n\x02bad\n")
     assert result.returncode == 2
     assert "line 2" in result.stderr
+
+
+def test_analyze_missing_file_exit2(tmp_path):
+    result = run_cli(["analyze", str(tmp_path / "absent.g6")])
+    assert result.returncode == 2
+    assert "absent.g6" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_analyze_non_ascii_file_exit2(tmp_path):
+    source = tmp_path / "graphs.g6"
+    source.write_bytes("Bw\nB\u00e9\n".encode("utf-8"))
+    result = run_cli(["analyze", str(source)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_analyze_order_zero_exit2():
+    result = run_cli(["analyze"], stdin_text="Bw\n?\n")
+    assert result.returncode == 2
+    assert "line 2" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_analyze_negative_walks_exit3():
+    result = run_cli(["analyze", "--walks", "-1"], stdin_text="Bw\n")
+    assert result.returncode == 3
+    assert "--walks" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_analyze_table_output():
@@ -134,6 +160,16 @@ def test_fuzz_jobs_zero_exit3():
                       "--jobs", "0"])
     assert result.returncode == 3
     assert "jobs must be positive" in result.stderr
+
+
+def test_fuzz_unreachable_regular_exit3():
+    # A pairing of 30 vertices of degree 10 is simple with probability about
+    # 2e-11, so the sampler gives up after its redraw bound.
+    result = run_cli(["fuzz", "--dist", "regular:30,10", "--count", "3",
+                      "--jobs", "1"], timeout=60)
+    assert result.returncode == 3
+    assert "regular:30,10" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_env_var_sets_default_jobs(monkeypatch):

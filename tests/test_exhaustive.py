@@ -1,13 +1,33 @@
-"""The batch engine's structure kernel and trace certificate against the
-per-graph reference."""
+"""The batch engine's kernels (structure, walk counts, peeling cores), its
+trace certificate and its shards against the per-graph reference."""
+
+import json
 
 import numpy as np
 import pytest
 
-from spectool._exhaustive import block_stats, sweep_range
+from spectool import _exhaustive
+from spectool._exhaustive import (
+    adjacency,
+    block_stats,
+    peel_survivors,
+    sweep_range,
+    walk_levels,
+    walks_exact,
+)
+from spectool.cycles import DEFAULT_BUDGET, erdos_peel
 from spectool.errors import OrderTooLargeError
 from spectool.graph import bipartition, connectivity, edge_order, from_edge_mask
-from spectool.verify import VECTORIZABLE, SweepConfig, labeled_graph_count, sweep
+from spectool.verify import (
+    ALL_THEOREMS,
+    WALK_DEPTH,
+    SweepConfig,
+    _graph_shard,
+    _vector_shard,
+    labeled_graph_count,
+    sweep,
+)
+from spectool.walks import walk_counts
 
 
 def _assert_structure_matches_reference(n, masks):
@@ -53,6 +73,107 @@ def test_structure_kernel_random_masks(n, seed):
     assert len(set(stats["diameter"][connected].tolist())) >= 3
 
 
+def _kernel_masks(n):
+    """Every labeled graph for n <= 6, seeded mixed-density masks above."""
+    if n <= 6:
+        return np.arange(labeled_graph_count(n), dtype=np.int64)
+    return _random_masks(n, 1500, 20 + n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walk_levels_match_walk_counts(n):
+    masks = _kernel_masks(n)
+    levels = walk_levels(adjacency(n, masks), WALK_DEPTH)
+    for i, mask in enumerate(masks):
+        table = walk_counts(from_edge_mask(n, int(mask)), WALK_DEPTH)
+        got = [tuple(level[i].tolist()) for level in levels]
+        assert got == list(table.per_vertex), (n, int(mask))
+        assert [sum(level) for level in got] == list(table.totals)
+
+
+def test_walk_levels_at_the_int64_limit():
+    # n^2 (n-1)^K < 2^63 holds up to K = 20 at n = 8; K_8 attains the bound
+    # on every count.
+    assert walks_exact(8, 20) and not walks_exact(8, 21)
+    masks = np.concatenate([[labeled_graph_count(8) - 1],
+                            _random_masks(8, 50, 23)]).astype(np.int64)
+    levels = walk_levels(adjacency(8, masks), 20)
+    for i, mask in enumerate(masks):
+        table = walk_counts(from_edge_mask(8, int(mask)), 20)
+        assert [int(level[i].sum()) for level in levels] == list(table.totals)
+    assert int(levels[20][0].sum()) == 8 * 7 ** 20
+    with pytest.raises(OrderTooLargeError):
+        walk_levels(adjacency(8, masks), 21)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_peel_survivors_match_erdos_peel(n):
+    masks = _kernel_masks(n)
+    rows = block_stats(n, masks)["rows"]
+    for k in (1, 2, 3):
+        alive = peel_survivors(rows, k).tolist()
+        for i, mask in enumerate(masks):
+            peel = erdos_peel(from_edge_mask(n, int(mask)), k)
+            assert alive[i] == sum(1 << v for v in peel.surviving), \
+                (n, int(mask), k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_only_bondy_above_its_threshold_is_resolved(n):
+    # The walk identities, the peel and thm7 are decided in the batch; the
+    # payload tests cannot see a kernel that sends too much to the resolver.
+    total = labeled_graph_count(n)
+    values = {t.value for t in ALL_THEOREMS}
+    resolve = sweep_range(n, 0, total, values, False, WALK_DEPTH)["resolve"]
+    for theorem in ("walk-inequality", "decomposition-identity",
+                    "lemma5-peel", "thm7-even-cycles"):
+        assert theorem not in resolve
+    above = [mask for mask in range(total)
+             if 2 * min(from_edge_mask(n, mask).degrees()) > n]
+    assert sorted(resolve.get("lemma6-bondy", [])) == above
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_empty_core_goes_to_the_reference(monkeypatch, k):
+    # No graph with m >= kn has an empty (k+1)-core, so fake one for every
+    # graph and check that exactly those the peel applies to are resolved.
+    # The densest 4,096 graphs at n = 7 have m >= 9 edges, and K_7 has 21.
+    n = 7
+    total = labeled_graph_count(n)
+    lo = total - 4096
+    real = _exhaustive.peel_survivors
+
+    def empty_core(rows, j):
+        alive = real(rows, j)
+        return alive * 0 if j == k else alive
+
+    monkeypatch.setattr(_exhaustive, "peel_survivors", empty_core)
+    resolve = sweep_range(n, lo, total, {"lemma5-peel"}, False,
+                          WALK_DEPTH)["resolve"]
+    assert resolve["lemma5-peel"] == [
+        mask for mask in range(lo, total) if bin(mask).count("1") >= k * n]
+
+
+def _shard_payload(partial):
+    return (partial["totals"],
+            {bound: sorted(graphs) for bound, graphs in partial["tight"].items()},
+            sorted(json.dumps(c.to_dict(), sort_keys=True)
+                   for c in partial["counterexamples"]))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("where", ["sparse", "middle", "dense"])
+def test_vector_shard_matches_graph_shard(n, where):
+    total = labeled_graph_count(n)
+    lo = {"sparse": 0, "middle": total // 2 - 600, "dense": total - 1200}[where]
+    values = tuple(t.value for t in ALL_THEOREMS)
+    for connected_only in (False, True):
+        args = (n, range(lo, lo + 1200), values, connected_only,
+                DEFAULT_BUDGET, WALK_DEPTH)
+        assert _shard_payload(_vector_shard(args)) \
+            == _shard_payload(_graph_shard(args))
+
+
 def test_block_stats_rejects_orders_above_eight():
     with pytest.raises(OrderTooLargeError):
         block_stats(9, np.zeros(1, dtype=np.int64))
@@ -63,7 +184,7 @@ def test_failed_trace_certificate_goes_to_the_reference(monkeypatch):
     # Lowering lambda_1 to 3 would make the vectorised tallies call it
     # vacuous for (spectral) Mantel-Nosal and drop it from the tight census.
     n, k5 = 5, labeled_graph_count(5) - 1
-    theorems = tuple(sorted(VECTORIZABLE, key=lambda t: t.value))
+    theorems = ALL_THEOREMS
     config = SweepConfig(n_min=n, n_max=n, theorems=theorems)
     expected = sweep(config).payload()
     target = np.ones((n, n)) - np.eye(n)
@@ -79,7 +200,7 @@ def test_failed_trace_certificate_goes_to_the_reference(monkeypatch):
     stats = block_stats(n, np.array([0, k5], dtype=np.int64))
     assert stats["certified"].tolist() == [True, False]
     values = {t.value for t in theorems}
-    resolve = sweep_range(n, 0, k5 + 1, values, False)["resolve"]
+    resolve = sweep_range(n, 0, k5 + 1, values, False, WALK_DEPTH)["resolve"]
     for value in values:
         assert k5 in resolve[value], value
     assert sweep(config).payload() == expected

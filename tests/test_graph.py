@@ -1,6 +1,7 @@
 """Graph construction, classifiers, and the graph6 / edge-list codecs."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,7 @@ from spectool.graph import (
 from spectool.graph6 import (
     from_edge_list,
     from_graph6,
+    mask_to_graph6,
     read_graph6_lines,
     to_edge_list,
     to_graph6,
@@ -131,6 +133,24 @@ class TestGraph6:
     def test_trailing_bytes(self):
         with pytest.raises(MalformedHeaderError):
             from_graph6("Bww")
+
+    def test_mask_to_graph6_matches_to_graph6(self):
+        for n in range(6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                assert mask_to_graph6(n, mask) \
+                    == to_graph6(from_edge_mask(n, mask)), (n, mask)
+        rng = random.Random(7)
+        for n in (7, 8):
+            for _ in range(2000):
+                mask = rng.getrandbits(n * (n - 1) // 2)
+                assert mask_to_graph6(n, mask) \
+                    == to_graph6(from_edge_mask(n, mask)), (n, mask)
+
+    def test_mask_to_graph6_rejects_stray_bits(self):
+        with pytest.raises(ValueError):
+            mask_to_graph6(3, 8)
+        with pytest.raises(ValueError):
+            mask_to_graph6(1, 1)
 
     def test_bad_padding(self):
         # K3 body uses 3 of 6 bits; force a nonzero pad bit.

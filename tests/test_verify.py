@@ -1,5 +1,7 @@
 """Enumeration, the sweep/fuzz harness, determinism, and replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from spectool import _exhaustive
@@ -14,7 +16,6 @@ from spectool.verdicts import CounterexampleReport
 from spectool.verify import (
     ALL_THEOREMS,
     BOUND_THEOREMS,
-    VECTORIZABLE,
     WALK_DEPTH,
     SweepConfig,
     TheoremId,
@@ -32,6 +33,8 @@ from spectool.verify import (
     replay,
     sweep,
 )
+
+from oracles import per_graph_payload
 
 
 class TestEnumeration:
@@ -190,35 +193,71 @@ class TestSweep:
         assert to_graph6(complete(5)) in tight
         assert to_graph6(star(5)) in tight
 
-    def test_vector_engine_matches_reference(self, monkeypatch):
-        spectral = tuple(sorted(VECTORIZABLE, key=lambda t: t.value))
-        blocks = []
+    @staticmethod
+    def _spy_on_batch_engine(monkeypatch) -> list:
+        """The orders the batch engine is called for, as sweeps run."""
+        orders = []
         sweep_range = _exhaustive.sweep_range
 
         def spy(*args):
-            blocks.append(args[0])
+            orders.append(args[0])
             return sweep_range(*args)
 
         monkeypatch.setattr(_exhaustive, "sweep_range", spy)
+        return orders
+
+    def test_vector_engine_matches_reference(self, monkeypatch):
+        # All 15 theorems: totals, tight censuses and counterexamples of the
+        # batch engine against the per-graph checkers on every labeled graph.
+        orders = self._spy_on_batch_engine(monkeypatch)
         for connected_only in (False, True):
-            blocks.clear()
-            fast = sweep(SweepConfig(n_min=1, n_max=5, theorems=spectral,
-                                     connected_only=connected_only, jobs=1))
-            assert set(blocks) == {1, 2, 3, 4, 5}
-            # Force the per-graph reference path by adding one slow theorem,
-            # then compare the shared counters.
-            blocks.clear()
-            slow = sweep(SweepConfig(
-                n_min=1, n_max=5, connected_only=connected_only,
-                theorems=spectral + (TheoremId.DECOMPOSITION_IDENTITY,),
-                jobs=1))
-            assert not blocks
-            for t in spectral:
-                assert fast.totals[t.value] == slow.totals[t.value]
-            assert fast.tight == slow.tight
-            assert [c.to_dict() for c in fast.counterexamples] == [
-                c.to_dict() for c in slow.counterexamples
-                if c.theorem != TheoremId.DECOMPOSITION_IDENTITY.value]
+            config = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS,
+                                 connected_only=connected_only, jobs=1)
+            orders.clear()
+            fast = sweep(config).payload()
+            assert set(orders) == {1, 2, 3, 4, 5}
+            orders.clear()
+            assert per_graph_payload(config) == fast
+            assert not orders
+            assert fast["tight"]["hong"] and fast["totals"]["lemma6-bondy"][
+                "holds"]
+
+    @pytest.mark.parametrize("walk_depth", [0, 1, 2, 3])
+    def test_shallow_walk_depths_match_reference(self, walk_depth):
+        # Below depth 2 the inequality has no index to check, while the
+        # identity still uses a table of depth 2.
+        config = SweepConfig(
+            n_min=1, n_max=4, walk_depth=walk_depth,
+            theorems=(TheoremId.WALK_INEQUALITY,
+                      TheoremId.DECOMPOSITION_IDENTITY))
+        assert sweep(config).payload() == per_graph_payload(config)
+
+    def test_budget_reaches_the_resolver(self):
+        # Bondy's cycle search runs in the resolver; one node of budget makes
+        # it inconclusive on both engines.
+        config = SweepConfig(n_min=1, n_max=5, budget=1,
+                             theorems=(TheoremId.LEMMA6_BONDY,))
+        payload = sweep(config).payload()
+        assert payload["totals"]["lemma6-bondy"]["inconclusive"] > 0
+        assert payload == per_graph_payload(config)
+
+    def test_walk_depth_beyond_int64_uses_per_graph_path(self, monkeypatch):
+        # 16 * 3^38 >= 2^63 but 9 * 2^38 < 2^63: at depth 38 the int64 walk
+        # counts are exact up to n = 3 only.
+        assert not _exhaustive.walks_exact(4, 38)
+        assert _exhaustive.walks_exact(3, 38)
+        orders = self._spy_on_batch_engine(monkeypatch)
+        config = SweepConfig(
+            n_min=1, n_max=4, walk_depth=38,
+            theorems=(TheoremId.WALK_INEQUALITY,
+                      TheoremId.DECOMPOSITION_IDENTITY, TheoremId.HONG))
+        payload = sweep(config).payload()
+        assert not orders
+        assert payload == per_graph_payload(config)
+        config = replace(config, n_max=3)
+        payload = sweep(config).payload()
+        assert set(orders) == {1, 2, 3}
+        assert payload == per_graph_payload(config)
 
     def test_jobs_do_not_change_report(self):
         config1 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=1)
@@ -243,6 +282,16 @@ class TestSweep:
             sweep(SweepConfig(n_max=8, dedup="canonical", long_run=True))
         with pytest.raises(ValueError):
             sweep(SweepConfig(n_min=0))
+
+    def test_config_rejects_negative_walk_depth(self):
+        with pytest.raises(ValueError, match="walk_depth"):
+            SweepConfig(walk_depth=-1).validate()
+        SweepConfig(walk_depth=0).validate()
+
+    def test_config_rejects_nonpositive_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            SweepConfig(budget=0).validate()
+        SweepConfig(budget=1).validate()
 
 
 class TestFuzz:
