@@ -5,9 +5,12 @@ import random
 from .errors import InvalidOrderError, RedrawLimitError
 from .graph import Graph, from_edges
 
-# A pairing is simple with probability about exp((1 - k^2) / 4) for fixed k:
-# degree 5 needs about 400 draws and degree 6 about 15,000, while degree 10
-# would need about 5 * 10^10.
+# For fixed k and large n a pairing is simple with probability about
+# exp((1 - k^2) / 4): degree 5 needs about 400 draws and degree 10 about
+# 5 * 10^10. Small dense orders are worse than the estimate: regular:8,6 has
+# 105 graphs and needs about 157,000 draws on average, while its 1-regular
+# complement needs one. Past this bound random_regular samples the complement
+# whenever it has the lower degree.
 MAX_PAIRING_DRAWS = 1 << 16
 
 
@@ -84,18 +87,8 @@ def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
     return from_edges(a + b, edges)
 
 
-def random_regular(n: int, k: int, seed: int) -> Graph:
-    """Random k-regular graph via the pairing model, deterministic per seed.
-
-    Stub pairings with self-loops or repeated edges are discarded and redrawn
-    from the same stream, at most ``MAX_PAIRING_DRAWS`` times; raises
-    RedrawLimitError when no draw is simple.
-    """
-    if n < 0 or k < 0:
-        raise InvalidOrderError("n and k must be nonnegative")
-    if k >= n or (n * k) % 2:
-        raise InvalidOrderError(f"no {k}-regular graph on {n} vertices")
-    rng = random.Random(seed)
+def _pairing_edges(n: int, k: int, rng: random.Random) -> set | None:
+    """Edges of one simple pairing among MAX_PAIRING_DRAWS draws, else None."""
     stubs = [v for v in range(n) for _ in range(k)]
     for _ in range(MAX_PAIRING_DRAWS):
         rng.shuffle(stubs)
@@ -108,7 +101,32 @@ def random_regular(n: int, k: int, seed: int) -> Graph:
                 break
             edges.add((min(u, v), max(u, v)))
         if ok:
-            return from_edges(n, edges)
+            return edges
+    return None
+
+
+def random_regular(n: int, k: int, seed: int) -> Graph:
+    """Uniform random k-regular graph via the pairing model, deterministic per seed.
+
+    Stub pairings with self-loops or repeated edges are discarded and redrawn
+    from the same stream, at most ``MAX_PAIRING_DRAWS`` times. If none is
+    simple and n - 1 - k < k, the same stream then samples an
+    (n - 1 - k)-regular graph the same way and returns its complement, which
+    is again uniform. Raises RedrawLimitError when no draw is simple.
+    """
+    if n < 0 or k < 0:
+        raise InvalidOrderError("n and k must be nonnegative")
+    if k >= n or (n * k) % 2:
+        raise InvalidOrderError(f"no {k}-regular graph on {n} vertices")
+    rng = random.Random(seed)
+    edges = _pairing_edges(n, k, rng)
+    if edges is not None:
+        return from_edges(n, edges)
+    if n - 1 - k < k:
+        co_edges = _pairing_edges(n, n - 1 - k, rng)
+        if co_edges is not None:
+            return from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                  if (u, v) not in co_edges])
     raise RedrawLimitError(
         f"no simple {k}-regular pairing on {n} vertices in "
         f"{MAX_PAIRING_DRAWS} draws (sample seed {seed})")

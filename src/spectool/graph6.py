@@ -14,7 +14,7 @@ from .errors import (
     TruncatedBodyError,
     UnsupportedOrderError,
 )
-from .graph import Graph, from_edges
+from .graph import Graph, from_edges, to_edge_mask
 
 HEADER_LINE = ">>graph6<<"
 
@@ -63,17 +63,7 @@ def to_graph6(g: Graph) -> str:
     """Encode a graph (n <= 62) in short form."""
     if g.n > 62:
         raise UnsupportedOrderError(f"n = {g.n} exceeds the short-form cap 62")
-    nbits = g.n * (g.n - 1) // 2
-    bitstream = 0
-    for v in range(g.n):
-        for u in range(v):
-            bitstream = (bitstream << 1) | (g.adj[v] >> u & 1)
-    pad = -nbits % 6
-    bitstream <<= pad
-    chars = [chr(g.n + 63)]
-    for shift in range(nbits + pad - 6, -6, -6):
-        chars.append(chr((bitstream >> shift & 63) + 63))
-    return "".join(chars)
+    return mask_to_graph6(g.n, to_edge_mask(g))
 
 
 def mask_to_graph6(n: int, mask: int) -> str:

@@ -23,6 +23,7 @@ from spectool.families import (
     gnp,
     path,
     petersen,
+    random_regular,
     star,
 )
 from spectool.graph import (
@@ -134,17 +135,21 @@ class TestGraph6:
         with pytest.raises(MalformedHeaderError):
             from_graph6("Bww")
 
-    def test_mask_to_graph6_matches_to_graph6(self):
+    def test_mask_to_graph6_decodes_to_its_graph(self):
+        # The decoder checks the length and the zero padding, so a string it
+        # maps back to the mask's graph is that graph's one short form.
         for n in range(6):
             for mask in range(1 << (n * (n - 1) // 2)):
-                assert mask_to_graph6(n, mask) \
-                    == to_graph6(from_edge_mask(n, mask)), (n, mask)
+                assert from_graph6(mask_to_graph6(n, mask)) \
+                    == from_edge_mask(n, mask), (n, mask)
         rng = random.Random(7)
         for n in (7, 8):
             for _ in range(2000):
                 mask = rng.getrandbits(n * (n - 1) // 2)
-                assert mask_to_graph6(n, mask) \
-                    == to_graph6(from_edge_mask(n, mask)), (n, mask)
+                assert from_graph6(mask_to_graph6(n, mask)) \
+                    == from_edge_mask(n, mask), (n, mask)
+        assert mask_to_graph6(3, 0b111) == "Bw"
+        assert mask_to_graph6(4, 0b111111) == "C~"
 
     def test_mask_to_graph6_rejects_stray_bits(self):
         with pytest.raises(ValueError):
@@ -214,6 +219,24 @@ class TestFamilies:
     def test_petersen_is_cubic(self):
         g = petersen()
         assert g.n == 10 and g.m == 15 and set(g.degrees()) == {3}
+
+    def test_random_regular_draws_within_the_bound_are_pinned(self):
+        # Pairing draws that succeed within MAX_PAIRING_DRAWS keep their
+        # seeded graphs; (8, 6) seeds 0, 1 and 55 succeed there.
+        pinned = {(8, 6, 0): "Gl~~ns", (8, 6, 1): "G]~~vk",
+                  (8, 6, 55): "G}~tz{", (10, 3, 1): "I`eB@HSAo",
+                  (12, 4, 5): "KPR?qQdDaUUA"}
+        for (n, k, seed), text in pinned.items():
+            assert to_graph6(random_regular(n, k, seed)) == text
+
+    def test_random_regular_dense_small_orders_finish(self):
+        # A pairing for (8, 6) is simple with probability about 6.4e-6, so
+        # most seeds exhaust the draw bound and sample the 1-regular
+        # complement instead; seeds 2 and 4 do.
+        for seed in range(2, 6):
+            g = random_regular(8, 6, seed)
+            assert g.n == 8 and set(g.degrees()) == {6}
+        assert random_regular(7, 6, 1) == complete(7)
 
 
 class TestStats:
