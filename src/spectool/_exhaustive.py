@@ -1,7 +1,8 @@
 """Batched numpy engine for exhaustive labeled sweeps on small orders.
 
 Graphs are edge bitmasks; blocks of a few thousand are expanded into stacked
-adjacency matrices for batched LAPACK and exact int64 walk counts, and into
+adjacency matrices for batched LAPACK (one solve per distinct characteristic
+polynomial in the block) and exact int64 walk counts, and into
 bitset rows for the structural facts (connectivity, bipartiteness, diameter,
 peeling cores). Semantics (thresholds, formulas, epsilons) mirror the
 per-graph checkers exactly; graphs needing combinatorial confirmation
@@ -20,6 +21,9 @@ from .errors import OrderTooLargeError
 from .spectrum import CLUSTER_EPS, EQ_EPS
 
 BLOCK = 4096
+# Matrices per batch of the power-sum key, so its matrix powers stay small
+# beside the block.
+KEY_CHUNK = 512
 # A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
 MAX_EXHAUSTIVE_N = 8
 # Bound on |sum lambda^k - trace(A^k)| for k = 1, 2, 3 (0, 2m and 6 triangles).
@@ -86,7 +90,7 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     degrees = _POPCOUNT[rows]
     m = degrees.sum(axis=1) // 2
     a = adj.astype(np.float64)
-    ev = np.linalg.eigvalsh(a)  # ascending
+    ev = _spectra(a)  # ascending
     tri = np.zeros(b, dtype=np.int64)
     for tm in triple_masks:
         tri += (masks & tm) == tm
@@ -122,6 +126,47 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
         out["walk_inequality"], out["decomposition"] = _walk_checks(
             adj, open_sums.astype(np.int64), max_closed, walk_depth)
     return out
+
+
+def power_sums(a: np.ndarray) -> np.ndarray:
+    """The power sums trace(A^k), k = 2..n, of a (b, n, n) float64 block of
+    adjacency matrices, as a (b, n - 1) array.
+
+    trace(A^k) is the sum of A^i * A^(k-i) entrywise with i = k // 2, so
+    only powers up to ceil(n/2) are formed. Every entry of A^k is at most
+    (n-1)^k and every partial sum at most n(n-1)^k <= 8 * 7^8 < 2^53, so
+    float64 holds them all exactly.
+    """
+    n = a.shape[1]
+    powers = {1: a}
+    for i in range(2, (n + 1) // 2 + 1):
+        powers[i] = np.matmul(powers[i - 1], a)
+    return np.stack([np.einsum("bij,bij->b", powers[k // 2],
+                               powers[k - k // 2])
+                     for k in range(2, n + 1)], axis=1)
+
+
+def _spectra(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a block, from one ``eigvalsh`` per distinct
+    characteristic polynomial.
+
+    By Newton's identities the power sums trace(A^k), k = 1..n, fix the
+    characteristic polynomial, and trace(A) = 0; so graphs with equal
+    ``power_sums`` rows share their spectrum, and each gets the spectrum of
+    the first graph in the block with its row.
+    """
+    b, n = a.shape[:2]
+    if n < 2 or b == 0:
+        return np.linalg.eigvalsh(a)
+    keys = np.concatenate([power_sums(a[lo:lo + KEY_CHUNK])
+                           for lo in range(0, b, KEY_CHUNK)])
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(b, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(b, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return np.linalg.eigvalsh(a[order[first]])[group]
 
 
 def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:

@@ -141,8 +141,9 @@ def _print_analysis_table(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    if args.walks < 0:
-        return _fail(EXIT_CONFIG, "--walks must be nonnegative")
+    for flag, value in (("--walks", args.walks), ("--cycles", args.cycles)):
+        if value < 0:
+            return _fail(EXIT_CONFIG, f"{flag} must be nonnegative")
     graphs = _read_graphs(args.input)
     reports = [_analyze_one(g, args) for g in graphs]
     if args.json:

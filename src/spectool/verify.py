@@ -624,6 +624,8 @@ def _finalize(config_dict: dict, merged: dict, started: float) -> SweepReport:
     )
 
 
+# Batch-engine shards hold at least one whole block, so small orders do not
+# split into many tiny ``block_stats`` calls.
 SHARDS_PER_ORDER = 64
 
 
@@ -644,7 +646,8 @@ def sweep(config: SweepConfig) -> SweepReport:
             masks = range(labeled_graph_count(n))
         else:
             masks = canonical_masks(n)
-        step = max(1, math.ceil(len(masks) / SHARDS_PER_ORDER))
+        step = max(_exhaustive.BLOCK if use_vector else 1,
+                   math.ceil(len(masks) / SHARDS_PER_ORDER))
         for i in range(0, len(masks), step):
             shard_args.append(
                 (n, masks[i:i + step], theorem_values, config.connected_only,
@@ -802,7 +805,7 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
     shard_args = []
     for n in range(n_min, n_max + 1):
         total = labeled_graph_count(n)
-        step = max(1, math.ceil(total / SHARDS_PER_ORDER))
+        step = max(_exhaustive.BLOCK, math.ceil(total / SHARDS_PER_ORDER))
         for start in range(0, total, step):
             shard_args.append((n, start, min(start + step, total)))
     by_n: dict[int, list] = {}

@@ -10,6 +10,8 @@ reproduce.
 from itertools import combinations, permutations
 import math
 
+import numpy as np
+
 from spectool.graph import Graph
 from spectool.verify import (
     SweepConfig,
@@ -63,6 +65,18 @@ def walk_levels_by_bitsets(g: Graph, k: int) -> list[tuple[int, ...]]:
                    for row in g.adj]
         levels.append(tuple(current))
     return levels
+
+
+def power_sums_by_int_powers(adj: np.ndarray) -> np.ndarray:
+    """trace(A^k), k = 2..n, of a (b, n, n) block of 0/1 matrices, from
+    int64 powers A^k = A^(k-1) A one after the other."""
+    a = adj.astype(np.int64)
+    power = a
+    sums = []
+    for _ in range(2, a.shape[1] + 1):
+        power = power @ a
+        sums.append(np.trace(power, axis1=1, axis2=2))
+    return np.stack(sums, axis=1)
 
 
 def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 import pytest
 
 from spectool.cli import main
@@ -98,6 +100,22 @@ def test_analyze_negative_walks_exit3():
     result = run_cli(["analyze", "--walks", "-1"], stdin_text="Bw\n")
     assert result.returncode == 3
     assert "--walks" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_analyze_negative_cycles_exit3():
+    result = run_cli(["analyze", "--json", "--cycles", "-1"],
+                     stdin_text="Bw\n")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "--cycles" in result.stderr and "Traceback" not in result.stderr
+
+
+@given(hst.sampled_from(["--walks", "--cycles"]),
+       hst.integers(max_value=-1))
+@settings(max_examples=30, deadline=None)
+def test_analyze_any_negative_depth_exit3(flag, value):
+    # Rejected before any input is read.
+    assert main(["analyze", f"{flag}={value}"]) == 3
 
 
 def test_analyze_table_output():

@@ -8,16 +8,26 @@ import pytest
 
 from spectool import _exhaustive
 from spectool._exhaustive import (
+    _spectra,
     adjacency,
     block_stats,
     peel_survivors,
+    power_sums,
     sweep_range,
     walk_levels,
     walks_exact,
 )
 from spectool.cycles import DEFAULT_BUDGET, erdos_peel
 from spectool.errors import OrderTooLargeError
-from spectool.graph import bipartition, connectivity, edge_order, from_edge_mask
+from spectool.families import star
+from spectool.graph import (
+    bipartition,
+    connectivity,
+    edge_order,
+    from_edge_mask,
+    from_edges,
+    to_edge_mask,
+)
 from spectool.verify import (
     ALL_THEOREMS,
     WALK_DEPTH,
@@ -28,6 +38,8 @@ from spectool.verify import (
     sweep,
 )
 from spectool.walks import walk_counts
+
+from oracles import power_sums_by_int_powers
 
 
 def _assert_structure_matches_reference(n, masks):
@@ -104,6 +116,75 @@ def test_walk_levels_at_the_int64_limit():
     assert int(levels[20][0].sum()) == 8 * 7 ** 20
     with pytest.raises(OrderTooLargeError):
         walk_levels(adjacency(8, masks), 21)
+
+
+def _spectrum_masks(n):
+    """Every labeled graph for n <= 6, 3,000 seeded masks above."""
+    if n <= 6:
+        return np.arange(labeled_graph_count(n), dtype=np.int64)
+    return _random_masks(n, 3000, 30 + n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_power_sums_match_int64_matrix_powers(n):
+    adj = adjacency(n, _spectrum_masks(n))
+    keys = power_sums(adj.astype(np.float64))
+    expected = power_sums_by_int_powers(adj)
+    assert (keys == expected).all()
+    assert (keys.astype(np.int64) == expected).all()
+
+
+def test_power_sums_exact_at_k8():
+    # K_8 has the largest entries: trace(A^8) = 7^8 + 7 * 1 = 5,764,808.
+    adj = adjacency(8, np.array([labeled_graph_count(8) - 1], dtype=np.int64))
+    keys = power_sums(adj.astype(np.float64))
+    assert keys[0].tolist() == [7 ** k + 7 * (-1) ** k for k in range(2, 9)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grouped_spectra_match_eigvalsh(n):
+    a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
+    grouped = _spectra(a)
+    assert grouped.shape == a.shape[:2]
+    assert (np.diff(grouped, axis=1) >= 0).all()
+    assert np.abs(grouped - np.linalg.eigvalsh(a)).max() <= 1e-12
+    assert _spectra(a[:0]).shape == (0, n)
+
+
+def _cospectral_pair():
+    """K_{1,4} and C_4 plus an isolated vertex: both have spectrum
+    {2, 0, 0, 0, -2}, and only the first is connected."""
+    c4_k1 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return to_edge_mask(star(5)), to_edge_mask(c4_k1)
+
+
+def test_one_solve_per_distinct_power_sum_key(monkeypatch):
+    n = 5
+    masks = np.arange(labeled_graph_count(n), dtype=np.int64)
+    a = adjacency(n, masks).astype(np.float64)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(x):
+        solved.append(x.copy())
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ev = _spectra(a)
+    keys = power_sums(a)
+    assert len(solved) == 1
+    solved_keys = power_sums(solved[0])
+    assert len(solved_keys) == len(np.unique(keys, axis=0)) \
+        == len(np.unique(solved_keys, axis=0))
+    s, c = _cospectral_pair()
+    assert (keys[s] == keys[c]).all()
+    assert (ev[s] == ev[c]).all()
+    assert np.abs(ev[s] - [-2, 0, 0, 0, 2]).max() <= 1e-12
+    group = (keys == keys[s]).all(axis=1)
+    # 5 labeled stars and 5 * 3 labeled C_4 plus a vertex.
+    assert group.sum() == 20
+    assert sum((x == a[group][:, None]).all(axis=(2, 3)).any()
+               for x in solved[0]) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -203,4 +284,36 @@ def test_failed_trace_certificate_goes_to_the_reference(monkeypatch):
     resolve = sweep_range(n, 0, k5 + 1, values, False, WALK_DEPTH)["resolve"]
     for value in values:
         assert k5 in resolve[value], value
+    assert sweep(config).payload() == expected
+
+
+def test_failed_certificate_reaches_every_graph_sharing_the_spectrum(
+        monkeypatch):
+    # Lower lambda_1 for the one graph solved for the spectrum {2, 0, 0, 0,
+    # -2}; the 20 labeled graphs that share it (the two cospectral shapes
+    # included) must all fail their own trace certificate and be resolved.
+    n = 5
+    total = labeled_graph_count(n)
+    config = SweepConfig(n_min=n, n_max=n, theorems=ALL_THEOREMS)
+    expected = sweep(config).payload()
+    masks = np.arange(total, dtype=np.int64)
+    keys = power_sums(adjacency(n, masks).astype(np.float64))
+    s, c = _cospectral_pair()
+    group = masks[(keys == keys[s]).all(axis=1)].tolist()
+    assert len(group) == 20 and s in group and c in group
+    rep = adjacency(n, masks[group[:1]])[0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def perturbed(a):
+        ev = eigvalsh(a)
+        ev[(a == rep).all(axis=(1, 2)), -1] -= 1.0
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    certified = block_stats(n, masks)["certified"]
+    assert masks[~certified].tolist() == group
+    values = {t.value for t in ALL_THEOREMS}
+    resolve = sweep_range(n, 0, total, values, False, WALK_DEPTH)["resolve"]
+    for value in values:
+        assert set(group) <= set(resolve[value]), value
     assert sweep(config).payload() == expected
