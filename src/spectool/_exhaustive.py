@@ -423,12 +423,14 @@ def audit_range(n: int, start: int, stop: int) -> dict:
     """Identity-and-tightness audit over masks [start, stop).
 
     Collects everything the exhaustive acceptance criteria consume: the
-    triangle trace identity, spectral Mantel candidates, bound slack
-    violations, tightness-vs-degree-class masks, threshold-tight connected
-    graphs, and the spectrum-symmetry and diameter checks.
+    graphs whose eigenvalues fail the trace certificate, the triangle trace
+    identity, spectral Mantel candidates, bound slack violations,
+    tightness-vs-degree-class masks, threshold-tight connected graphs, and
+    the spectrum-symmetry and diameter checks.
     """
     out = {
         "graphs": 0,
+        "uncertified": [],
         "tri_mismatch": [],
         "mantel_candidates": [],
         "threshold_tight_connected": [],
@@ -452,6 +454,7 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         sqrt_m = np.sqrt(m.astype(np.float64))
         bounds = _bound_arrays(stats, n)
         connected = stats["connected"]
+        out["uncertified"].extend(int(x) for x in masks[~stats["certified"]])
 
         spectral_tri = stats["sum_cubes"] / 6.0
         mismatch = (np.abs(spectral_tri - tri) > 1e-6) \

@@ -67,11 +67,19 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise InvalidOrderError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, v) for v in range(n) for u in range(v) if rng.random() < p
-    ]
-    return from_edges(n, edges)
+    # One draw per pair in edge_order (v ascending, then u < v), with the
+    # rows filled as the draws come.
+    rand = random.Random(seed).random
+    rows = [0] * n
+    for v in range(n):
+        bit_v = 1 << v
+        row = 0
+        for u in range(v):
+            if rand() < p:
+                row |= 1 << u
+                rows[u] |= bit_v
+        rows[v] = row
+    return Graph(n, tuple(rows))
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:

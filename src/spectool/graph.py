@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
+import numpy as np
+
 from .errors import EmptyGraphError, OutOfRangeVertexError
 
 
@@ -18,6 +20,24 @@ def bits(x: int):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _row_words(n: int, rows) -> np.ndarray:
+    """Bitset rows over n vertices as a (len(rows), w) array of little-endian
+    64-bit words, with w = ceil(n / 64): bit u of a row is bit u % 64 of its
+    word u // 64."""
+    if n <= 64:
+        return np.array(rows, dtype="<u8").reshape(len(rows), 1)
+    width = 8 * ((n + 63) // 64)
+    return np.frombuffer(
+        b"".join([row.to_bytes(width, "little") for row in rows]),
+        dtype="<u8").reshape(len(rows), width // 8)
+
+
+def _bit_matrix(words: np.ndarray, n: int) -> np.ndarray:
+    """The uint8 0/1 matrix of ``_row_words`` rows, one column per vertex."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                         bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -36,10 +56,13 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond vertex {self.n - 1}")
             if row & (1 << v):
                 raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        a = _bit_matrix(_row_words(self.n, self.adj), self.n)
+        # a[v, u] = 1 while a[u, v] = 0. argwhere lists these (v, u) in row
+        # order, so the first is the pair a row-by-row scan meets first.
+        one_way = a > a.T
+        if one_way.any():
+            v, u = np.argwhere(one_way)[0].tolist()
+            raise ValueError(f"asymmetric adjacency at ({u}, {v})")
 
     @property
     def m(self) -> int:
@@ -151,19 +174,30 @@ def _component_mask(g: Graph, start: int) -> int:
     return seen
 
 
-def _eccentricity(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    dist = 0
-    while True:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        if not frontier:
-            return dist
-        seen |= frontier
-        dist += 1
+def _diameter(g: Graph) -> int:
+    """Diameter of a connected graph, growing every vertex's ball at once.
+
+    Each ball is a row of 64-bit words. The radius-1 ball of v is its closed
+    neighbourhood N[v], and the radius-(r+1) ball is the OR of the radius-r
+    balls over N[v]: one gather and one ``bitwise_or.reduceat`` over the
+    closed neighbour lists, stored row by row. The diameter is the first
+    radius at which every ball holds every vertex, at most n - 1.
+    """
+    if g.n == 1:
+        return 0
+    n = g.n
+    balls = _row_words(n, [row | 1 << v for v, row in enumerate(g.adj)])
+    full = _row_words(n, [(1 << n) - 1])
+    # Flat index v * n + u lists u in N[v]; row v's run starts at the first
+    # index >= v * n.
+    flat = np.flatnonzero(_bit_matrix(balls, n))
+    members = flat % n
+    starts = np.searchsorted(flat, np.arange(0, n * n, n))
+    for radius in range(1, n):
+        if (balls == full).all():
+            return radius
+        balls = np.bitwise_or.reduceat(balls[members], starts, axis=0)
+    raise ValueError("the diameter of a disconnected graph is infinite")
 
 
 def connectivity(g: Graph) -> Connectivity:
@@ -179,8 +213,7 @@ def connectivity(g: Graph) -> Connectivity:
         remaining &= ~comp
     if len(comps) > 1:
         return Connectivity(False, tuple(comps), math.inf)
-    diam = max(_eccentricity(g, v) for v in range(g.n))
-    return Connectivity(True, tuple(comps), diam)
+    return Connectivity(True, tuple(comps), _diameter(g))
 
 
 def is_connected(g: Graph) -> bool:
@@ -349,6 +382,9 @@ def classify_regularity(g: Graph) -> RegularityClass:
     return Other()
 
 
+_PLANE_WEIGHTS = 1 << np.arange(63)
+
+
 @dataclass(frozen=True)
 class NeighborhoodDegreeSums:
     open_sums: tuple[int, ...]
@@ -361,9 +397,25 @@ def neighborhood_degree_sums(g: Graph) -> NeighborhoodDegreeSums:
     """Per-vertex sums of neighbor degrees, open N(v) and closed N[v]."""
     if g.n == 0:
         raise EmptyGraphError("neighborhood sums undefined for the empty graph")
-    degs = g.degrees()
-    open_sums = tuple(sum(degs[u] for u in bits(row)) for row in g.adj)
-    closed_sums = tuple(o + d for o, d in zip(open_sums, degs))
+    # D_j, the set of vertices whose degree has bit j set, is bit j of the
+    # column counts of the rows, which is what adding the rows with carry
+    # into bit planes leaves (the rows are symmetric). The open sum of v is
+    # then sum_j |N(v) & D_j| * 2^j: one popcount per vertex and plane, and
+    # independent of the A @ d product of the walk table, which the
+    # decomposition identity checks these sums against.
+    planes = [0] * (g.n - 1).bit_length()  # degrees are < n
+    for row in g.adj:
+        carry = row
+        j = 0
+        while carry:
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    words = _row_words(g.n, [*g.adj, *planes])
+    counts = np.bitwise_count(words[:g.n, None, :] & words[g.n:])
+    open_sums = tuple((counts.sum(axis=2, dtype=np.int64)
+                       @ _PLANE_WEIGHTS[:len(planes)]).tolist())
+    closed_sums = tuple([o + row.bit_count()
+                         for o, row in zip(open_sums, g.adj)])
     return NeighborhoodDegreeSums(
         open_sums, closed_sums, max(open_sums), max(closed_sums)
     )

@@ -20,7 +20,7 @@ from .errors import (
     NonConvergenceError,
     NonIntegralError,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, _bit_matrix, _row_words, is_connected
 
 TOL = 1e-12
 CLUSTER_EPS = 1e-8
@@ -31,12 +31,7 @@ JACOBI_MAX_SWEEPS = 100
 
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
     """Dense 0/1 adjacency matrix, unpacked from the bitset rows."""
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in g.adj),
-        dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(packed, axis=1, count=g.n,
-                         bitorder="little").astype(dtype)
+    return _bit_matrix(_row_words(g.n, g.adj), g.n).astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,7 +114,7 @@ class GraphFacts:
 
     Every checker a battery runs on the graph reads the same object, so the
     spectrum, the walk table and the neighborhood sums are built once per
-    graph. ``tight_bounds`` collects the bound theorems whose value met
+    graph. ``tight_bounds`` collects the ids of the bounds whose value met
     lambda_1 within ``EQ_EPS``, recorded when the bound is checked.
     """
 
@@ -125,7 +125,7 @@ class GraphFacts:
         self.g = g
         self.budget = budget
         self.walk_depth = walk_depth
-        self.tight_bounds: set[TheoremId] = set()
+        self.tight_bounds: set[str] = set()
         if spec is not None:
             self.spec = spec
 
@@ -153,14 +153,15 @@ class GraphFacts:
 
 def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
     g = facts.g
+    kind = BOUND_THEOREMS[theorem]
     try:
-        value = bound_value(g, BOUND_THEOREMS[theorem], facts.sums)
+        value = bound_value(g, kind, facts.sums)
     except PreconditionViolatedError as exc:
         return Verdict.vacuous(str(exc))
     lambda1 = facts.spec.lambda1
     slack = value - lambda1
     if abs(slack) <= EQ_EPS:
-        facts.tight_bounds.add(theorem)
+        facts.tight_bounds.add(kind.value)
     if slack >= -EQ_EPS:
         return Verdict.holds()
     return Verdict.violated(_report(
@@ -537,19 +538,32 @@ def _merge_partial(acc: dict, part: dict) -> dict:
     return acc
 
 
-def _battery(g: Graph, theorems, budget: int, walk_depth: int,
+def _plan(theorems) -> tuple:
+    """(theorem, theorem id, bound id or None) for each theorem.
+
+    Shards resolve their theorems once, so the per-graph battery keys its
+    tallies by string instead of hashing ``TheoremId`` members.
+    """
+    return tuple(
+        (t, t.value, BOUND_THEOREMS[t].value if t in BOUND_THEOREMS else None)
+        for t in theorems)
+
+
+def _battery(g: Graph, plan: tuple, budget: int, walk_depth: int,
              partial: dict) -> None:
+    """Tally every theorem of ``plan`` (from ``_plan``) on g into partial."""
     facts = GraphFacts(g, budget=budget, walk_depth=walk_depth)
+    totals, tight = partial["totals"], partial["tight"]
     text = None
-    for t in theorems:
-        verdict = check_theorem(g, t, facts=facts)
-        partial["totals"][t.value][verdict.status] += 1
+    for theorem, tid, bound_id in plan:
+        verdict = check_theorem(g, theorem, facts=facts)
+        totals[tid][verdict.status] += 1
         if verdict.counterexample is not None:
             partial["counterexamples"].append(verdict.counterexample)
-        if t in facts.tight_bounds:
+        if bound_id in facts.tight_bounds:
             if text is None:
                 text = to_graph6(g) if g.n <= 62 else graph_text(g)[1]
-            partial["tight"][BOUND_THEOREMS[t].value].append(text)
+            tight[bound_id].append(text)
 
 
 def _graph_shard(args) -> dict:
@@ -557,12 +571,13 @@ def _graph_shard(args) -> dict:
     list of canonical ones."""
     n, masks, theorem_values, connected_only, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
+    plan = _plan(theorems)
     partial = _empty_partial(theorems)
     for mask in masks:
         g = from_edge_mask(n, mask)
         if connected_only and not is_connected(g):
             continue
-        _battery(g, theorems, budget, walk_depth, partial)
+        _battery(g, plan, budget, walk_depth, partial)
     return partial
 
 
@@ -585,12 +600,13 @@ def _vector_shard(args) -> dict:
     # Bondy's cycle search, any apparent violation, a failed trace
     # certificate) get the per-graph reference checker for the theorems it
     # left open.
+    plan_by_id = {entry[1]: entry for entry in _plan(theorems)}
     open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:
-            open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
-    for mask, ids in open_theorems.items():
-        _battery(from_edge_mask(n, mask), ids, budget, walk_depth, partial)
+            open_theorems.setdefault(mask, []).append(plan_by_id[tid_value])
+    for mask, plan in open_theorems.items():
+        _battery(from_edge_mask(n, mask), plan, budget, walk_depth, partial)
     return partial
 
 
@@ -707,10 +723,11 @@ def _sample_seed(seed: int, index: int) -> int:
 def _fuzz_shard(args) -> dict:
     dist, lo, hi, seed, theorem_values, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
+    plan = _plan(theorems)
     partial = _empty_partial(theorems)
     for index in range(lo, hi):
         g = sample_distribution(dist, _sample_seed(seed, index))
-        _battery(g, theorems, budget, walk_depth, partial)
+        _battery(g, plan, budget, walk_depth, partial)
     return partial
 
 
@@ -756,11 +773,15 @@ def fuzz(distribution, count: int, seed: int,
 class SpectralAudit:
     """Aggregated exhaustive-audit outcome; every list should stay empty.
 
-    Graphs are reported as graph6 strings. ``tight_counts`` is diagnostic
+    Graphs are reported as graph6 strings. ``uncertified`` lists the graphs
+    whose batch eigenvalues fail the trace certificate (sum lambda = 0,
+    sum lambda^2 = 2m, sum lambda^3 = 6 triangles), so every other check
+    read unproven eigenvalues for them. ``tight_counts`` is diagnostic
     (census sizes per bound), not a pass/fail signal.
     """
 
     graphs: int
+    uncertified: list
     triangle_mismatches: list
     spectral_mantel_failures: list
     tight_threshold_not_complete_bipartite: list
@@ -774,7 +795,8 @@ class SpectralAudit:
 
     def ok(self) -> bool:
         return not (
-            self.triangle_mismatches or self.spectral_mantel_failures
+            self.uncertified
+            or self.triangle_mismatches or self.spectral_mantel_failures
             or self.tight_threshold_not_complete_bipartite
             or any(self.bound_violations.values())
             or self.hsf_tight_not_class or self.hsf_class_not_tight
@@ -794,8 +816,9 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
                               jobs: int = 1) -> SpectralAudit:
     """Audit all labeled graphs with n_min <= n <= n_max in one pass.
 
-    Covers the triangle trace identity, the spectral Mantel trichotomy with
-    extremal confirmation, every bound's slack, the tightness degree-class
+    Covers the trace certificate of the batch eigenvalues, the triangle
+    trace identity, the spectral Mantel trichotomy with extremal
+    confirmation, every bound's slack, the tightness degree-class
     equivalence for the minimum-degree bound, the closed-neighborhood vs
     edge-count bound dominance, spectrum symmetry vs bipartiteness, and the
     diameter vs distinct-eigenvalue inequality.
@@ -818,6 +841,7 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
 
     audit = SpectralAudit(
         graphs=0,
+        uncertified=[],
         triangle_mismatches=[],
         spectral_mantel_failures=[],
         tight_threshold_not_complete_bipartite=[],
@@ -835,6 +859,7 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
 
     for n, merged in sorted(merged_by_n.items()):
         audit.graphs += merged["graphs"]
+        audit.uncertified += decode(n, merged["uncertified"])
         audit.triangle_mismatches += decode(n, merged["tri_mismatch"])
         audit.hsf_tight_not_class += decode(n, merged["hsf_tight_not_class"])
         audit.hsf_class_not_tight += decode(n, merged["hsf_class_not_tight"])

@@ -2,17 +2,19 @@
 
 These deliberately avoid the library's own algorithms: triangles by triple
 enumeration, walks by explicit path extension, cycles by subset-and-
-permutation search. ``per_graph_payload`` is the exception: it runs a sweep
-through the per-graph reference checkers alone, which the batch engine must
-reproduce.
+permutation search, the diameter by one breadth-first search per vertex,
+neighbourhood sums neighbour by neighbour, G(n, p) through an edge list.
+``per_graph_payload`` is the exception: it runs a sweep through the
+per-graph reference checkers alone, which the batch engine must reproduce.
 """
 
 from itertools import combinations, permutations
 import math
+import random
 
 import numpy as np
 
-from spectool.graph import Graph
+from spectool.graph import Graph, from_edges
 from spectool.verify import (
     SweepConfig,
     _finalize,
@@ -28,6 +30,44 @@ def triangles_by_triples(g: Graph) -> int:
         if g.has_edge(i, j) and g.has_edge(i, k) and g.has_edge(j, k):
             count += 1
     return count
+
+
+def diameter_by_bfs(g: Graph) -> float:
+    """Largest eccentricity over one breadth-first search per vertex, or
+    ``math.inf`` when the search from vertex 0 misses a vertex."""
+    def eccentricity(start: int) -> tuple[int, int]:
+        seen = frontier = 1 << start
+        dist = 0
+        while True:
+            nxt = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                nxt |= g.adj[low.bit_length() - 1]
+                rest ^= low
+            frontier = nxt & ~seen
+            if not frontier:
+                return dist, seen
+            seen |= frontier
+            dist += 1
+
+    if eccentricity(0)[1] != (1 << g.n) - 1:
+        return math.inf
+    return max(eccentricity(v)[0] for v in range(g.n))
+
+
+def open_sums_by_neighbours(g: Graph) -> tuple[int, ...]:
+    """Per-vertex sums of the neighbours' degrees, one neighbour at a time."""
+    degs = [row.bit_count() for row in g.adj]
+    return tuple(sum(degs[u] for u in range(g.n) if row >> u & 1)
+                 for row in g.adj)
+
+
+def gnp_by_edge_list(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from the list of kept pairs, drawn v-major with u < v."""
+    rng = random.Random(seed)
+    return from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                          if rng.random() < p])
 
 
 def walks_by_enumeration(g: Graph, k: int) -> int:

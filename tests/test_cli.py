@@ -1,14 +1,18 @@
 """Command-line contract: subcommands, exit codes, JSON output."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 import pytest
 
 from spectool.cli import main
+from spectool.graph6 import HEADER_LINE, mask_to_graph6
 
 CLI = [sys.executable, "-m", "spectool.cli"]
 
@@ -116,6 +120,33 @@ def test_analyze_negative_cycles_exit3():
 def test_analyze_any_negative_depth_exit3(flag, value):
     # Rejected before any input is read.
     assert main(["analyze", f"{flag}={value}"]) == 3
+
+
+# Printable lines: arbitrary text without control or line-break characters,
+# the graph6 header, and valid graph6 strings of small orders (order 0
+# included, which analyze rejects).
+ANALYZE_LINE = hst.one_of(
+    hst.text(hst.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+             max_size=12),
+    hst.just(HEADER_LINE),
+    hst.integers(0, 8).flatmap(lambda n: hst.integers(
+        0, (1 << (n * (n - 1) // 2)) - 1).map(
+            lambda mask: mask_to_graph6(n, mask))),
+)
+
+
+@given(hst.lists(ANALYZE_LINE, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_analyze_arbitrary_lines_exit_0_or_2(lines):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO("\n".join(lines))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--json"])
+    assert code in (0, 2), (lines, err.getvalue())
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue()), list)
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
 def test_analyze_table_output():

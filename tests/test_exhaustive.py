@@ -1,6 +1,7 @@
 """The batch engine's kernels (structure, walk counts, peeling cores), its
 trace certificate and its shards against the per-graph reference."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spectool import _exhaustive
 from spectool._exhaustive import (
+    _bound_arrays,
     _spectra,
     adjacency,
     block_stats,
@@ -17,9 +19,10 @@ from spectool._exhaustive import (
     walk_levels,
     walks_exact,
 )
+from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import DEFAULT_BUDGET, erdos_peel
-from spectool.errors import OrderTooLargeError
-from spectool.families import star
+from spectool.errors import OrderTooLargeError, PreconditionViolatedError
+from spectool.families import complete, star
 from spectool.graph import (
     bipartition,
     connectivity,
@@ -28,12 +31,15 @@ from spectool.graph import (
     from_edges,
     to_edge_mask,
 )
+from spectool.graph6 import to_graph6
 from spectool.verify import (
     ALL_THEOREMS,
+    BOUND_THEOREMS,
     WALK_DEPTH,
     SweepConfig,
     _graph_shard,
     _vector_shard,
+    exhaustive_spectral_audit,
     labeled_graph_count,
     sweep,
 )
@@ -255,6 +261,35 @@ def test_vector_shard_matches_graph_shard(n, where):
             == _shard_payload(_graph_shard(args))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bound_arrays_match_bound_value(n):
+    # The batch engine's copy of the five bound formulas, value by value
+    # against the per-graph one: every labeled graph n <= 6, 2,000 seeded
+    # masks at n = 7. Hong's bound has a precondition (no isolated vertex),
+    # which the batch tallies read as min_deg >= 1.
+    total = labeled_graph_count(n)
+    if n <= 6:
+        masks = np.arange(total, dtype=np.int64)
+    else:
+        masks = np.random.default_rng(17).integers(0, total, 2000)
+    stats = block_stats(n, masks)
+    values = _bound_arrays(stats, n)
+    kinds = set(BOUND_THEOREMS.values())
+    assert set(values) == {kind.value for kind in kinds}
+    for i, mask in enumerate(masks.tolist()):
+        g = from_edge_mask(n, mask)
+        for kind in kinds:
+            try:
+                expected = bound_value(g, kind)
+            except PreconditionViolatedError:
+                assert kind is BoundKind.HONG and stats["min_deg"][i] < 1
+                continue
+            if kind is BoundKind.HONG:
+                assert stats["min_deg"][i] >= 1, mask
+            assert abs(values[kind.value][i] - expected) <= 1e-12, \
+                (n, mask, kind)
+
+
 def test_block_stats_rejects_orders_above_eight():
     with pytest.raises(OrderTooLargeError):
         block_stats(9, np.zeros(1, dtype=np.int64))
@@ -317,3 +352,25 @@ def test_failed_certificate_reaches_every_graph_sharing_the_spectrum(
     for value in values:
         assert set(group) <= set(resolve[value]), value
     assert sweep(config).payload() == expected
+
+
+def test_audit_reports_a_failed_trace_certificate(monkeypatch):
+    # The same lowered lambda_1 of K5 as above: the audit must name K5 as
+    # uncertified and fail, and list nothing as uncertified otherwise.
+    n = 5
+    clean = exhaustive_spectral_audit(n, n)
+    assert clean.uncertified == [] and clean.ok()
+    assert not dataclasses.replace(clean, uncertified=["D~{"]).ok()
+    target = np.ones((n, n)) - np.eye(n)
+    eigvalsh = np.linalg.eigvalsh
+
+    def perturbed(a):
+        ev = eigvalsh(a)
+        if a.shape[1:] == target.shape:
+            ev[(a == target).all(axis=(1, 2)), -1] -= 1.0
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    audit = exhaustive_spectral_audit(n, n)
+    assert audit.uncertified == [to_graph6(complete(n))]
+    assert not audit.ok()

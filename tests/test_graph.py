@@ -1,7 +1,9 @@
 """Graph construction, classifiers, and the graph6 / edge-list codecs."""
 
+import functools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from spectool.errors import (
     InvalidOrderError,
     MalformedHeaderError,
     OutOfRangeVertexError,
+    SpectoolError,
     TruncatedBodyError,
     UnsupportedOrderError,
 )
@@ -54,7 +57,12 @@ from spectool.graph6 import (
     to_graph6,
 )
 
-from oracles import triangles_by_triples
+from oracles import (
+    diameter_by_bfs,
+    gnp_by_edge_list,
+    open_sums_by_neighbours,
+    triangles_by_triples,
+)
 
 
 def graphs(max_n=9):
@@ -76,6 +84,24 @@ class TestGraphType:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Graph(2, (0b100, 0b000))
+
+    def test_every_single_bit_asymmetry_is_rejected(self):
+        # Flipping bit u of row v alone leaves exactly one one-way pair,
+        # and the error names it as (a, b): b's row holds a, a's lacks b.
+        for n in range(2, 5):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                adj = from_edge_mask(n, mask).adj
+                for v in range(n):
+                    for u in range(n):
+                        if u == v:
+                            continue
+                        rows = list(adj)
+                        rows[v] ^= 1 << u
+                        with pytest.raises(ValueError,
+                                           match="asymmetric adjacency") as err:
+                            Graph(n, tuple(rows))
+                        a, b = map(int, re.findall(r"\d+", str(err.value)))
+                        assert rows[b] >> a & 1 and not rows[a] >> b & 1
 
     def test_edges_and_m(self):
         g = from_edges(4, [(0, 1), (2, 3)])
@@ -178,7 +204,53 @@ class TestGraph6:
         assert from_graph6(to_graph6(g)) == g
 
 
+@hst.composite
+def edge_list_texts(draw):
+    """An "n m" header and edge lines with small, possibly out-of-range or
+    looped vertices; m is sometimes off by one, and a line sometimes has
+    the wrong number of fields or a non-integer one."""
+    edges = draw(hst.lists(hst.tuples(hst.integers(-2, 12),
+                                      hst.integers(-2, 12)), max_size=6))
+    m = len(edges) + draw(hst.sampled_from((0, 0, 0, 1, -1)))
+    lines = [f"{draw(hst.integers(-2, 12))} {m}"]
+    for u, v in edges:
+        shape = draw(hst.sampled_from(("{} {}",) * 6 + ("{}", "{} {} 0",
+                                                         "{} x{}")))
+        lines.append(shape.format(u, v))
+    return "\n".join(lines)
+
+
+def small_order(text: str) -> bool:
+    """Whether the text's header, read as ``from_edge_list`` reads it,
+    names an order below 1,000 (or is not a number at all). A graph of
+    order n costs n^2 bytes to validate, whatever its edges."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    try:
+        return int(lines[0].split()[0]) < 1000
+    except (IndexError, ValueError):
+        return True
+
+
+EDGE_LIST_TEXT = hst.one_of(
+    hst.text(max_size=40),
+    hst.lists(
+        hst.lists(hst.one_of(hst.integers(-3, 80).map(str),
+                             hst.text(max_size=3)), max_size=3).map(" ".join),
+        max_size=8).map("\n".join),
+    edge_list_texts(),
+).filter(small_order)
+
+
 class TestEdgeList:
+    @given(EDGE_LIST_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_codec_errors(self, text):
+        try:
+            g = from_edge_list(text)
+        except (SpectoolError, ValueError):
+            return
+        assert from_edge_list(to_edge_list(g)) == g
+
     def test_roundtrip(self):
         g = petersen()
         assert from_edge_list(to_edge_list(g)) == g
@@ -215,6 +287,13 @@ class TestFamilies:
     def test_gnp_deterministic(self):
         assert gnp(10, 0.5, seed=1) == gnp(10, 0.5, seed=1)
         assert gnp(10, 0.5, seed=1) != gnp(10, 0.5, seed=2)
+
+    def test_gnp_matches_the_edge_list_construction(self):
+        for n, p in ((0, 0.5), (1, 0.5), (2, 0.5), (7, 0.3), (30, 0.0),
+                     (30, 0.5), (30, 1.0), (65, 0.2)):
+            for seed in range(200):
+                assert gnp(n, p, seed) == gnp_by_edge_list(n, p, seed), \
+                    (n, p, seed)
 
     def test_petersen_is_cubic(self):
         g = petersen()
@@ -262,6 +341,45 @@ class TestConnectivity:
         assert not conn.is_connected
         assert len(conn.components) == 2
         assert conn.diameter == math.inf
+
+
+@functools.cache
+def kernel_graphs() -> tuple:
+    """Every labeled graph n <= 6, 300 seeded G(30, p) for each p, and
+    paths, cycles and stars up to n = 200 (a second word starts at 65)."""
+    out = [from_edge_mask(n, mask) for n in range(1, 7)
+           for mask in range(1 << (n * (n - 1) // 2))]
+    out += [gnp(30, p, seed) for p in (0.05, 0.15, 0.5, 0.9)
+            for seed in range(300)]
+    for n in range(2, 201):
+        out += [path(n), star(n)] + ([cycle(n)] if n >= 3 else [])
+    return tuple(out)
+
+
+class TestWholeGraphKernels:
+    def test_connectivity_matches_bfs_oracle(self):
+        for g in kernel_graphs():
+            conn = connectivity(g)
+            assert conn.diameter == diameter_by_bfs(g), g
+            assert conn.is_connected == math.isfinite(conn.diameter)
+
+    def test_family_diameters_across_word_boundaries(self):
+        for n in (63, 64, 65, 128, 129, 200):
+            assert connectivity(path(n)).diameter == n - 1
+            assert connectivity(cycle(n)).diameter == n // 2
+            assert connectivity(star(n)).diameter == 2
+        assert connectivity(Graph(1, (0,))).diameter == 0
+        assert connectivity(complete(65)).diameter == 1
+
+    def test_bit_plane_sums_match_neighbour_oracle(self):
+        for g in kernel_graphs():
+            sums = neighborhood_degree_sums(g)
+            assert sums.open_sums == open_sums_by_neighbours(g), g
+            assert sums.closed_sums == tuple(
+                o + d for o, d in zip(sums.open_sums, g.degrees()))
+            assert (sums.max_open, sums.max_closed) == (
+                max(sums.open_sums), max(sums.closed_sums))
+            assert all(type(x) is int for x in sums.open_sums)
 
 
 class TestBipartition:
