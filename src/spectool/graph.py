@@ -7,6 +7,7 @@ only graph6 I/O caps the order at 62 (short form).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 import math
 
 import numpy as np
@@ -22,27 +23,35 @@ def bits(x: int):
         x ^= low
 
 
-def _row_words(n: int, rows) -> np.ndarray:
-    """Bitset rows over n vertices as a (len(rows), w) array of little-endian
-    64-bit words, with w = ceil(n / 64): bit u of a row is bit u % 64 of its
-    word u // 64."""
-    if n <= 64:
-        return np.array(rows, dtype="<u8").reshape(len(rows), 1)
-    width = 8 * ((n + 63) // 64)
-    return np.frombuffer(
-        b"".join([row.to_bytes(width, "little") for row in rows]),
-        dtype="<u8").reshape(len(rows), width // 8)
+def _set_bits(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Row and bit index of every set bit of the rows, in row order and
+    increasing bit order within a row, as two int64 arrays.
 
-
-def _bit_matrix(words: np.ndarray, n: int) -> np.ndarray:
-    """The uint8 0/1 matrix of ``_row_words`` rows, one column per vertex."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n,
-                         bitorder="little")
+    Each row is packed only up to its highest set bit and only its nonzero
+    bytes are unpacked, so time and memory follow the rows' own size and
+    their number of set bits rather than len(rows) times the order.
+    """
+    sizes = [(row.bit_length() + 7) // 8 for row in rows]
+    packed = np.frombuffer(
+        b"".join(map(int.to_bytes, rows, sizes, repeat("little"))),
+        dtype=np.uint8)
+    nonzero = packed.nonzero()[0]
+    byte, bit = np.unpackbits(packed[nonzero, None], axis=1,
+                              bitorder="little").nonzero()
+    counts = np.array([row.bit_count() for row in rows], dtype=np.int64)
+    first_byte = np.array([*accumulate(sizes, initial=0)][:-1], dtype=np.int64)
+    return (np.arange(len(rows)).repeat(counts),
+            8 * (nonzero[byte] - first_byte.repeat(counts)) + bit)
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1``."""
+    """Simple undirected graph on vertices ``0..n-1``.
+
+    ``_arcs`` is the (tails, heads) pair of int64 arrays listing every arc
+    v -> u (bit u of row v) in row order, found once while checking the
+    rows and read by the whole-graph kernels below.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -56,18 +65,23 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond vertex {self.n - 1}")
             if row & (1 << v):
                 raise ValueError(f"loop at vertex {v}")
-        a = _bit_matrix(_row_words(self.n, self.adj), self.n)
-        # a[v, u] = 1 while a[u, v] = 0. argwhere lists these (v, u) in row
-        # order, so the first is the pair a row-by-row scan meets first.
-        one_way = a > a.T
-        if one_way.any():
-            v, u = np.argwhere(one_way)[0].tolist()
+        tails, heads = _set_bits(self.adj)
+        # The keys v * n + u of the arcs come sorted; the rows are symmetric
+        # iff the reversed arcs sort to the same keys.
+        keys = tails * self.n + heads
+        mirrors = heads * self.n + tails
+        if not (np.sort(mirrors) == keys).all():
+            # The first arc whose reverse is missing is the pair a
+            # row-by-row scan meets first.
+            first = np.flatnonzero(~np.isin(mirrors, keys))[0]
+            v, u = int(tails[first]), int(heads[first])
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        object.__setattr__(self, "_arcs", (tails, heads))
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        return len(self._arcs[0]) // 2
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
@@ -175,29 +189,34 @@ def _component_mask(g: Graph, start: int) -> int:
 
 
 def _diameter(g: Graph) -> int:
-    """Diameter of a connected graph, growing every vertex's ball at once.
+    """Diameter of a connected graph, growing the balls of up to 64 sources
+    at once.
 
-    Each ball is a row of 64-bit words. The radius-1 ball of v is its closed
-    neighbourhood N[v], and the radius-(r+1) ball is the OR of the radius-r
-    balls over N[v]: one gather and one ``bitwise_or.reduceat`` over the
-    closed neighbour lists, stored row by row. The diameter is the first
-    radius at which every ball holds every vertex, at most n - 1.
+    ``reach[v]`` holds bit s when source first + s lies within the current
+    radius of v. One more round ORs into it the reaches of v's neighbours:
+    one gather and one ``bitwise_or.reduceat`` over the arcs, grouped by
+    tail (no group is empty, as the graph is connected). A block of sources
+    is done when every vertex holds all of them; the diameter is the
+    largest such radius over the blocks. Memory stays O(n + m).
     """
-    if g.n == 1:
-        return 0
     n = g.n
-    balls = _row_words(n, [row | 1 << v for v, row in enumerate(g.adj)])
-    full = _row_words(n, [(1 << n) - 1])
-    # Flat index v * n + u lists u in N[v]; row v's run starts at the first
-    # index >= v * n.
-    flat = np.flatnonzero(_bit_matrix(balls, n))
-    members = flat % n
-    starts = np.searchsorted(flat, np.arange(0, n * n, n))
-    for radius in range(1, n):
-        if (balls == full).all():
-            return radius
-        balls = np.bitwise_or.reduceat(balls[members], starts, axis=0)
-    raise ValueError("the diameter of a disconnected graph is infinite")
+    tails, heads = g._arcs
+    starts = np.searchsorted(tails, np.arange(n))
+    diameter = 0
+    for first in range(0, n, 64):
+        size = min(64, n - first)
+        full = np.uint64((1 << size) - 1)
+        reach = np.zeros(n, dtype=np.uint64)
+        reach[first:first + size] = \
+            np.uint64(1) << np.arange(size, dtype=np.uint64)
+        for radius in range(n):
+            if (reach == full).all():
+                break
+            reach |= np.bitwise_or.reduceat(reach[heads], starts)
+        else:
+            raise ValueError("the diameter of a disconnected graph is infinite")
+        diameter = max(diameter, radius)
+    return diameter
 
 
 def connectivity(g: Graph) -> Connectivity:
@@ -270,19 +289,23 @@ def is_complete_bipartite_plus_isolated(g: Graph) -> CompleteBipartiteWitness | 
     isolated = g.n - len(support)
     if not support:
         return CompleteBipartiteWitness(0, 0, isolated)
-    core, _ = induced_subgraph(g, support)
-    bip = bipartition(core)
-    if bip is None or not bip.part_a or not bip.part_b:
+    bip = bipartition(g)
+    if bip is None:
+        return None
+    # An isolated vertex is a component of its own and lands in part A;
+    # without them the parts are those of the core, in the same labels.
+    part_a = [v for v in bip.part_a if g.adj[v]]
+    if not part_a or not bip.part_b:
         return None
     mask_b = 0
     for v in bip.part_b:
         mask_b |= 1 << v
     # All cross edges present and parts independent: the core is K_{a,b}
     # (part B is then automatically complete toward part A).
-    for v in bip.part_a:
-        if core.adj[v] != mask_b:
+    for v in part_a:
+        if g.adj[v] != mask_b:
             return None
-    return CompleteBipartiteWitness(len(bip.part_a), len(bip.part_b), isolated)
+    return CompleteBipartiteWitness(len(part_a), len(bip.part_b), isolated)
 
 
 class RegularityClass:
@@ -382,9 +405,6 @@ def classify_regularity(g: Graph) -> RegularityClass:
     return Other()
 
 
-_PLANE_WEIGHTS = 1 << np.arange(63)
-
-
 @dataclass(frozen=True)
 class NeighborhoodDegreeSums:
     open_sums: tuple[int, ...]
@@ -397,23 +417,15 @@ def neighborhood_degree_sums(g: Graph) -> NeighborhoodDegreeSums:
     """Per-vertex sums of neighbor degrees, open N(v) and closed N[v]."""
     if g.n == 0:
         raise EmptyGraphError("neighborhood sums undefined for the empty graph")
-    # D_j, the set of vertices whose degree has bit j set, is bit j of the
-    # column counts of the rows, which is what adding the rows with carry
-    # into bit planes leaves (the rows are symmetric). The open sum of v is
-    # then sum_j |N(v) & D_j| * 2^j: one popcount per vertex and plane, and
-    # independent of the A @ d product of the walk table, which the
-    # decomposition identity checks these sums against.
-    planes = [0] * (g.n - 1).bit_length()  # degrees are < n
-    for row in g.adj:
-        carry = row
-        j = 0
-        while carry:
-            planes[j], carry = planes[j] ^ carry, planes[j] & carry
-            j += 1
-    words = _row_words(g.n, [*g.adj, *planes])
-    counts = np.bitwise_count(words[:g.n, None, :] & words[g.n:])
-    open_sums = tuple((counts.sum(axis=2, dtype=np.int64)
-                       @ _PLANE_WEIGHTS[:len(planes)]).tolist())
+    # The neighbours' degrees are summed over the set bits of each row by
+    # prefix sums, straight from the rows and independent of the A @ d
+    # product of the walk table, which the decomposition identity checks
+    # these sums against.
+    tails, heads = g._arcs
+    degs = np.bincount(tails, minlength=g.n)
+    prefix = np.concatenate(([0], np.cumsum(degs[heads])))
+    bounds = np.searchsorted(tails, np.arange(g.n + 1))
+    open_sums = tuple((prefix[bounds[1:]] - prefix[bounds[:-1]]).tolist())
     closed_sums = tuple([o + row.bit_count()
                          for o, row in zip(open_sums, g.adj)])
     return NeighborhoodDegreeSums(

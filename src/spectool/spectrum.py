@@ -20,7 +20,7 @@ from .errors import (
     NonConvergenceError,
     NonIntegralError,
 )
-from .graph import Graph, _bit_matrix, _row_words, is_connected
+from .graph import Graph, is_connected
 
 TOL = 1e-12
 CLUSTER_EPS = 1e-8
@@ -30,8 +30,10 @@ JACOBI_MAX_SWEEPS = 100
 
 
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
-    """Dense 0/1 adjacency matrix, unpacked from the bitset rows."""
-    return _bit_matrix(_row_words(g.n, g.adj), g.n).astype(dtype)
+    """Dense 0/1 adjacency matrix, set from the graph's arcs."""
+    a = np.zeros((g.n, g.n), dtype=dtype)
+    a[g._arcs] = 1
+    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,7 +114,7 @@ class GraphFacts:
 
     Every checker a battery runs on the graph reads the same object, so the
     spectrum, the walk table and the neighborhood sums are built once per
-    graph. ``tight_bounds`` collects the ids of the bounds whose value met
+    graph. ``tight_bounds`` collects the bound theorems whose value met
     lambda_1 within ``EQ_EPS``, recorded when the bound is checked.
     """
 
@@ -125,7 +125,7 @@ class GraphFacts:
         self.g = g
         self.budget = budget
         self.walk_depth = walk_depth
-        self.tight_bounds: set[str] = set()
+        self.tight_bounds: set[TheoremId] = set()
         if spec is not None:
             self.spec = spec
 
@@ -153,15 +153,14 @@ class GraphFacts:
 
 def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
     g = facts.g
-    kind = BOUND_THEOREMS[theorem]
     try:
-        value = bound_value(g, kind, facts.sums)
+        value = bound_value(g, BOUND_THEOREMS[theorem], facts.sums)
     except PreconditionViolatedError as exc:
         return Verdict.vacuous(str(exc))
     lambda1 = facts.spec.lambda1
     slack = value - lambda1
     if abs(slack) <= EQ_EPS:
-        facts.tight_bounds.add(kind.value)
+        facts.tight_bounds.add(theorem)
     if slack >= -EQ_EPS:
         return Verdict.holds()
     return Verdict.violated(_report(
@@ -538,32 +537,19 @@ def _merge_partial(acc: dict, part: dict) -> dict:
     return acc
 
 
-def _plan(theorems) -> tuple:
-    """(theorem, theorem id, bound id or None) for each theorem.
-
-    Shards resolve their theorems once, so the per-graph battery keys its
-    tallies by string instead of hashing ``TheoremId`` members.
-    """
-    return tuple(
-        (t, t.value, BOUND_THEOREMS[t].value if t in BOUND_THEOREMS else None)
-        for t in theorems)
-
-
-def _battery(g: Graph, plan: tuple, budget: int, walk_depth: int,
+def _battery(g: Graph, theorems, budget: int, walk_depth: int,
              partial: dict) -> None:
-    """Tally every theorem of ``plan`` (from ``_plan``) on g into partial."""
     facts = GraphFacts(g, budget=budget, walk_depth=walk_depth)
-    totals, tight = partial["totals"], partial["tight"]
     text = None
-    for theorem, tid, bound_id in plan:
-        verdict = check_theorem(g, theorem, facts=facts)
-        totals[tid][verdict.status] += 1
+    for t in theorems:
+        verdict = check_theorem(g, t, facts=facts)
+        partial["totals"][t.value][verdict.status] += 1
         if verdict.counterexample is not None:
             partial["counterexamples"].append(verdict.counterexample)
-        if bound_id in facts.tight_bounds:
+        if t in facts.tight_bounds:
             if text is None:
                 text = to_graph6(g) if g.n <= 62 else graph_text(g)[1]
-            tight[bound_id].append(text)
+            partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
 def _graph_shard(args) -> dict:
@@ -571,13 +557,12 @@ def _graph_shard(args) -> dict:
     list of canonical ones."""
     n, masks, theorem_values, connected_only, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
-    plan = _plan(theorems)
     partial = _empty_partial(theorems)
     for mask in masks:
         g = from_edge_mask(n, mask)
         if connected_only and not is_connected(g):
             continue
-        _battery(g, plan, budget, walk_depth, partial)
+        _battery(g, theorems, budget, walk_depth, partial)
     return partial
 
 
@@ -600,13 +585,12 @@ def _vector_shard(args) -> dict:
     # Bondy's cycle search, any apparent violation, a failed trace
     # certificate) get the per-graph reference checker for the theorems it
     # left open.
-    plan_by_id = {entry[1]: entry for entry in _plan(theorems)}
     open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:
-            open_theorems.setdefault(mask, []).append(plan_by_id[tid_value])
-    for mask, plan in open_theorems.items():
-        _battery(from_edge_mask(n, mask), plan, budget, walk_depth, partial)
+            open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
+    for mask, ids in open_theorems.items():
+        _battery(from_edge_mask(n, mask), ids, budget, walk_depth, partial)
     return partial
 
 
@@ -723,11 +707,10 @@ def _sample_seed(seed: int, index: int) -> int:
 def _fuzz_shard(args) -> dict:
     dist, lo, hi, seed, theorem_values, budget, walk_depth = args
     theorems = tuple(TheoremId(v) for v in theorem_values)
-    plan = _plan(theorems)
     partial = _empty_partial(theorems)
     for index in range(lo, hi):
         g = sample_distribution(dist, _sample_seed(seed, index))
-        _battery(g, plan, budget, walk_depth, partial)
+        _battery(g, theorems, budget, walk_depth, partial)
     return partial
 
 

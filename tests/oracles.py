@@ -63,6 +63,26 @@ def open_sums_by_neighbours(g: Graph) -> tuple[int, ...]:
                  for row in g.adj)
 
 
+def complete_bipartite_parts_by_subsets(g: Graph):
+    """(a, b, isolated) when the non-isolated vertices split into parts A
+    (holding the lowest of them) and B with exactly the A x B edges, found
+    by trying every such A; (0, 0, n) for an edgeless graph; else None."""
+    support = [v for v in range(g.n) if g.adj[v]]
+    isolated = g.n - len(support)
+    if not support:
+        return (0, 0, isolated)
+    first, rest = support[0], support[1:]
+    for size in range(len(rest) + 1):
+        for others in combinations(rest, size):
+            part_a = {first, *others}
+            part_b = set(support) - part_a
+            if part_b and all(
+                    g.has_edge(u, v) == ((u in part_a) != (v in part_a))
+                    for u, v in combinations(support, 2)):
+                return (len(part_a), len(part_b), isolated)
+    return None
+
+
 def gnp_by_edge_list(n: int, p: float, seed: int) -> Graph:
     """G(n, p) from the list of kept pairs, drawn v-major with u < v."""
     rng = random.Random(seed)

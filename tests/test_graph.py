@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,7 @@ from spectool.graph6 import (
 )
 
 from oracles import (
+    complete_bipartite_parts_by_subsets,
     diameter_by_bfs,
     gnp_by_edge_list,
     open_sums_by_neighbours,
@@ -208,27 +210,17 @@ class TestGraph6:
 def edge_list_texts(draw):
     """An "n m" header and edge lines with small, possibly out-of-range or
     looped vertices; m is sometimes off by one, and a line sometimes has
-    the wrong number of fields or a non-integer one."""
+    the wrong number of fields or a non-integer one. The order is small or,
+    now and then, 20,000."""
     edges = draw(hst.lists(hst.tuples(hst.integers(-2, 12),
                                       hst.integers(-2, 12)), max_size=6))
     m = len(edges) + draw(hst.sampled_from((0, 0, 0, 1, -1)))
-    lines = [f"{draw(hst.integers(-2, 12))} {m}"]
+    lines = [f"{draw(hst.sampled_from((*range(-2, 13), 20000)))} {m}"]
     for u, v in edges:
         shape = draw(hst.sampled_from(("{} {}",) * 6 + ("{}", "{} {} 0",
                                                          "{} x{}")))
         lines.append(shape.format(u, v))
     return "\n".join(lines)
-
-
-def small_order(text: str) -> bool:
-    """Whether the text's header, read as ``from_edge_list`` reads it,
-    names an order below 1,000 (or is not a number at all). A graph of
-    order n costs n^2 bytes to validate, whatever its edges."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    try:
-        return int(lines[0].split()[0]) < 1000
-    except (IndexError, ValueError):
-        return True
 
 
 EDGE_LIST_TEXT = hst.one_of(
@@ -238,7 +230,7 @@ EDGE_LIST_TEXT = hst.one_of(
                              hst.text(max_size=3)), max_size=3).map(" ".join),
         max_size=8).map("\n".join),
     edge_list_texts(),
-).filter(small_order)
+)
 
 
 class TestEdgeList:
@@ -371,7 +363,18 @@ class TestWholeGraphKernels:
         assert connectivity(Graph(1, (0,))).diameter == 0
         assert connectivity(complete(65)).diameter == 1
 
-    def test_bit_plane_sums_match_neighbour_oracle(self):
+    def test_diameter_with_both_ends_past_the_first_source_block(self):
+        # Every source in block 0..63 is nearer than n - 1 to both ends.
+        order = [128, *range(128), 129]
+        g = from_edges(130, list(zip(order, order[1:])))
+        assert connectivity(g).diameter == 129
+        for n in (65, 129, 200):
+            for seed in range(3):
+                order = random.Random(seed).sample(range(n), n)
+                g = from_edges(n, list(zip(order, order[1:])))
+                assert connectivity(g).diameter == n - 1, (n, seed)
+
+    def test_neighbourhood_sums_match_neighbour_oracle(self):
         for g in kernel_graphs():
             sums = neighborhood_degree_sums(g)
             assert sums.open_sums == open_sums_by_neighbours(g), g
@@ -380,6 +383,21 @@ class TestWholeGraphKernels:
             assert (sums.max_open, sums.max_closed) == (
                 max(sums.open_sums), max(sums.closed_sums))
             assert all(type(x) is int for x in sums.open_sums)
+
+    def test_memory_follows_the_edges_not_the_order(self):
+        # An n x n bit matrix at n = 20,000 takes 50 MB packed and 400 MB
+        # unpacked; the rows, their arcs and the kernels' arrays take a few.
+        tracemalloc.start()
+        try:
+            g = from_edge_list("20000 1\n0 19999")
+            assert g.m == 1 and g.degree(19999) == 1
+            hub = star(20000)
+            assert connectivity(hub).diameter == 2
+            assert neighborhood_degree_sums(hub).max_open == 19999
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestBipartition:
@@ -408,6 +426,15 @@ class TestCompleteBipartitePlusIsolated:
 
     def test_path_is_not(self):
         assert is_complete_bipartite_plus_isolated(path(4)) is None
+
+    def test_matches_subset_oracle_on_all_small_graphs(self):
+        for n in range(1, 7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = from_edge_mask(n, mask)
+                witness = is_complete_bipartite_plus_isolated(g)
+                got = None if witness is None else (
+                    witness.a, witness.b, witness.isolated)
+                assert got == complete_bipartite_parts_by_subsets(g), g
 
     def test_single_edge(self):
         witness = is_complete_bipartite_plus_isolated(complete(2))

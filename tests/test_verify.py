@@ -22,7 +22,6 @@ from spectool.verify import (
     _battery,
     _empty_partial,
     _graph_shard,
-    _plan,
     canonical_form,
     canonical_masks,
     check_theorem,
@@ -113,7 +112,7 @@ def _fresh_tight(g, theorem) -> bool:
 
 def _assert_battery_matches_fresh_checks(g):
     partial = _empty_partial(ALL_THEOREMS)
-    _battery(g, _plan(ALL_THEOREMS), DEFAULT_BUDGET, WALK_DEPTH, partial)
+    _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
     expected_counterexamples = []
     for t in ALL_THEOREMS:
         fresh = check_theorem(g, t)
@@ -148,8 +147,7 @@ class TestSharedFacts:
         # equality, so the tight census is exercised, not just empty.
         g = cycle(7)
         partial = _empty_partial(ALL_THEOREMS)
-        _battery(g, _plan(ALL_THEOREMS), DEFAULT_BUDGET, WALK_DEPTH,
-                 partial)
+        _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
         assert partial["tight"]["thm11"] == [to_graph6(g)]
         _assert_battery_matches_fresh_checks(g)
 
