@@ -30,6 +30,8 @@ MAX_EXHAUSTIVE_N = 8
 TRACE_EPS = 1e-6
 
 WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
+# The bound theorems, whose tight graphs the sweeps list and the audit counts.
+BOUNDS = ("stanley", "hong", "hsf", "lemma3", "thm11")
 
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
@@ -285,19 +287,78 @@ def _bound_arrays(stats: dict, n: int) -> dict:
     return values
 
 
-def sweep_range(n: int, start: int, stop: int, theorems: set,
-                connected_only: bool, walk_depth: int) -> dict:
-    """Tally theorems over masks [start, stop).
+def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
+    """Each requested theorem's verdict on a block of certified graphs.
 
-    Returns counts, tight-census masks per bound, and ``resolve`` masks that
-    the caller must re-check per graph (extremal confirmations, Bondy's
-    cycle search, violations, graphs that fail the trace certificate).
+    Returns ``{theorem: (nonvac, holds)}``, boolean arrays over the block
+    with ``holds`` inside ``nonvac``, and ``{bound: tight}``, the graphs on
+    which a requested bound applies and meets lambda_1 within ``EQ_EPS``.
+    The batch engine leaves ``nonvac & ~holds`` open: an apparent
+    violation, a triangle-free graph at the spectral Mantel threshold, or
+    Bondy's cycle search above its degree threshold.
     """
-    counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
-              for t in theorems}
-    tight: dict = {b: [] for b in ("stanley", "hong", "hsf", "lemma3", "thm11")
-                   if b in theorems}
-    resolve: dict = {}
+    m, lam1, tri = stats["m"], stats["lam1"], stats["tri"]
+    sqrt_m = np.sqrt(m.astype(np.float64))
+    everywhere = np.ones(len(m), dtype=bool)
+    nowhere = ~everywhere
+    table: dict = {}
+    tight: dict = {}
+
+    def decide(theorem, nonvac, holds):
+        table[theorem] = (nonvac, nonvac & holds)
+
+    if "mantel" in theorems:
+        decide("mantel", 4 * m > n * n, tri > 0)
+    if "nosal" in theorems:
+        decide("nosal", lam1 > sqrt_m + EQ_EPS, tri > 0)
+    if "spectral-mantel" in theorems:
+        decide("spectral-mantel", ~(lam1 < sqrt_m - EQ_EPS), tri > 0)
+    bounds = [bound for bound in BOUNDS if bound in theorems]
+    values = _bound_arrays(stats, n) if bounds else {}
+    for bound in bounds:
+        # Hong's bound needs every vertex to have a neighbour.
+        nonvac = stats["min_deg"] >= 1 if bound == "hong" else everywhere
+        slack = values[bound] - lam1
+        decide(bound, nonvac, slack >= -EQ_EPS)
+        tight[bound] = nonvac & (np.abs(slack) <= EQ_EPS)
+    if "lemma1-spectrum-symmetry" in theorems:
+        decide("lemma1-spectrum-symmetry", everywhere,
+               stats["symmetric"] == stats["bipartite"])
+    if "lemma2-diameter-distinct" in theorems:
+        decide("lemma2-diameter-distinct", stats["connected"],
+               stats["distinct"] >= stats["diameter"] + 1)
+    if "walk-inequality" in theorems:
+        decide("walk-inequality", m > 0, stats["walk_inequality"])
+    if "decomposition-identity" in theorems:
+        decide("decomposition-identity", everywhere, stats["decomposition"])
+    if "lemma5-peel" in theorems:
+        holds = everywhere.copy()
+        for k in (1, 2, 3):
+            applies = m >= k * n
+            if applies.any():
+                holds &= ~applies | (peel_survivors(stats["rows"], k) != 0)
+        decide("lemma5-peel", m >= n, holds)
+    if "lemma6-bondy" in theorems:
+        # Above the degree threshold the cycle search stays per graph.
+        decide("lemma6-bondy", 2 * stats["min_deg"] > n, nowhere)
+    if "thm7-even-cycles" in theorems:
+        # No even length lies in [4, ceil(n/28)] at these orders.
+        if math.ceil(n / 28) >= 4:
+            raise OrderTooLargeError(
+                f"thm7-even-cycles is not vacuous at n = {n}")
+        decide("thm7-even-cycles", nowhere, nowhere)
+    return table, tight
+
+
+def _blocks(n: int, start: int, stop: int, theorems,
+            connected_only: bool = False, walk_depth: int = 0):
+    """Masks [start, stop) block by block, as ``(stats, certified, table)``.
+
+    ``stats`` covers the block's graphs (the connected ones only, with
+    ``connected_only``), ``certified`` the part of it whose eigenvalues pass
+    the trace certificate, and ``table`` is ``verdict_table`` on that part.
+    A graph that fails the certificate gets no batch verdict.
+    """
     want_bip = "lemma1-spectrum-symmetry" in theorems
     want_diam = "lemma2-diameter-distinct" in theorems
     depth = walk_depth if WALK_THEOREMS & theorems else None
@@ -306,8 +367,8 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
         stats = block_stats(n, masks, want_bip, want_diam, depth)
         if connected_only:
             stats = _select(stats, stats["connected"])
-        _tally_block(n, stats, theorems, counts, tight, resolve)
-    return {"counts": counts, "tight": tight, "resolve": resolve}
+        certified = _select(stats, stats["certified"])
+        yield stats, certified, verdict_table(n, certified, theorems)
 
 
 def _select(stats: dict, keep: np.ndarray) -> dict:
@@ -317,199 +378,98 @@ def _select(stats: dict, keep: np.ndarray) -> dict:
     return {key: value[keep] for key, value in stats.items()}
 
 
-def _collect(resolve: dict, theorem: str, masks: np.ndarray) -> None:
-    if len(masks):
-        resolve.setdefault(theorem, []).extend(int(x) for x in masks)
+def sweep_range(n: int, start: int, stop: int, theorems: set,
+                connected_only: bool, walk_depth: int) -> dict:
+    """Tally theorems over masks [start, stop).
+
+    Returns counts, tight-census masks per bound, and ``resolve`` masks that
+    the caller must re-check per graph: what ``verdict_table`` leaves open,
+    and every requested theorem on the graphs that fail the trace
+    certificate.
+    """
+    counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
+              for t in theorems}
+    tight: dict = {b: [] for b in BOUNDS if b in theorems}
+    resolve: dict = {}
+    for stats, certified, (table, tight_masks) in _blocks(
+            n, start, stop, theorems, connected_only, walk_depth):
+        uncertified = stats["masks"][~stats["certified"]].tolist()
+        masks = certified["masks"]
+        for theorem, (nonvac, holds) in table.items():
+            counts[theorem]["vacuous"] += int((~nonvac).sum())
+            counts[theorem]["holds"] += int(holds.sum())
+            open_masks = uncertified + masks[nonvac & ~holds].tolist()
+            if open_masks:
+                resolve.setdefault(theorem, []).extend(open_masks)
+        for bound, is_tight in tight_masks.items():
+            tight[bound].extend(masks[is_tight].tolist())
+    return {"counts": counts, "tight": tight, "resolve": resolve}
 
 
-def _tally_block(n: int, stats: dict, theorems: set, counts: dict,
-                 tight: dict, resolve: dict) -> None:
-    # A graph whose eigenvalues fail the trace certificate gets every
-    # requested theorem from the per-graph reference checker instead.
-    certified = stats["certified"]
-    uncertified = stats["masks"][~certified]
-    for theorem in theorems:
-        _collect(resolve, theorem, uncertified)
-    stats = _select(stats, certified)
-    masks = stats["masks"]
-    m = stats["m"]
-    lam1 = stats["lam1"]
-    tri = stats["tri"]
-    sqrt_m = np.sqrt(m.astype(np.float64))
-    bounds = _bound_arrays(stats, n)
-
-    if "mantel" in theorems:
-        nonvac = 4 * m > n * n
-        holds = nonvac & (tri > 0)
-        bad = nonvac & (tri == 0)
-        _bump(counts["mantel"], nonvac, holds)
-        _collect(resolve, "mantel", masks[bad])
-    if "nosal" in theorems:
-        nonvac = lam1 > sqrt_m + EQ_EPS
-        holds = nonvac & (tri > 0)
-        bad = nonvac & (tri == 0)
-        _bump(counts["nosal"], nonvac, holds)
-        _collect(resolve, "nosal", masks[bad])
-    if "spectral-mantel" in theorems:
-        nonvac = ~(lam1 < sqrt_m - EQ_EPS)
-        holds = nonvac & (tri > 0)
-        undecided = nonvac & (tri == 0)
-        counts["spectral-mantel"]["vacuous"] += int((~nonvac).sum())
-        counts["spectral-mantel"]["holds"] += int(holds.sum())
-        _collect(resolve, "spectral-mantel", masks[undecided])
-    for bound in ("stanley", "hsf", "lemma3", "thm11"):
-        if bound in theorems:
-            slack = bounds[bound] - lam1
-            holds = slack >= -EQ_EPS
-            counts[bound]["holds"] += int(holds.sum())
-            _collect(resolve, bound, masks[~holds])
-            tight[bound].extend(int(x) for x in masks[np.abs(slack) <= EQ_EPS])
-    if "hong" in theorems:
-        applicable = stats["min_deg"] >= 1
-        slack = bounds["hong"] - lam1
-        holds = applicable & (slack >= -EQ_EPS)
-        counts["hong"]["vacuous"] += int((~applicable).sum())
-        counts["hong"]["holds"] += int(holds.sum())
-        _collect(resolve, "hong", masks[applicable & ~holds])
-        tight["hong"].extend(
-            int(x) for x in masks[applicable & (np.abs(slack) <= EQ_EPS)])
-    if "lemma1-spectrum-symmetry" in theorems:
-        agree = stats["symmetric"] == stats["bipartite"]
-        counts["lemma1-spectrum-symmetry"]["holds"] += int(agree.sum())
-        _collect(resolve, "lemma1-spectrum-symmetry", masks[~agree])
-    if "lemma2-diameter-distinct" in theorems:
-        conn = stats["connected"]
-        ok = conn & (stats["distinct"] >= stats["diameter"] + 1)
-        counts["lemma2-diameter-distinct"]["vacuous"] += int((~conn).sum())
-        counts["lemma2-diameter-distinct"]["holds"] += int(ok.sum())
-        _collect(resolve, "lemma2-diameter-distinct", masks[conn & ~ok])
-    if "walk-inequality" in theorems:
-        nonvac = m > 0
-        holds = nonvac & stats["walk_inequality"]
-        _bump(counts["walk-inequality"], nonvac, holds)
-        _collect(resolve, "walk-inequality", masks[nonvac & ~holds])
-    if "decomposition-identity" in theorems:
-        holds = stats["decomposition"]
-        counts["decomposition-identity"]["holds"] += int(holds.sum())
-        _collect(resolve, "decomposition-identity", masks[~holds])
-    if "lemma5-peel" in theorems:
-        nonvac = m >= n
-        holds = nonvac.copy()
-        for k in (1, 2, 3):
-            applies = m >= k * n
-            if applies.any():
-                holds &= ~applies | (peel_survivors(stats["rows"], k) != 0)
-        _bump(counts["lemma5-peel"], nonvac, holds)
-        _collect(resolve, "lemma5-peel", masks[nonvac & ~holds])
-    if "lemma6-bondy" in theorems:
-        # Above the degree threshold the cycle search stays per graph.
-        nonvac = 2 * stats["min_deg"] > n
-        counts["lemma6-bondy"]["vacuous"] += int((~nonvac).sum())
-        _collect(resolve, "lemma6-bondy", masks[nonvac])
-    if "thm7-even-cycles" in theorems:
-        # No even length lies in [4, ceil(n/28)] at these orders.
-        if math.ceil(n / 28) >= 4:
-            raise OrderTooLargeError(
-                f"thm7-even-cycles is not vacuous at n = {n}")
-        counts["thm7-even-cycles"]["vacuous"] += len(masks)
-
-
-def _bump(slot: dict, nonvac: np.ndarray, holds: np.ndarray) -> None:
-    slot["vacuous"] += int((~nonvac).sum())
-    slot["holds"] += int(holds.sum())
+AUDIT_THEOREMS = frozenset({"spectral-mantel", *BOUNDS,
+                            "lemma1-spectrum-symmetry",
+                            "lemma2-diameter-distinct"})
 
 
 def audit_range(n: int, start: int, stop: int) -> dict:
     """Identity-and-tightness audit over masks [start, stop).
 
-    Collects everything the exhaustive acceptance criteria consume: the
-    graphs whose eigenvalues fail the trace certificate, the triangle trace
-    identity, spectral Mantel candidates, bound slack violations,
-    tightness-vs-degree-class masks, threshold-tight connected graphs, and
-    the spectrum-symmetry and diameter checks.
+    Keys are those of ``verify.SpectralAudit``, with masks for graphs, but
+    for the two the caller confirms per graph: ``mantel_candidates`` (the
+    spectral Mantel theorem left open) and ``threshold_tight_connected``.
+    The verdicts come from ``verdict_table``; only the triangle trace
+    identity, which the certificate also reads, covers uncertified graphs.
     """
     out = {
         "graphs": 0,
         "uncertified": [],
-        "tri_mismatch": [],
+        "triangle_mismatches": [],
         "mantel_candidates": [],
         "threshold_tight_connected": [],
-        "bound_violations": {b: [] for b in
-                             ("stanley", "hong", "hsf", "lemma3", "thm11")},
+        "bound_violations": {b: [] for b in BOUNDS},
         "hsf_tight_not_class": [],
         "hsf_class_not_tight": [],
         "thm11_above_stanley": [],
-        "lemma1_mismatch": [],
+        "lemma1_mismatches": [],
         "lemma2_violations": [],
-        "tight_counts": {b: 0 for b in
-                         ("stanley", "hong", "hsf", "lemma3", "thm11")},
+        "tight_counts": dict.fromkeys(BOUNDS, 0),
     }
-    for lo in range(start, stop, BLOCK):
-        masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
-        stats = block_stats(n, masks, want_bip=True, want_diam=True)
+    for stats, certified, (table, tight) in _blocks(
+            n, start, stop, AUDIT_THEOREMS):
+        masks = stats["masks"]
         out["graphs"] += len(masks)
-        m = stats["m"]
-        lam1 = stats["lam1"]
-        tri = stats["tri"]
-        sqrt_m = np.sqrt(m.astype(np.float64))
-        bounds = _bound_arrays(stats, n)
-        connected = stats["connected"]
-        out["uncertified"].extend(int(x) for x in masks[~stats["certified"]])
-
+        out["uncertified"] += masks[~stats["certified"]].tolist()
         spectral_tri = stats["sum_cubes"] / 6.0
-        mismatch = (np.abs(spectral_tri - tri) > 1e-6) \
-            | (np.rint(spectral_tri).astype(np.int64) != tri)
-        out["tri_mismatch"].extend(int(x) for x in masks[mismatch])
+        mismatch = (np.abs(spectral_tri - stats["tri"]) > 1e-6) \
+            | (np.rint(spectral_tri).astype(np.int64) != stats["tri"])
+        out["triangle_mismatches"] += masks[mismatch].tolist()
 
-        candidates = ~(lam1 < sqrt_m - EQ_EPS) & (tri == 0)
-        out["mantel_candidates"].extend(int(x) for x in masks[candidates])
+        masks = certified["masks"]
+        open_masks = {theorem: masks[nonvac & ~holds].tolist()
+                      for theorem, (nonvac, holds) in table.items()}
+        out["mantel_candidates"] += open_masks["spectral-mantel"]
+        out["lemma1_mismatches"] += open_masks["lemma1-spectrum-symmetry"]
+        out["lemma2_violations"] += open_masks["lemma2-diameter-distinct"]
+        for bound in BOUNDS:
+            out["bound_violations"][bound] += open_masks[bound]
+            out["tight_counts"][bound] += int(tight[bound].sum())
+
+        connected = certified["connected"]
         # The extremal characterization at the threshold concerns
         # triangle-free graphs; connected graphs with lambda_1 = sqrt(m)
         # AND a triangle exist (n=7, m=9, lambda_1=3) and are fine.
-        tight_threshold = connected & (tri == 0) \
-            & (np.abs(lam1 - sqrt_m) <= EQ_EPS)
-        out["threshold_tight_connected"].extend(
-            int(x) for x in masks[tight_threshold])
-
-        applicable = {b: np.ones(len(masks), dtype=bool) for b in bounds}
-        applicable["hong"] = stats["min_deg"] >= 1
-        for bound, values in bounds.items():
-            slack = values - lam1
-            bad = applicable[bound] & (slack < -EQ_EPS)
-            out["bound_violations"][bound].extend(int(x) for x in masks[bad])
-            is_tight = applicable[bound] & (np.abs(slack) <= EQ_EPS)
-            out["tight_counts"][bound] += int(is_tight.sum())
-            if bound == "hsf":
-                regular = stats["degrees"].max(axis=1) == stats["min_deg"]
-                bideg = (
-                    (stats["degrees"] == stats["min_deg"][:, None])
-                    | (stats["degrees"] == n - 1)
-                ).all(axis=1)
-                in_class = regular | bideg
-                out["hsf_tight_not_class"].extend(
-                    int(x) for x in masks[connected & is_tight & ~in_class])
-                out["hsf_class_not_tight"].extend(
-                    int(x) for x in masks[connected & in_class & ~is_tight])
-
-        above = bounds["thm11"] > bounds["stanley"] + EQ_EPS
-        out["thm11_above_stanley"].extend(int(x) for x in masks[above])
-
-        agree = stats["symmetric"] == stats["bipartite"]
-        out["lemma1_mismatch"].extend(int(x) for x in masks[~agree])
-        lemma2_bad = connected & (stats["distinct"] < stats["diameter"] + 1)
-        out["lemma2_violations"].extend(int(x) for x in masks[lemma2_bad])
+        sqrt_m = np.sqrt(certified["m"].astype(np.float64))
+        at_threshold = connected & (certified["tri"] == 0) \
+            & (np.abs(certified["lam1"] - sqrt_m) <= EQ_EPS)
+        out["threshold_tight_connected"] += masks[at_threshold].tolist()
+        degrees, min_deg = certified["degrees"], certified["min_deg"]
+        in_class = (degrees.max(axis=1) == min_deg) | (
+            (degrees == min_deg[:, None]) | (degrees == n - 1)).all(axis=1)
+        out["hsf_tight_not_class"] += \
+            masks[connected & tight["hsf"] & ~in_class].tolist()
+        out["hsf_class_not_tight"] += \
+            masks[connected & in_class & ~tight["hsf"]].tolist()
+        values = _bound_arrays(certified, n)
+        above = values["thm11"] > values["stanley"] + EQ_EPS
+        out["thm11_above_stanley"] += masks[above].tolist()
     return out
-
-
-def merge_audits(parts: list[dict]) -> dict:
-    merged = parts[0]
-    for part in parts[1:]:
-        merged["graphs"] += part["graphs"]
-        for key, value in part.items():
-            if isinstance(value, list):
-                merged[key].extend(value)
-        for bound in merged["bound_violations"]:
-            merged["bound_violations"][bound].extend(
-                part["bound_violations"][bound])
-            merged["tight_counts"][bound] += part["tight_counts"][bound]
-    return merged

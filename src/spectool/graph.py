@@ -23,9 +23,10 @@ def bits(x: int):
         x ^= low
 
 
-def _set_bits(rows) -> tuple[np.ndarray, np.ndarray]:
+def _set_bits(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row and bit index of every set bit of the rows, in row order and
-    increasing bit order within a row, as two int64 arrays.
+    increasing bit order within a row, as two int64 arrays, and each row's
+    number of set bits.
 
     Each row is packed only up to its highest set bit and only its nonzero
     bytes are unpacked, so time and memory follow the rows' own size and
@@ -41,7 +42,7 @@ def _set_bits(rows) -> tuple[np.ndarray, np.ndarray]:
     counts = np.array([row.bit_count() for row in rows], dtype=np.int64)
     first_byte = np.array([*accumulate(sizes, initial=0)][:-1], dtype=np.int64)
     return (np.arange(len(rows)).repeat(counts),
-            8 * (nonzero[byte] - first_byte.repeat(counts)) + bit)
+            8 * (nonzero[byte] - first_byte.repeat(counts)) + bit, counts)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ class Graph:
 
     ``_arcs`` is the (tails, heads) pair of int64 arrays listing every arc
     v -> u (bit u of row v) in row order, found once while checking the
-    rows and read by the whole-graph kernels below.
+    rows and read by the whole-graph kernels below; ``_degrees`` is the
+    int64 array of the rows' bit counts found with them.
     """
 
     n: int
@@ -59,13 +61,13 @@ class Graph:
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal the vertex count")
-        full = (1 << self.n) - 1
+        # Shifts, not masks of n bits, keep this loop linear in n.
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError(f"row {v} has bits beyond vertex {self.n - 1}")
-            if row & (1 << v):
+            if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        tails, heads = _set_bits(self.adj)
+        tails, heads, degrees = _set_bits(self.adj)
         # The keys v * n + u of the arcs come sorted; the rows are symmetric
         # iff the reversed arcs sort to the same keys.
         keys = tails * self.n + heads
@@ -77,6 +79,7 @@ class Graph:
             v, u = int(tails[first]), int(heads[first])
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
         object.__setattr__(self, "_arcs", (tails, heads))
+        object.__setattr__(self, "_degrees", degrees)
 
     @property
     def m(self) -> int:
@@ -84,7 +87,7 @@ class Graph:
         return len(self._arcs[0]) // 2
 
     def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adj]
+        return self._degrees.tolist()
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -422,12 +425,11 @@ def neighborhood_degree_sums(g: Graph) -> NeighborhoodDegreeSums:
     # product of the walk table, which the decomposition identity checks
     # these sums against.
     tails, heads = g._arcs
-    degs = np.bincount(tails, minlength=g.n)
-    prefix = np.concatenate(([0], np.cumsum(degs[heads])))
+    prefix = np.concatenate(([0], np.cumsum(g._degrees[heads])))
     bounds = np.searchsorted(tails, np.arange(g.n + 1))
-    open_sums = tuple((prefix[bounds[1:]] - prefix[bounds[:-1]]).tolist())
-    closed_sums = tuple([o + row.bit_count()
-                         for o, row in zip(open_sums, g.adj)])
+    sums = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    open_sums = tuple(sums.tolist())
+    closed_sums = tuple((sums + g._degrees).tolist())
     return NeighborhoodDegreeSums(
         open_sums, closed_sums, max(open_sums), max(closed_sums)
     )

@@ -17,6 +17,9 @@ from .errors import (
 from .graph import Graph, from_edges, to_edge_mask
 
 HEADER_LINE = ">>graph6<<"
+# Largest order an edge-list header may declare: the rows are allocated
+# before any edge line is read.
+MAX_EDGE_LIST_N = 1 << 20
 
 
 def from_graph6(text: str) -> Graph:
@@ -110,6 +113,9 @@ def from_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n > MAX_EDGE_LIST_N:
+        raise EdgeListFormatError(
+            f"order {n} exceeds the edge-list cap {MAX_EDGE_LIST_N}")
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

@@ -38,6 +38,7 @@ from .graph import (
     connectivity,
     first_triangle,
     from_edge_mask,
+    is_complete_bipartite_plus_isolated,
     is_connected,
     neighborhood_degree_sums,
 )
@@ -525,15 +526,16 @@ def _empty_partial(theorems) -> dict:
     }
 
 
-def _merge_partial(acc: dict, part: dict) -> dict:
-    for tid, counts in part["totals"].items():
-        slot = acc["totals"].setdefault(
-            tid, {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0})
-        for key, value in counts.items():
-            slot[key] += value
-    for bid, graphs in part["tight"].items():
-        acc["tight"].setdefault(bid, []).extend(graphs)
-    acc["counterexamples"].extend(part["counterexamples"])
+def _merge(acc: dict, part: dict) -> dict:
+    """Fold one shard's result into ``acc``: ints add, lists extend and
+    dicts merge key by key."""
+    for key, value in part.items():
+        if key not in acc:
+            acc[key] = value
+        elif isinstance(value, dict):
+            _merge(acc[key], value)
+        else:
+            acc[key] += value
     return acc
 
 
@@ -594,20 +596,17 @@ def _vector_shard(args) -> dict:
     return partial
 
 
-def _shard_results(worker, shard_args, jobs: int):
-    """The worker's result for each shard, in shard order: computed lazily in
-    this process for one job, or by a pool of ``jobs`` forked workers."""
+def _run_shards(worker, shard_args, jobs: int, merged: dict) -> dict:
+    """``merged`` with the worker's result for each shard merged in, in shard
+    order: computed lazily in this process for one job, or by a pool of
+    ``jobs`` forked workers."""
     if jobs <= 1 or len(shard_args) <= 1:
-        return map(worker, shard_args)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, shard_args, chunksize=1)
-
-
-def _run_shards(worker, shard_args, jobs: int) -> dict:
-    merged = None
-    for part in _shard_results(worker, shard_args, jobs):
-        merged = part if merged is None else _merge_partial(merged, part)
+        parts = map(worker, shard_args)
+    else:
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            parts = pool.map(worker, shard_args, chunksize=1)
+    for part in parts:
+        _merge(merged, part)
     return merged
 
 
@@ -624,9 +623,27 @@ def _finalize(config_dict: dict, merged: dict, started: float) -> SweepReport:
     )
 
 
-# Batch-engine shards hold at least one whole block, so small orders do not
-# split into many tiny ``block_stats`` calls.
 SHARDS_PER_ORDER = 64
+
+
+def _shards(n_min: int, n_max: int, dedup: str = "labeled",
+            min_size: int = _exhaustive.BLOCK) -> list:
+    """``(n, masks)`` per shard: each order's masks, a range of labeled ones
+    or a list of canonical ones, cut into up to ``SHARDS_PER_ORDER`` slices
+    of at least ``min_size``.
+
+    Batch-engine shards hold at least one whole block, so small orders do
+    not split into many tiny ``block_stats`` calls.
+    """
+    shards = []
+    for n in range(n_min, n_max + 1):
+        if dedup == "labeled":
+            masks = range(labeled_graph_count(n))
+        else:
+            masks = canonical_masks(n)
+        step = max(min_size, math.ceil(len(masks) / SHARDS_PER_ORDER))
+        shards += [(n, masks[i:i + step]) for i in range(0, len(masks), step)]
+    return shards
 
 
 def sweep(config: SweepConfig) -> SweepReport:
@@ -640,22 +657,14 @@ def sweep(config: SweepConfig) -> SweepReport:
     use_vector = config.dedup == "labeled" and (
         not _exhaustive.WALK_THEOREMS & set(theorem_values)
         or _exhaustive.walks_exact(config.n_max, max(2, config.walk_depth)))
-    shard_args = []
-    for n in range(config.n_min, config.n_max + 1):
-        if config.dedup == "labeled":
-            masks = range(labeled_graph_count(n))
-        else:
-            masks = canonical_masks(n)
-        step = max(_exhaustive.BLOCK if use_vector else 1,
-                   math.ceil(len(masks) / SHARDS_PER_ORDER))
-        for i in range(0, len(masks), step):
-            shard_args.append(
-                (n, masks[i:i + step], theorem_values, config.connected_only,
-                 config.budget, config.walk_depth))
+    shard_args = [
+        (n, masks, theorem_values, config.connected_only, config.budget,
+         config.walk_depth)
+        for n, masks in _shards(config.n_min, config.n_max, config.dedup,
+                                _exhaustive.BLOCK if use_vector else 1)]
     worker = _vector_shard if use_vector else _graph_shard
-    merged = _run_shards(worker, shard_args, config.jobs)
-    if merged is None:
-        merged = _empty_partial(theorems)
+    merged = _run_shards(worker, shard_args, config.jobs,
+                         _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, started)
 
 
@@ -736,9 +745,8 @@ def fuzz(distribution, count: int, seed: int,
          walk_depth)
         for lo in range(0, count, step)
     ]
-    merged = _run_shards(_fuzz_shard, shard_args, jobs)
-    if merged is None:
-        merged = _empty_partial(theorem_ids)
+    merged = _run_shards(_fuzz_shard, shard_args, jobs,
+                         _empty_partial(theorem_ids))
     config = {
         "distribution": ":".join(
             [dist[0], ",".join(str(x) for x in dist[1:])]),
@@ -758,9 +766,10 @@ class SpectralAudit:
 
     Graphs are reported as graph6 strings. ``uncertified`` lists the graphs
     whose batch eigenvalues fail the trace certificate (sum lambda = 0,
-    sum lambda^2 = 2m, sum lambda^3 = 6 triangles), so every other check
-    read unproven eigenvalues for them. ``tight_counts`` is diagnostic
-    (census sizes per bound), not a pass/fail signal.
+    sum lambda^2 = 2m, sum lambda^3 = 6 triangles); only the triangle trace
+    identity checks them, and ``ok`` fails while any are listed.
+    ``tight_counts`` is diagnostic (census sizes per bound), not a
+    pass/fail signal.
     """
 
     graphs: int
@@ -788,11 +797,31 @@ class SpectralAudit:
         )
 
 
+def _as_graph6(n: int, value):
+    """``value`` with every list of masks in it, in nested dicts too,
+    decoded to graph6."""
+    if isinstance(value, dict):
+        return {key: _as_graph6(n, item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [mask_to_graph6(n, mask) for mask in value]
+    return value
+
+
 def _audit_shard(args) -> dict:
-    n, start, stop = args
-    part = _exhaustive.audit_range(n, start, stop)
-    part["n"] = n
-    return part
+    """One shard's ``SpectralAudit`` fields, from the batch audit with its
+    threshold graphs confirmed per graph."""
+    n, masks = args
+    part = _exhaustive.audit_range(n, masks.start, masks.stop)
+    # At-threshold triangle-free graphs must classify as extremal complete
+    # bipartite (with a validating witness).
+    part["spectral_mantel_failures"] = [
+        mask for mask in part.pop("mantel_candidates")
+        if spectral_mantel_classify(from_edge_mask(n, mask)).kind
+        != "extremal_complete_bipartite"]
+    part["tight_threshold_not_complete_bipartite"] = [
+        mask for mask in part.pop("threshold_tight_connected")
+        if is_complete_bipartite_plus_isolated(from_edge_mask(n, mask)) is None]
+    return _as_graph6(n, part)
 
 
 def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
@@ -804,65 +833,13 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
     confirmation, every bound's slack, the tightness degree-class
     equivalence for the minimum-degree bound, the closed-neighborhood vs
     edge-count bound dominance, spectrum symmetry vs bipartiteness, and the
-    diameter vs distinct-eigenvalue inequality.
+    diameter vs distinct-eigenvalue inequality. The verdicts are the batch
+    sweep's, from ``_exhaustive.verdict_table``; graphs that fail the trace
+    certificate are listed in ``uncertified`` and get no other check.
     """
+    if not 1 <= n_min <= n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
     if n_max > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(f"audit capped at n = {MAX_EXHAUSTIVE_N}")
-    shard_args = []
-    for n in range(n_min, n_max + 1):
-        total = labeled_graph_count(n)
-        step = max(_exhaustive.BLOCK, math.ceil(total / SHARDS_PER_ORDER))
-        for start in range(0, total, step):
-            shard_args.append((n, start, min(start + step, total)))
-    by_n: dict[int, list] = {}
-    for part in _shard_results(_audit_shard, shard_args, jobs):
-        by_n.setdefault(part["n"], []).append(part)
-    merged_by_n = {n: _exhaustive.merge_audits(ps) for n, ps in by_n.items()}
-
-    def decode(n: int, masks) -> list:
-        return [mask_to_graph6(n, mask) for mask in masks]
-
-    audit = SpectralAudit(
-        graphs=0,
-        uncertified=[],
-        triangle_mismatches=[],
-        spectral_mantel_failures=[],
-        tight_threshold_not_complete_bipartite=[],
-        bound_violations={b: [] for b in
-                          ("stanley", "hong", "hsf", "lemma3", "thm11")},
-        hsf_tight_not_class=[],
-        hsf_class_not_tight=[],
-        thm11_above_stanley=[],
-        lemma1_mismatches=[],
-        lemma2_violations=[],
-        tight_counts={b: 0 for b in
-                      ("stanley", "hong", "hsf", "lemma3", "thm11")},
-    )
-    from .graph import is_complete_bipartite_plus_isolated
-
-    for n, merged in sorted(merged_by_n.items()):
-        audit.graphs += merged["graphs"]
-        audit.uncertified += decode(n, merged["uncertified"])
-        audit.triangle_mismatches += decode(n, merged["tri_mismatch"])
-        audit.hsf_tight_not_class += decode(n, merged["hsf_tight_not_class"])
-        audit.hsf_class_not_tight += decode(n, merged["hsf_class_not_tight"])
-        audit.thm11_above_stanley += decode(n, merged["thm11_above_stanley"])
-        audit.lemma1_mismatches += decode(n, merged["lemma1_mismatch"])
-        audit.lemma2_violations += decode(n, merged["lemma2_violations"])
-        for bound, masks in merged["bound_violations"].items():
-            audit.bound_violations[bound] += decode(n, masks)
-        for bound, count in merged["tight_counts"].items():
-            audit.tight_counts[bound] += count
-        # At-threshold triangle-free graphs must classify as extremal
-        # complete bipartite (with a validating witness).
-        for mask in merged["mantel_candidates"]:
-            g = from_edge_mask(n, mask)
-            result = spectral_mantel_classify(g)
-            if result.kind != "extremal_complete_bipartite":
-                audit.spectral_mantel_failures.append(to_graph6(g))
-        for mask in merged["threshold_tight_connected"]:
-            g = from_edge_mask(n, mask)
-            if is_complete_bipartite_plus_isolated(g) is None:
-                audit.tight_threshold_not_complete_bipartite.append(
-                    to_graph6(g))
-    return audit
+    return SpectralAudit(**_run_shards(
+        _audit_shard, _shards(n_min, n_max), jobs, {}))

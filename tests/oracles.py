@@ -17,6 +17,7 @@ import numpy as np
 from spectool.graph import Graph, from_edges
 from spectool.verify import (
     SweepConfig,
+    _empty_partial,
     _finalize,
     _graph_shard,
     _run_shards,
@@ -151,5 +152,6 @@ def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
             shard_args.append((n, range(lo, min(lo + step, total)), values,
                                config.connected_only, config.budget,
                                config.walk_depth))
-    merged = _run_shards(_graph_shard, shard_args, jobs)
+    merged = _run_shards(_graph_shard, shard_args, jobs,
+                         _empty_partial(config.theorem_ids()))
     return _finalize(config.to_dict(), merged, 0.0).payload()

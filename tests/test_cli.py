@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings
@@ -98,6 +99,22 @@ def test_analyze_order_zero_exit2():
     result = run_cli(["analyze"], stdin_text="Bw\n?\n")
     assert result.returncode == 2
     assert "line 2" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_analyze_oversized_edge_list_header_exit2():
+    # A 12-byte edge-list header declaring 10^9 vertices is rejected before
+    # anything of that size is allocated.
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sys, "stdin", io.StringIO("1000000000 0\n")), \
+                contextlib.redirect_stderr(err):
+            code = main(["analyze", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.getvalue().startswith("error: line 1")
+    assert peak < 1 << 20
 
 
 def test_analyze_negative_walks_exit3():

@@ -374,3 +374,39 @@ def test_audit_reports_a_failed_trace_certificate(monkeypatch):
     audit = exhaustive_spectral_audit(n, n)
     assert audit.uncertified == [to_graph6(complete(n))]
     assert not audit.ok()
+
+
+def test_a_lowered_bound_reaches_the_sweep_and_the_audit(monkeypatch):
+    # Stanley's batch value 1 lower on K5 (4 -> 3, below lambda_1 = 4): the
+    # sweep hands K5 to the per-graph checker, which finds it tight, so the
+    # payload stays as it was; the audit, on the same batch verdicts, names
+    # it a violation and puts thm11(K5) = 4 above the lowered Stanley value.
+    n, k5 = 5, labeled_graph_count(5) - 1
+    config = SweepConfig(n_min=n, n_max=n, theorems=ALL_THEOREMS)
+    expected = sweep(config).payload()
+    real = _exhaustive._bound_arrays
+
+    def lowered(stats, order):
+        values = real(stats, order)
+        if order == n:
+            values["stanley"][stats["masks"] == k5] -= 1
+        return values
+
+    monkeypatch.setattr(_exhaustive, "_bound_arrays", lowered)
+    values = {t.value for t in ALL_THEOREMS}
+    resolve = sweep_range(n, 0, k5 + 1, values, False, WALK_DEPTH)["resolve"]
+    assert resolve["stanley"] == [k5]
+    audit = exhaustive_spectral_audit(n, n)
+    assert to_graph6(complete(n)) == "D~{"
+    assert audit.bound_violations["stanley"] == ["D~{"]
+    assert "D~{" in audit.thm11_above_stanley
+    assert not audit.ok()
+    assert sweep(config).payload() == expected
+    assert "D~{" in expected["tight"]["stanley"]
+
+
+def test_audit_tight_counts_match_the_sweep_census():
+    config = SweepConfig(n_min=1, n_max=6, theorems=tuple(BOUND_THEOREMS))
+    tight = sweep(config).payload()["tight"]
+    assert exhaustive_spectral_audit(1, 6).tight_counts == {
+        bound: len(graphs) for bound, graphs in tight.items()}

@@ -260,6 +260,17 @@ class TestEdgeList:
         with pytest.raises(EdgeListFormatError):
             from_edge_list("3 2\n0 1")
 
+    def test_order_cap(self):
+        from spectool.errors import EdgeListFormatError
+        from spectool.graph6 import MAX_EDGE_LIST_N
+
+        g = from_edge_list(f"{MAX_EDGE_LIST_N} 1\n0 {MAX_EDGE_LIST_N - 1}")
+        assert g.n == MAX_EDGE_LIST_N and g.m == 1
+        assert g.degrees()[-1] == 1
+        for n in (MAX_EDGE_LIST_N + 1, 10 ** 9):
+            with pytest.raises(EdgeListFormatError, match="cap"):
+                from_edge_list(f"{n} 0")
+
 
 class TestFamilies:
     def test_complete_bipartite_2_3(self):

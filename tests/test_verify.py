@@ -338,6 +338,11 @@ class TestSpectralAudit:
             labeled_graph_count(n) for n in range(1, 6))
         assert exhaustive_spectral_audit(1, 5, jobs=2) == one
 
+    @pytest.mark.parametrize("n_min,n_max", [(0, 2), (3, 2), (-1, 1)])
+    def test_range_must_be_nonempty_from_one(self, n_min, n_max):
+        with pytest.raises(ValueError, match="n_min <= n_max"):
+            exhaustive_spectral_audit(n_min, n_max)
+
 
 class TestReplay:
     def test_replay_reproduces_violation(self, monkeypatch):
