@@ -2,13 +2,13 @@
 
 Graphs are edge bitmasks; blocks of a few thousand are expanded into stacked
 adjacency matrices for batched LAPACK (one solve per distinct characteristic
-polynomial in the block) and exact int64 walk counts, and into
-bitset rows for the structural facts (connectivity, bipartiteness, diameter,
-peeling cores). Semantics (thresholds, formulas, epsilons) mirror the
-per-graph checkers exactly; graphs needing combinatorial confirmation
-(extremal classification, cycle search, actual violations) or whose
-eigenvalues fail the trace certificate are handed back to the caller as
-masks.
+polynomial in the shard, kept in a ``SpectrumTable``) and exact int64 walk
+counts, and into bitset rows for the structural facts (connectivity,
+bipartiteness, diameter, peeling cores). Semantics (thresholds, formulas,
+epsilons) mirror the per-graph checkers exactly; graphs needing
+combinatorial confirmation (extremal classification, cycle search, actual
+violations) or whose eigenvalues fail the trace certificate are handed back
+to the caller as masks.
 """
 
 from functools import lru_cache
@@ -72,9 +72,12 @@ def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
-                want_diam: bool = False, walk_depth: int | None = None) -> dict:
+                want_diam: bool = False, walk_depth: int | None = None,
+                table: "SpectrumTable | None" = None) -> dict:
     """Vectorized per-graph quantities for a block of edge masks.
 
+    The spectral facts come from ``table`` (a fresh one if None), which
+    solves only the characteristic polynomials it has not met before.
     ``certified`` flags the graphs whose eigenvalues meet the exact trace
     identities sum(lambda) = 0, sum(lambda^2) = 2m and sum(lambda^3) =
     6 * triangles within ``TRACE_EPS``. A ``walk_depth`` adds the walk
@@ -92,12 +95,12 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     degrees = _POPCOUNT[rows]
     m = degrees.sum(axis=1) // 2
     a = adj.astype(np.float64)
-    ev = _spectra(a)  # ascending
+    table = SpectrumTable(n) if table is None else table
+    spectrum = table.rows(a)
+    sum_ev, sum_squares, sum_cubes = table.sums[spectrum].T
     tri = np.zeros(b, dtype=np.int64)
     for tm in triple_masks:
         tri += (masks & tm) == tm
-    ev2 = ev * ev
-    sum_cubes = (ev2 * ev).sum(axis=1)
     open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
     max_closed = (open_sums + degrees).max(axis=1).astype(np.int64)
     out = {
@@ -106,24 +109,23 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
         "min_deg": degrees.min(axis=1),
         "degrees": degrees,
         "rows": rows,
-        "ev": ev,
-        "lam1": ev[:, -1],
+        "lam1": table.ev[spectrum, -1],
         "sum_cubes": sum_cubes,
         "tri": tri,
         "max_open": open_sums.max(axis=1).astype(np.int64),
         "max_closed": max_closed,
-        "certified": (np.abs(ev.sum(axis=1)) <= TRACE_EPS)
-        & (np.abs(ev2.sum(axis=1) - 2 * m) <= TRACE_EPS)
+        "certified": (np.abs(sum_ev) <= TRACE_EPS)
+        & (np.abs(sum_squares - 2 * m) <= TRACE_EPS)
         & (np.abs(sum_cubes - 6 * tri) <= TRACE_EPS),
     }
     connected, bipartite, diameter = _walk_facts(n, rows, want_bip)
     out["connected"] = connected
     if want_bip:
         out["bipartite"] = bipartite
-        out["symmetric"] = np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS
+        out["symmetric"] = table.symmetric[spectrum]
     if want_diam:
         out["diameter"] = diameter
-        out["distinct"] = (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1
+        out["distinct"] = table.distinct[spectrum]
     if walk_depth is not None:
         out["walk_inequality"], out["decomposition"] = _walk_checks(
             adj, open_sums.astype(np.int64), max_closed, walk_depth)
@@ -148,27 +150,102 @@ def power_sums(a: np.ndarray) -> np.ndarray:
                      for k in range(2, n + 1)], axis=1)
 
 
-def _spectra(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a block, from one ``eigvalsh`` per distinct
+@lru_cache(maxsize=None)
+def _key_layout(n: int) -> tuple:
+    """``(word, shift)`` of each power sum p_k, k = 2..n, in the packed key.
+
+    0 <= p_k <= n(n-1)^k, the closed walks of K_n, so p_k fits in
+    ``(n * (n - 1) ** k).bit_length()`` bits; the fields fill 63-bit words
+    in turn, so the packing is injective and stays non-negative.
+    """
+    layout, word, used = [], 0, 0
+    for k in range(2, n + 1):
+        width = (n * (n - 1) ** k).bit_length()
+        if used + width > 63:
+            word, used = word + 1, 0
+        layout.append((word, used))
+        used += width
+    return tuple(layout)
+
+
+def packed_keys(a: np.ndarray) -> np.ndarray:
+    """The exact power sums of a (b, n, n) float64 block packed into int64
+    words, as a (b, w) array: equal rows iff equal ``power_sums`` rows.
+
+    The powers are formed ``KEY_CHUNK`` matrices at a time.
+    """
+    b, n = a.shape[:2]
+    layout = _key_layout(n)
+    if not layout:  # n = 1: every graph has the polynomial x
+        return np.zeros((b, 1), dtype=np.int64)
+    words = np.zeros((b, layout[-1][0] + 1), dtype=np.int64)
+    for lo in range(0, b, KEY_CHUNK):
+        sums = power_sums(a[lo:lo + KEY_CHUNK]).astype(np.int64)
+        for column, (word, shift) in enumerate(layout):
+            words[lo:lo + KEY_CHUNK, word] |= sums[:, column] << shift
+    return words
+
+
+class SpectrumTable:
+    """The spectral facts of the graphs of one shard, one row per distinct
     characteristic polynomial.
 
     By Newton's identities the power sums trace(A^k), k = 1..n, fix the
     characteristic polynomial, and trace(A) = 0; so graphs with equal
-    ``power_sums`` rows share their spectrum, and each gets the spectrum of
-    the first graph in the block with its row.
+    ``packed_keys`` share their spectrum. A row is solved, with one batched
+    ``eigvalsh`` per block, for the first graph met with its key, and holds
+    its ascending eigenvalues ``ev``, the certificate sums of lambda,
+    lambda^2 and lambda^3 (``sums``), whether the spectrum is symmetric
+    about 0 (Lemma 1) and its number of distinct eigenvalues (Lemma 2),
+    both up to ``CLUSTER_EPS``. Every graph reads its row's facts by index.
     """
-    b, n = a.shape[:2]
-    if n < 2 or b == 0:
-        return np.linalg.eigvalsh(a)
-    keys = np.concatenate([power_sums(a[lo:lo + KEY_CHUNK])
-                           for lo in range(0, b, KEY_CHUNK)])
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    first = np.ones(b, dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(b, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return np.linalg.eigvalsh(a[order[first]])[group]
+
+    def __init__(self, n: int):
+        self.index: dict[tuple, int] = {}
+        self.ev = np.empty((0, n))
+        self.sums = np.empty((0, 3))
+        self.symmetric = np.empty(0, dtype=bool)
+        self.distinct = np.empty(0, dtype=np.int64)
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """Each graph's row for a (b, n, n) float64 block, adding the rows
+        of keys not seen before."""
+        if not len(a):
+            return np.zeros(0, dtype=np.intp)
+        keys = packed_keys(a)
+        order = np.lexsort(keys.T)  # stable: a group's head is its first graph
+        ranked = keys[order]
+        first = np.ones(len(a), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        group = np.empty(len(a), dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        seen = len(self.index)
+        # A new key gets the next row number, in the order keys are met.
+        row = np.array([self.index.setdefault(key, len(self.index))
+                        for key in map(tuple, ranked[first].tolist())])
+        new = row >= seen
+        if new.any():
+            self._append(np.linalg.eigvalsh(a[order[first][new]]))
+        return row[group]
+
+    def _append(self, ev: np.ndarray) -> None:
+        ev2 = ev * ev
+        sums = np.stack([ev.sum(axis=1), ev2.sum(axis=1),
+                         (ev2 * ev).sum(axis=1)], axis=1)
+        symmetric = np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS
+        distinct = (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1
+        self.ev = np.concatenate([self.ev, ev])
+        self.sums = np.concatenate([self.sums, sums])
+        self.symmetric = np.concatenate([self.symmetric, symmetric])
+        self.distinct = np.concatenate([self.distinct, distinct])
+
+
+def _spectra(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a block, from a fresh ``SpectrumTable``: one
+    ``eigvalsh`` per distinct characteristic polynomial in the block."""
+    table = SpectrumTable(a.shape[1])
+    rows = table.rows(a)
+    return table.ev[rows]
 
 
 def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
@@ -354,6 +431,9 @@ def _blocks(n: int, start: int, stop: int, theorems,
             connected_only: bool = False, walk_depth: int = 0):
     """Masks [start, stop) block by block, as ``(stats, certified, table)``.
 
+    One ``SpectrumTable`` serves all the blocks, so each characteristic
+    polynomial of the range is solved once.
+
     ``stats`` covers the block's graphs (the connected ones only, with
     ``connected_only``), ``certified`` the part of it whose eigenvalues pass
     the trace certificate, and ``table`` is ``verdict_table`` on that part.
@@ -362,9 +442,10 @@ def _blocks(n: int, start: int, stop: int, theorems,
     want_bip = "lemma1-spectrum-symmetry" in theorems
     want_diam = "lemma2-diameter-distinct" in theorems
     depth = walk_depth if WALK_THEOREMS & theorems else None
+    table = SpectrumTable(n)
     for lo in range(start, stop, BLOCK):
         masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
-        stats = block_stats(n, masks, want_bip, want_diam, depth)
+        stats = block_stats(n, masks, want_bip, want_diam, depth, table)
         if connected_only:
             stats = _select(stats, stats["connected"])
         certified = _select(stats, stats["certified"])

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .families import complete, complete_bipartite, cycle, path, petersen, star
 from .graph import Graph, basic_stats, connectivity, count_triangles_brute
-from .graph6 import HEADER_LINE, from_graph6, to_graph6
+from .graph6 import HEADER_LINE, MAX_GRAPH6_N, from_graph6, to_graph6
 from .spectrum import eigendecompose, triangle_count_spectral
 from .verify import (
     ALL_THEOREMS,
@@ -87,7 +87,7 @@ def _analyze_one(g: Graph, args) -> dict:
     conn = connectivity(g)
     spec = eigendecompose(g)
     report = {
-        "graph6": to_graph6(g) if g.n <= 62 else None,
+        "graph6": to_graph6(g) if g.n <= MAX_GRAPH6_N else None,
         "n": g.n,
         "m": stats.m,
         "min_degree": stats.min_degree,
@@ -217,24 +217,23 @@ def cmd_fuzz(args) -> int:
     return _emit_sweep(report, args)
 
 
+GEN_FAMILIES = {"complete": complete, "bipartite": complete_bipartite,
+                "cycle": cycle, "path": path, "star": star,
+                "petersen": petersen}
+
+
 def cmd_gen(args) -> int:
+    build = GEN_FAMILIES[args.family]
     params = [p for p in args.params.split(",") if p] if args.params else []
     try:
         values = [int(p) for p in params]
-        if args.family == "complete":
-            g = complete(*values)
-        elif args.family == "bipartite":
-            g = complete_bipartite(*values)
-        elif args.family == "cycle":
-            g = cycle(*values)
-        elif args.family == "path":
-            g = path(*values)
-        elif args.family == "star":
-            g = star(*values)
-        elif args.family == "petersen":
-            g = petersen()
-        else:
-            return _fail(EXIT_CONFIG, f"unknown family {args.family!r}")
+        # The order is the sum of the parameters (Petersen's is 10); it is
+        # checked before any row is built.
+        order = 10 if build is petersen else sum(values)
+        if order > MAX_GRAPH6_N:
+            return _fail(EXIT_CONFIG, f"order {order} of {args.family} exceeds "
+                         f"the graph6 short-form cap {MAX_GRAPH6_N}")
+        g = build(*values)
     except (TypeError, ValueError, SpectoolError) as exc:
         return _fail(EXIT_CONFIG, f"bad params for {args.family}: {exc}")
     print(to_graph6(g))
@@ -288,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="emit a named family as graph6")
     p_gen.add_argument("--family", required=True,
-                       choices=("complete", "bipartite", "cycle", "path",
-                                "star", "petersen"))
+                       choices=tuple(GEN_FAMILIES))
     p_gen.add_argument("--params", default="",
                        help="comma-separated integer parameters")
     p_gen.set_defaults(func=cmd_gen)

@@ -17,6 +17,8 @@ from .errors import (
 from .graph import Graph, from_edges, to_edge_mask
 
 HEADER_LINE = ">>graph6<<"
+# Largest order of the short form, whose first byte is n + 63 <= 125.
+MAX_GRAPH6_N = 62
 # Largest order an edge-list header may declare: the rows are allocated
 # before any edge line is read.
 MAX_EDGE_LIST_N = 1 << 20
@@ -64,8 +66,9 @@ def from_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph (n <= 62) in short form."""
-    if g.n > 62:
-        raise UnsupportedOrderError(f"n = {g.n} exceeds the short-form cap 62")
+    if g.n > MAX_GRAPH6_N:
+        raise UnsupportedOrderError(
+            f"n = {g.n} exceeds the short-form cap {MAX_GRAPH6_N}")
     return mask_to_graph6(g.n, to_edge_mask(g))
 
 
@@ -75,7 +78,7 @@ def mask_to_graph6(n: int, mask: int) -> str:
     Bit k of the mask is edge k of ``edge_order``, which is also the k-th bit
     of the graph6 body, so the body is the mask's bits read low to high.
     """
-    if not 0 <= n <= 62:
+    if not 0 <= n <= MAX_GRAPH6_N:
         raise UnsupportedOrderError(f"n = {n} outside the short-form range")
     nbits = n * (n - 1) // 2
     if not 0 <= mask < 1 << nbits:

@@ -43,6 +43,30 @@ def test_gen_bad_params_exit3():
     assert run_cli(["gen", "--family", "complete", "--params", "x"]).returncode == 3
 
 
+@pytest.mark.parametrize("family,params", [
+    ("complete", "63"), ("bipartite", "40,40"), ("path", "70")])
+def test_gen_above_the_short_form_cap_exit3(family, params):
+    result = run_cli(["gen", "--family", family, "--params", params])
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "short-form cap 62" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_gen_rejects_the_order_before_building_the_graph():
+    # K_5000's rows alone would take about 3 MB.
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["gen", "--family", "complete", "--params", "5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "order 5000" in err.getvalue()
+    assert peak < 1 << 20
+
+
 def test_analyze_k3_from_stdin():
     result = run_cli(["analyze", "--json"], stdin_text="Bw\n")
     assert result.returncode == 0

@@ -9,10 +9,14 @@ import pytest
 
 from spectool import _exhaustive
 from spectool._exhaustive import (
+    BLOCK,
+    SpectrumTable,
     _bound_arrays,
+    _key_layout,
     _spectra,
     adjacency,
     block_stats,
+    packed_keys,
     peel_survivors,
     power_sums,
     sweep_range,
@@ -23,6 +27,7 @@ from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import DEFAULT_BUDGET, erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, star
+from spectool.spectrum import CLUSTER_EPS
 from spectool.graph import (
     bipartition,
     connectivity,
@@ -191,6 +196,141 @@ def test_one_solve_per_distinct_power_sum_key(monkeypatch):
     assert group.sum() == 20
     assert sum((x == a[group][:, None]).all(axis=(2, 3)).any()
                for x in solved[0]) == 1
+
+
+def _partition(inverse):
+    """The groups of equal entries of ``inverse``, as a set of frozensets."""
+    groups: dict = {}
+    for i, label in enumerate(inverse.tolist()):
+        groups.setdefault(label, []).append(i)
+    return {frozenset(group) for group in groups.values()}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_keys_group_like_power_sums(n):
+    a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
+    packed = np.unique(packed_keys(a), axis=0, return_inverse=True)[1]
+    exact = np.unique(power_sums(a), axis=0, return_inverse=True)[1]
+    assert _partition(packed) == _partition(exact)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_packed_keys_unpack_to_power_sums(n):
+    # Each field holds p_k exactly, K_n (every p_k at its bound) included,
+    # so no field spills into its neighbour or past bit 62.
+    masks = np.concatenate([[labeled_graph_count(n) - 1],
+                            _spectrum_masks(n)]).astype(np.int64)
+    a = adjacency(n, masks).astype(np.float64)
+    words = packed_keys(a)
+    assert (words >= 0).all()
+    layout = _key_layout(n)
+    unpacked = np.stack([
+        (words[:, word] >> shift) & ((1 << (n * (n - 1) ** k).bit_length()) - 1)
+        for k, (word, shift) in zip(range(2, n + 1), layout)], axis=1)
+    assert (unpacked == power_sums(a)).all()
+    for k, (word, shift) in zip(range(2, n + 1), layout):
+        assert shift + (n * (n - 1) ** k).bit_length() <= 63
+    assert words.shape[1] == {7: 2, 8: 3}.get(n, 1)
+
+
+def test_packed_keys_at_one_vertex():
+    assert packed_keys(np.zeros((3, 1, 1))).tolist() == [[0], [0], [0]]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_rows_match_a_fresh_eigensolve(n):
+    # Two blocks through one table: every graph's row holds its own
+    # spectrum's certificate sums, symmetry flag and distinct count.
+    masks = _spectrum_masks(n)
+    half = len(masks) // 2
+    table = SpectrumTable(n)
+    parts = [block_stats(n, part, want_bip=True, want_diam=True, table=table)
+             for part in (masks[:half], masks[half:])]
+    ev = np.linalg.eigvalsh(adjacency(n, masks).astype(np.float64))
+    got = {key: np.concatenate([part[key] for part in parts])
+           for key in ("lam1", "sum_cubes", "symmetric", "distinct")}
+    assert np.abs(got["lam1"] - ev[:, -1]).max() <= 1e-12
+    assert np.abs(got["sum_cubes"] - (ev ** 3).sum(axis=1)).max() <= 1e-9
+    assert (got["symmetric"]
+            == (np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS)).all()
+    assert (got["distinct"]
+            == (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1).all()
+    assert len(table.index) == len(table.ev) == len(table.sums) \
+        == len(np.unique(packed_keys(adjacency(n, masks).astype(np.float64)),
+                         axis=0))
+
+
+def _spying_eigvalsh(monkeypatch):
+    """The matrices each ``eigvalsh`` call solves, one list entry per call."""
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(x):
+        solved.append(x.copy())
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return solved
+
+
+def test_a_block_of_known_keys_makes_no_solve(monkeypatch):
+    n = 6
+    masks = np.arange(BLOCK, dtype=np.int64)
+    table = SpectrumTable(n)
+    solved = _spying_eigvalsh(monkeypatch)
+    first = block_stats(n, masks, table=table)
+    assert len(solved) == 1 and len(solved[0]) == len(table.index)
+    again = block_stats(n, masks[::-1].copy(), table=table)
+    assert len(solved) == 1
+    assert (again["lam1"] == first["lam1"][::-1]).all()
+
+
+def test_a_shard_solves_each_key_once(monkeypatch):
+    # Four n = 7 blocks: one solve call per block at most, and one solved
+    # matrix per distinct key of the whole range, not of each block.
+    n, lo, hi = 7, 1 << 20, (1 << 20) + 4 * BLOCK
+    values = {"stanley", "lemma1-spectrum-symmetry"}
+    solved = _spying_eigvalsh(monkeypatch)
+    sweep_range(n, lo, hi, values, False, WALK_DEPTH)
+    a = adjacency(n, np.arange(lo, hi, dtype=np.int64)).astype(np.float64)
+    distinct = len(np.unique(packed_keys(a), axis=0))
+    per_block = sum(len(np.unique(packed_keys(a[i:i + BLOCK]), axis=0))
+                    for i in range(0, len(a), BLOCK))
+    assert len(solved) <= 4
+    assert sum(len(x) for x in solved) == distinct < per_block
+    keys = packed_keys(np.concatenate(solved))
+    assert len(np.unique(keys, axis=0)) == distinct
+
+
+def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
+    # Lower lambda_1 of the one graph solved for a key that recurs across
+    # the four blocks of an n = 7 range: every graph with that key fails its
+    # certificate and is resolved, in every block. A range that starts
+    # after that graph gets a table of its own and is not affected.
+    n, lo, hi = 7, 1 << 20, (1 << 20) + 4 * BLOCK
+    masks = np.arange(lo, hi, dtype=np.int64)
+    keys = packed_keys(adjacency(n, masks).astype(np.float64))
+    first_block = {tuple(key) for key in keys[:BLOCK].tolist()}
+    last_block = {tuple(key) for key in keys[-BLOCK:].tolist()}
+    key = min(first_block & last_block)
+    group = masks[(keys == key).all(axis=1)]
+    assert group[0] < lo + BLOCK <= hi - BLOCK <= group[-1]
+    rep = adjacency(n, group[:1])[0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def perturbed(a):
+        ev = eigvalsh(a)
+        ev[(a == rep).all(axis=(1, 2)), -1] -= 1.0
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    values = {"stanley", "nosal"}
+    resolve = sweep_range(n, lo, hi, values, False, WALK_DEPTH)["resolve"]
+    for value in values:
+        assert set(group.tolist()) <= set(resolve[value]), value
+    later = int(group[0]) + 1
+    resolve = sweep_range(n, later, hi, values, False, WALK_DEPTH)["resolve"]
+    assert not set(group.tolist()) & set(resolve.get("nosal", []))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
