@@ -26,6 +26,9 @@ BLOCK = 4096
 KEY_CHUNK = 512
 # A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
 MAX_EXHAUSTIVE_N = 8
+# Horizon K of the walk inequality and decomposition identity in sweeps and
+# fuzz runs; int64 walk counts stay exact up to K = 20 at n = 8.
+WALK_DEPTH = 12
 # Bound on |sum lambda^k - trace(A^k)| for k = 1, 2, 3 (0, 2m and 6 triangles).
 TRACE_EPS = 1e-6
 
@@ -428,7 +431,7 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
 
 
 def _blocks(n: int, start: int, stop: int, theorems,
-            connected_only: bool = False, walk_depth: int = 0):
+            connected_only: bool = False):
     """Masks [start, stop) block by block, as ``(stats, certified, table)``.
 
     One ``SpectrumTable`` serves all the blocks, so each characteristic
@@ -441,7 +444,7 @@ def _blocks(n: int, start: int, stop: int, theorems,
     """
     want_bip = "lemma1-spectrum-symmetry" in theorems
     want_diam = "lemma2-diameter-distinct" in theorems
-    depth = walk_depth if WALK_THEOREMS & theorems else None
+    depth = WALK_DEPTH if WALK_THEOREMS & theorems else None
     table = SpectrumTable(n)
     for lo in range(start, stop, BLOCK):
         masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
@@ -460,7 +463,7 @@ def _select(stats: dict, keep: np.ndarray) -> dict:
 
 
 def sweep_range(n: int, start: int, stop: int, theorems: set,
-                connected_only: bool, walk_depth: int) -> dict:
+                connected_only: bool) -> dict:
     """Tally theorems over masks [start, stop).
 
     Returns counts, tight-census masks per bound, and ``resolve`` masks that
@@ -473,7 +476,7 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
     tight: dict = {b: [] for b in BOUNDS if b in theorems}
     resolve: dict = {}
     for stats, certified, (table, tight_masks) in _blocks(
-            n, start, stop, theorems, connected_only, walk_depth):
+            n, start, stop, theorems, connected_only):
         uncertified = stats["masks"][~stats["certified"]].tolist()
         masks = certified["masks"]
         for theorem, (nonvac, holds) in table.items():

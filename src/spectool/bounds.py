@@ -212,12 +212,6 @@ def mantel_check(g: Graph) -> Verdict:
     triangle = first_triangle(g)
     if triangle is not None:
         return Verdict.holds()
-    from .graph6 import graph_text
-
-    fmt, text = graph_text(g)
-    return Verdict.violated(CounterexampleReport(
-        theorem="mantel",
-        graph_format=fmt,
-        graph=text,
-        quantities={"n": g.n, "m": m, "triangles": count_triangles_brute(g)},
-    ))
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, "mantel",
+        {"n": g.n, "m": m, "triangles": count_triangles_brute(g)}))

@@ -303,18 +303,11 @@ def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
         return Verdict.inconclusive(str(exc))
     if not missing:
         return Verdict.holds()
-    from .graph6 import graph_text
-
-    fmt, text = graph_text(g)
     caveat = "asymptotic theorem -- report, do not assert" if g.n < safe_n else ""
-    return Verdict.violated(CounterexampleReport(
-        theorem="thm7-even-cycles",
-        graph_format=fmt,
-        graph=text,
-        quantities={"n": g.n, "m": g.m, "lambda1": spec.lambda1,
-                    "threshold": threshold},
-        witness={"missing_even_lengths": missing, "caveat": caveat},
-    ))
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, "thm7-even-cycles",
+        {"n": g.n, "m": g.m, "lambda1": spec.lambda1, "threshold": threshold},
+        {"missing_even_lengths": missing, "caveat": caveat}))
 
 
 def bondy_pancyclicity_check(g: Graph, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -331,13 +324,6 @@ def bondy_pancyclicity_check(g: Graph, budget: int = DEFAULT_BUDGET) -> Verdict:
     missing = [l for l in range(3, g.n + 1) if not spectrum.present >> l & 1]
     if not missing:
         return Verdict.holds()
-    from .graph6 import graph_text
-
-    fmt, text = graph_text(g)
-    return Verdict.violated(CounterexampleReport(
-        theorem="lemma6-bondy",
-        graph_format=fmt,
-        graph=text,
-        quantities={"n": g.n, "m": g.m, "min_degree": delta},
-        witness={"missing_lengths": missing},
-    ))
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, "lemma6-bondy", {"n": g.n, "m": g.m, "min_degree": delta},
+        {"missing_lengths": missing}))

@@ -142,6 +142,6 @@ def to_edge_list(g: Graph) -> str:
 
 def graph_text(g: Graph) -> tuple[str, str]:
     """(format, text) pair: graph6 up to n = 62, edge list beyond."""
-    if g.n <= 62:
+    if g.n <= MAX_GRAPH6_N:
         return ("graph6", to_graph6(g))
     return ("edgelist", to_edge_list(g))

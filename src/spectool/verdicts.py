@@ -2,6 +2,9 @@
 
 from dataclasses import dataclass, field
 
+from .graph import Graph
+from .graph6 import graph_text
+
 
 @dataclass(frozen=True)
 class CounterexampleReport:
@@ -17,6 +20,14 @@ class CounterexampleReport:
     graph: str
     quantities: dict = field(default_factory=dict)
     witness: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_graph(cls, g: Graph, theorem: str, quantities: dict,
+                 witness: dict | None = None) -> "CounterexampleReport":
+        """The report of a violation of ``theorem`` on g, which is embedded
+        as ``graph_text(g)`` gives it."""
+        graph_format, graph = graph_text(g)
+        return cls(theorem, graph_format, graph, quantities, witness or {})
 
     def to_dict(self) -> dict:
         return {

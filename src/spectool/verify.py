@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import _exhaustive
-from ._exhaustive import MAX_EXHAUSTIVE_N
+from ._exhaustive import MAX_EXHAUSTIVE_N, WALK_DEPTH
 from .bounds import BoundKind, bound_value, mantel_check, spectral_mantel_classify
 from .cycles import (
     DEFAULT_BUDGET,
@@ -42,13 +42,7 @@ from .graph import (
     is_connected,
     neighborhood_degree_sums,
 )
-from .graph6 import (
-    from_edge_list,
-    from_graph6,
-    graph_text,
-    mask_to_graph6,
-    to_graph6,
-)
+from .graph6 import from_edge_list, from_graph6, graph_text, mask_to_graph6
 from .spectrum import (
     EQ_EPS,
     Spectrum,
@@ -64,7 +58,6 @@ from .walks import (
     walk_inequality_holds,
 )
 
-WALK_DEPTH = 12
 MAX_CANONICAL_N = 7
 
 
@@ -102,12 +95,15 @@ def coerce_theorem(value) -> TheoremId:
     return TheoremId(value)
 
 
-def _report(g: Graph, theorem: TheoremId, quantities: dict,
-            witness: dict | None = None) -> CounterexampleReport:
-    fmt, text = graph_text(g)
-    return CounterexampleReport(
-        theorem=theorem.value, graph_format=fmt, graph=text,
-        quantities=quantities, witness=witness or {})
+def coerce_theorems(values) -> tuple[TheoremId, ...]:
+    """The ids of ``values``, in order; a repeated id raises ValueError,
+    since each one would count every graph again."""
+    ids = tuple(coerce_theorem(v) for v in values)
+    repeated = sorted({t.value for t in ids if ids.count(t) > 1})
+    if repeated:
+        raise ValueError(f"theorem ids listed more than once: "
+                         f"{', '.join(repeated)}")
+    return ids
 
 
 class GraphFacts:
@@ -164,8 +160,8 @@ def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
         facts.tight_bounds.add(theorem)
     if slack >= -EQ_EPS:
         return Verdict.holds()
-    return Verdict.violated(_report(
-        g, theorem,
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, theorem.value,
         {"lambda1": lambda1, "bound": value, "slack": slack, "m": g.m}))
 
 
@@ -181,8 +177,9 @@ def _check_nosal(facts: GraphFacts) -> Verdict:
         return Verdict.vacuous(f"lambda1 {lam1:.6f} <= sqrt(m) {sqrt_m:.6f}")
     if first_triangle(g) is not None:
         return Verdict.holds()
-    return Verdict.violated(_report(
-        g, TheoremId.NOSAL, {"lambda1": lam1, "m": g.m, "sqrt_m": sqrt_m}))
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, TheoremId.NOSAL.value,
+        {"lambda1": lam1, "m": g.m, "sqrt_m": sqrt_m}))
 
 
 def _check_spectral_mantel(facts: GraphFacts) -> Verdict:
@@ -192,8 +189,8 @@ def _check_spectral_mantel(facts: GraphFacts) -> Verdict:
         return Verdict.vacuous("lambda1 below sqrt(m)")
     if result.kind in ("has_triangle", "extremal_complete_bipartite"):
         return Verdict.holds(result.kind)
-    return Verdict.violated(_report(
-        g, TheoremId.SPECTRAL_MANTEL,
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, TheoremId.SPECTRAL_MANTEL.value,
         {"lambda1": result.lambda1, "sqrt_m": result.sqrt_m, "m": g.m},
         {"kind": result.kind}))
 
@@ -205,8 +202,8 @@ def _check_walk_inequality(facts: GraphFacts) -> Verdict:
     table = facts.walks
     if walk_inequality_holds(g, depth, table, facts.sums):
         return Verdict.holds()
-    return Verdict.violated(_report(
-        g, TheoremId.WALK_INEQUALITY,
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, TheoremId.WALK_INEQUALITY.value,
         {"m": g.m, "K": depth},
         {"totals": [str(w) for w in table.totals[:depth + 1]]}))
 
@@ -216,8 +213,9 @@ def _check_decomposition(facts: GraphFacts) -> Verdict:
     if decomposition_identity_check(g, max(2, facts.walk_depth), facts.walks,
                                     facts.sums):
         return Verdict.holds()
-    return Verdict.violated(_report(
-        g, TheoremId.DECOMPOSITION_IDENTITY, {"m": g.m, "K": facts.walk_depth}))
+    return Verdict.violated(CounterexampleReport.of_graph(
+        g, TheoremId.DECOMPOSITION_IDENTITY.value,
+        {"m": g.m, "K": facts.walk_depth}))
 
 
 def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
@@ -229,8 +227,8 @@ def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
     for k in applicable:
         peel = erdos_peel(g, k)
         if peel.n_prime == 0 or peel.min_degree < k + 1:
-            return Verdict.violated(_report(
-                g, TheoremId.LEMMA5_PEEL,
+            return Verdict.violated(CounterexampleReport.of_graph(
+                g, TheoremId.LEMMA5_PEEL.value,
                 {"k": k, "m": m, "n": g.n, "surviving": peel.n_prime,
                  "min_degree": peel.min_degree if peel.min_degree is not None else -1}))
     return Verdict.holds()
@@ -250,8 +248,8 @@ def _check_lemma1(facts: GraphFacts) -> Verdict:
     bip = facts.bipartition is not None
     if symmetric == bip:
         return Verdict.holds()
-    return Verdict.violated(_report(
-        facts.g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
+    return Verdict.violated(CounterexampleReport.of_graph(
+        facts.g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY.value,
         {"m": facts.g.m},
         {"spectrum_symmetric": symmetric, "bipartite": bip}))
 
@@ -263,8 +261,8 @@ def _check_lemma2(facts: GraphFacts) -> Verdict:
     distinct = distinct_eigenvalue_count(facts.spec)
     if distinct >= conn.diameter + 1:
         return Verdict.holds()
-    return Verdict.violated(_report(
-        facts.g, TheoremId.LEMMA2_DIAMETER_DISTINCT,
+    return Verdict.violated(CounterexampleReport.of_graph(
+        facts.g, TheoremId.LEMMA2_DIAMETER_DISTINCT.value,
         {"diameter": conn.diameter, "distinct_eigenvalues": distinct}))
 
 
@@ -441,8 +439,6 @@ class SweepConfig:
     dedup: str = "labeled"
     theorems: tuple = ALL_THEOREMS
     jobs: int = 1
-    budget: int = DEFAULT_BUDGET
-    walk_depth: int = WALK_DEPTH
     long_run: bool = False
 
     def validate(self) -> None:
@@ -461,22 +457,17 @@ class SweepConfig:
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.walk_depth < 0:
-            raise ValueError("walk_depth must be nonnegative")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        for t in self.theorems:
-            coerce_theorem(t)
+        self.theorem_ids()  # raises on an unknown or repeated id
 
     def theorem_ids(self) -> tuple[TheoremId, ...]:
-        return tuple(coerce_theorem(t) for t in self.theorems)
+        return coerce_theorems(self.theorems)
 
     def to_dict(self) -> dict:
         return {
             "n_min": self.n_min, "n_max": self.n_max,
             "connected_only": self.connected_only, "dedup": self.dedup,
             "theorems": [coerce_theorem(t).value for t in self.theorems],
-            "budget": self.budget, "walk_depth": self.walk_depth,
+            "budget": DEFAULT_BUDGET, "walk_depth": WALK_DEPTH,
         }
 
 
@@ -539,9 +530,8 @@ def _merge(acc: dict, part: dict) -> dict:
     return acc
 
 
-def _battery(g: Graph, theorems, budget: int, walk_depth: int,
-             partial: dict) -> None:
-    facts = GraphFacts(g, budget=budget, walk_depth=walk_depth)
+def _battery(g: Graph, theorems, partial: dict) -> None:
+    facts = GraphFacts(g)
     text = None
     for t in theorems:
         verdict = check_theorem(g, t, facts=facts)
@@ -550,33 +540,31 @@ def _battery(g: Graph, theorems, budget: int, walk_depth: int,
             partial["counterexamples"].append(verdict.counterexample)
         if t in facts.tight_bounds:
             if text is None:
-                text = to_graph6(g) if g.n <= 62 else graph_text(g)[1]
+                text = graph_text(g)[1]
             partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
 def _graph_shard(args) -> dict:
     """Per-graph battery over a mask source: a range of labeled masks or a
     list of canonical ones."""
-    n, masks, theorem_values, connected_only, budget, walk_depth = args
-    theorems = tuple(TheoremId(v) for v in theorem_values)
+    n, masks, theorems, connected_only = args
     partial = _empty_partial(theorems)
     for mask in masks:
         g = from_edge_mask(n, mask)
         if connected_only and not is_connected(g):
             continue
-        _battery(g, theorems, budget, walk_depth, partial)
+        _battery(g, theorems, partial)
     return partial
 
 
 def _vector_shard(args) -> dict:
     """Batch engine over a range of labeled masks, with the per-graph
     battery for the graphs it hands back."""
-    n, masks, theorem_values, connected_only, budget, walk_depth = args
-    theorems = tuple(TheoremId(v) for v in theorem_values)
+    n, masks, theorems, connected_only = args
     partial = _empty_partial(theorems)
     result = _exhaustive.sweep_range(
-        n, masks.start, masks.stop, set(theorem_values), connected_only,
-        walk_depth)
+        n, masks.start, masks.stop, {t.value for t in theorems},
+        connected_only)
     for tid_value, slot in result["counts"].items():
         for status, count in slot.items():
             partial["totals"][tid_value][status] += count
@@ -592,7 +580,7 @@ def _vector_shard(args) -> dict:
         for mask in mask_list:
             open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
     for mask, ids in open_theorems.items():
-        _battery(from_edge_mask(n, mask), ids, budget, walk_depth, partial)
+        _battery(from_edge_mask(n, mask), ids, partial)
     return partial
 
 
@@ -626,21 +614,20 @@ def _finalize(config_dict: dict, merged: dict, started: float) -> SweepReport:
 SHARDS_PER_ORDER = 64
 
 
-def _shards(n_min: int, n_max: int, dedup: str = "labeled",
-            min_size: int = _exhaustive.BLOCK) -> list:
+def _shards(n_min: int, n_max: int, dedup: str = "labeled") -> list:
     """``(n, masks)`` per shard: each order's masks, a range of labeled ones
-    or a list of canonical ones, cut into up to ``SHARDS_PER_ORDER`` slices
-    of at least ``min_size``.
+    or a list of canonical ones, cut into up to ``SHARDS_PER_ORDER`` slices.
 
-    Batch-engine shards hold at least one whole block, so small orders do
-    not split into many tiny ``block_stats`` calls.
+    Labeled shards go to the batch engine and hold at least one whole
+    block, so small orders do not split into many tiny ``block_stats``
+    calls.
     """
     shards = []
     for n in range(n_min, n_max + 1):
         if dedup == "labeled":
-            masks = range(labeled_graph_count(n))
+            masks, min_size = range(labeled_graph_count(n)), _exhaustive.BLOCK
         else:
-            masks = canonical_masks(n)
+            masks, min_size = canonical_masks(n), 1
         step = max(min_size, math.ceil(len(masks) / SHARDS_PER_ORDER))
         shards += [(n, masks[i:i + step]) for i in range(0, len(masks), step)]
     return shards
@@ -651,18 +638,10 @@ def sweep(config: SweepConfig) -> SweepReport:
     config.validate()
     started = time.perf_counter()
     theorems = config.theorem_ids()
-    theorem_values = tuple(t.value for t in theorems)
-    # Labeled sweeps run on the batch engine unless its int64 walk counts
-    # would overflow at the requested depth.
-    use_vector = config.dedup == "labeled" and (
-        not _exhaustive.WALK_THEOREMS & set(theorem_values)
-        or _exhaustive.walks_exact(config.n_max, max(2, config.walk_depth)))
-    shard_args = [
-        (n, masks, theorem_values, config.connected_only, config.budget,
-         config.walk_depth)
-        for n, masks in _shards(config.n_min, config.n_max, config.dedup,
-                                _exhaustive.BLOCK if use_vector else 1)]
-    worker = _vector_shard if use_vector else _graph_shard
+    shard_args = [(n, masks, theorems, config.connected_only)
+                  for n, masks in _shards(config.n_min, config.n_max,
+                                          config.dedup)]
+    worker = _vector_shard if config.dedup == "labeled" else _graph_shard
     merged = _run_shards(worker, shard_args, config.jobs,
                          _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, started)
@@ -714,19 +693,16 @@ def _sample_seed(seed: int, index: int) -> int:
 
 
 def _fuzz_shard(args) -> dict:
-    dist, lo, hi, seed, theorem_values, budget, walk_depth = args
-    theorems = tuple(TheoremId(v) for v in theorem_values)
+    dist, lo, hi, seed, theorems = args
     partial = _empty_partial(theorems)
     for index in range(lo, hi):
         g = sample_distribution(dist, _sample_seed(seed, index))
-        _battery(g, theorems, budget, walk_depth, partial)
+        _battery(g, theorems, partial)
     return partial
 
 
 def fuzz(distribution, count: int, seed: int,
-         theorems=ALL_THEOREMS, jobs: int = 1,
-         budget: int = DEFAULT_BUDGET,
-         walk_depth: int = WALK_DEPTH) -> SweepReport:
+         theorems=ALL_THEOREMS, jobs: int = 1) -> SweepReport:
     """Randomized sweep: ``count`` seeded samples from one distribution."""
     if isinstance(distribution, str):
         dist = parse_distribution(distribution)
@@ -736,22 +712,18 @@ def fuzz(distribution, count: int, seed: int,
         raise ValueError("count must be nonnegative")
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    theorem_ids = coerce_theorems(theorems)
     started = time.perf_counter()
-    theorem_ids = tuple(coerce_theorem(t) for t in theorems)
-    theorem_values = tuple(t.value for t in theorem_ids)
     step = max(1, math.ceil(count / SHARDS_PER_ORDER))
-    shard_args = [
-        (dist, lo, min(lo + step, count), seed, theorem_values, budget,
-         walk_depth)
-        for lo in range(0, count, step)
-    ]
+    shard_args = [(dist, lo, min(lo + step, count), seed, theorem_ids)
+                  for lo in range(0, count, step)]
     merged = _run_shards(_fuzz_shard, shard_args, jobs,
                          _empty_partial(theorem_ids))
     config = {
         "distribution": ":".join(
             [dist[0], ",".join(str(x) for x in dist[1:])]),
         "count": count, "seed": seed,
-        "theorems": list(theorem_values),
+        "theorems": [t.value for t in theorem_ids],
     }
     return _finalize(config, merged, started)
 
@@ -841,5 +813,7 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
         raise ValueError("need 1 <= n_min <= n_max")
     if n_max > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(f"audit capped at n = {MAX_EXHAUSTIVE_N}")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     return SpectralAudit(**_run_shards(
         _audit_shard, _shards(n_min, n_max), jobs, {}))

@@ -143,15 +143,14 @@ def power_sums_by_int_powers(adj: np.ndarray) -> np.ndarray:
 def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
     """``sweep(config).payload()`` of a labeled sweep, from ``_graph_shard``
     over each order's full mask range (split in ``jobs`` slices)."""
-    values = tuple(t.value for t in config.theorem_ids())
+    theorems = config.theorem_ids()
     shard_args = []
     for n in range(config.n_min, config.n_max + 1):
         total = labeled_graph_count(n)
         step = math.ceil(total / jobs)
         for lo in range(0, total, step):
-            shard_args.append((n, range(lo, min(lo + step, total)), values,
-                               config.connected_only, config.budget,
-                               config.walk_depth))
+            shard_args.append((n, range(lo, min(lo + step, total)),
+                               theorems, config.connected_only))
     merged = _run_shards(_graph_shard, shard_args, jobs,
-                         _empty_partial(config.theorem_ids()))
+                         _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, 0.0).payload()

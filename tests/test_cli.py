@@ -225,6 +225,19 @@ def test_verify_unknown_theorem_exit3():
     assert run_cli(["verify", "--theorem", "nonsense"]).returncode == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--max-n", "4"],
+    ["verify", "--max-n", "4", "--dedup", "canonical"],
+    ["fuzz", "--dist", "gnp:8,0.5", "--count", "10"],
+])
+def test_repeated_theorem_exit3(args):
+    # A repeated id would count each graph twice on the per-graph path.
+    result = run_cli(args + ["--theorem", "nosal,nosal", "--json"])
+    assert result.returncode == 3
+    assert "nosal" in result.stderr and "Traceback" not in result.stderr
+    assert not result.stdout
+
+
 def test_fuzz_deterministic_byte_identical():
     args = ["fuzz", "--dist", "gnp:12,0.4", "--count", "60", "--seed", "7",
             "--theorem", "stanley,thm11,lemma3", "--json"]

@@ -10,6 +10,8 @@ import pytest
 from spectool import _exhaustive
 from spectool._exhaustive import (
     BLOCK,
+    MAX_EXHAUSTIVE_N,
+    WALK_DEPTH,
     SpectrumTable,
     _bound_arrays,
     _key_layout,
@@ -24,7 +26,7 @@ from spectool._exhaustive import (
     walks_exact,
 )
 from spectool.bounds import BoundKind, bound_value
-from spectool.cycles import DEFAULT_BUDGET, erdos_peel
+from spectool.cycles import erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, star
 from spectool.spectrum import CLUSTER_EPS
@@ -40,7 +42,6 @@ from spectool.graph6 import to_graph6
 from spectool.verify import (
     ALL_THEOREMS,
     BOUND_THEOREMS,
-    WALK_DEPTH,
     SweepConfig,
     _graph_shard,
     _vector_shard,
@@ -48,7 +49,11 @@ from spectool.verify import (
     labeled_graph_count,
     sweep,
 )
-from spectool.walks import walk_counts
+from spectool.walks import (
+    decomposition_identity_check,
+    walk_counts,
+    walk_inequality_holds,
+)
 
 from oracles import power_sums_by_int_powers
 
@@ -112,6 +117,29 @@ def test_walk_levels_match_walk_counts(n):
         got = [tuple(level[i].tolist()) for level in levels]
         assert got == list(table.per_vertex), (n, int(mask))
         assert [sum(level) for level in got] == list(table.totals)
+
+
+def test_sweep_walk_depth_is_exact_at_every_order():
+    # Sweeps check the walk theorems at WALK_DEPTH on int64 counts only;
+    # walk_levels raises past the exact range, which would stop a labeled
+    # n = 8 sweep partway through.
+    assert walks_exact(MAX_EXHAUSTIVE_N, max(2, WALK_DEPTH))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_shallow_walk_checks_match_reference(depth):
+    # Below depth 2 the inequality has no index to check, while the
+    # identity still uses a table of depth 2.
+    for n in range(1, 5):
+        masks = np.arange(labeled_graph_count(n), dtype=np.int64)
+        stats = block_stats(n, masks, walk_depth=depth)
+        for i, mask in enumerate(masks.tolist()):
+            g = from_edge_mask(n, mask)
+            table = walk_counts(g, max(2, depth))
+            assert stats["walk_inequality"][i] \
+                == walk_inequality_holds(g, depth, table), (n, mask)
+            assert stats["decomposition"][i] == decomposition_identity_check(
+                g, max(2, depth), table), (n, mask)
 
 
 def test_walk_levels_at_the_int64_limit():
@@ -291,7 +319,7 @@ def test_a_shard_solves_each_key_once(monkeypatch):
     n, lo, hi = 7, 1 << 20, (1 << 20) + 4 * BLOCK
     values = {"stanley", "lemma1-spectrum-symmetry"}
     solved = _spying_eigvalsh(monkeypatch)
-    sweep_range(n, lo, hi, values, False, WALK_DEPTH)
+    sweep_range(n, lo, hi, values, False)
     a = adjacency(n, np.arange(lo, hi, dtype=np.int64)).astype(np.float64)
     distinct = len(np.unique(packed_keys(a), axis=0))
     per_block = sum(len(np.unique(packed_keys(a[i:i + BLOCK]), axis=0))
@@ -325,11 +353,11 @@ def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
     values = {"stanley", "nosal"}
-    resolve = sweep_range(n, lo, hi, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, lo, hi, values, False)["resolve"]
     for value in values:
         assert set(group.tolist()) <= set(resolve[value]), value
     later = int(group[0]) + 1
-    resolve = sweep_range(n, later, hi, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, later, hi, values, False)["resolve"]
     assert not set(group.tolist()) & set(resolve.get("nosal", []))
 
 
@@ -351,7 +379,7 @@ def test_only_bondy_above_its_threshold_is_resolved(n):
     # payload tests cannot see a kernel that sends too much to the resolver.
     total = labeled_graph_count(n)
     values = {t.value for t in ALL_THEOREMS}
-    resolve = sweep_range(n, 0, total, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, 0, total, values, False)["resolve"]
     for theorem in ("walk-inequality", "decomposition-identity",
                     "lemma5-peel", "thm7-even-cycles"):
         assert theorem not in resolve
@@ -375,8 +403,7 @@ def test_an_empty_core_goes_to_the_reference(monkeypatch, k):
         return alive * 0 if j == k else alive
 
     monkeypatch.setattr(_exhaustive, "peel_survivors", empty_core)
-    resolve = sweep_range(n, lo, total, {"lemma5-peel"}, False,
-                          WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, lo, total, {"lemma5-peel"}, False)["resolve"]
     assert resolve["lemma5-peel"] == [
         mask for mask in range(lo, total) if bin(mask).count("1") >= k * n]
 
@@ -393,10 +420,8 @@ def _shard_payload(partial):
 def test_vector_shard_matches_graph_shard(n, where):
     total = labeled_graph_count(n)
     lo = {"sparse": 0, "middle": total // 2 - 600, "dense": total - 1200}[where]
-    values = tuple(t.value for t in ALL_THEOREMS)
     for connected_only in (False, True):
-        args = (n, range(lo, lo + 1200), values, connected_only,
-                DEFAULT_BUDGET, WALK_DEPTH)
+        args = (n, range(lo, lo + 1200), ALL_THEOREMS, connected_only)
         assert _shard_payload(_vector_shard(args)) \
             == _shard_payload(_graph_shard(args))
 
@@ -456,7 +481,7 @@ def test_failed_trace_certificate_goes_to_the_reference(monkeypatch):
     stats = block_stats(n, np.array([0, k5], dtype=np.int64))
     assert stats["certified"].tolist() == [True, False]
     values = {t.value for t in theorems}
-    resolve = sweep_range(n, 0, k5 + 1, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, 0, k5 + 1, values, False)["resolve"]
     for value in values:
         assert k5 in resolve[value], value
     assert sweep(config).payload() == expected
@@ -488,7 +513,7 @@ def test_failed_certificate_reaches_every_graph_sharing_the_spectrum(
     certified = block_stats(n, masks)["certified"]
     assert masks[~certified].tolist() == group
     values = {t.value for t in ALL_THEOREMS}
-    resolve = sweep_range(n, 0, total, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, 0, total, values, False)["resolve"]
     for value in values:
         assert set(group) <= set(resolve[value]), value
     assert sweep(config).payload() == expected
@@ -534,7 +559,7 @@ def test_a_lowered_bound_reaches_the_sweep_and_the_audit(monkeypatch):
 
     monkeypatch.setattr(_exhaustive, "_bound_arrays", lowered)
     values = {t.value for t in ALL_THEOREMS}
-    resolve = sweep_range(n, 0, k5 + 1, values, False, WALK_DEPTH)["resolve"]
+    resolve = sweep_range(n, 0, k5 + 1, values, False)["resolve"]
     assert resolve["stanley"] == [k5]
     audit = exhaustive_spectral_audit(n, n)
     assert to_graph6(complete(n)) == "D~{"

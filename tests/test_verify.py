@@ -1,12 +1,9 @@
 """Enumeration, the sweep/fuzz harness, determinism, and replay."""
 
-from dataclasses import replace
-
 import pytest
 
 from spectool import _exhaustive
 from spectool.bounds import bound_value
-from spectool.cycles import DEFAULT_BUDGET
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, cycle, gnp, star
 from spectool.graph import from_edge_mask, to_edge_mask
@@ -16,7 +13,6 @@ from spectool.verdicts import CounterexampleReport
 from spectool.verify import (
     ALL_THEOREMS,
     BOUND_THEOREMS,
-    WALK_DEPTH,
     SweepConfig,
     TheoremId,
     _battery,
@@ -112,7 +108,7 @@ def _fresh_tight(g, theorem) -> bool:
 
 def _assert_battery_matches_fresh_checks(g):
     partial = _empty_partial(ALL_THEOREMS)
-    _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
+    _battery(g, ALL_THEOREMS, partial)
     expected_counterexamples = []
     for t in ALL_THEOREMS:
         fresh = check_theorem(g, t)
@@ -147,7 +143,7 @@ class TestSharedFacts:
         # equality, so the tight census is exercised, not just empty.
         g = cycle(7)
         partial = _empty_partial(ALL_THEOREMS)
-        _battery(g, ALL_THEOREMS, DEFAULT_BUDGET, WALK_DEPTH, partial)
+        _battery(g, ALL_THEOREMS, partial)
         assert partial["tight"]["thm11"] == [to_graph6(g)]
         _assert_battery_matches_fresh_checks(g)
 
@@ -156,13 +152,18 @@ class TestSharedFacts:
             check_theorem(complete(3), TheoremId.WALK_INEQUALITY,
                           walk_depth=-1)
 
+    def test_exhausted_budget_is_inconclusive(self):
+        # K_5 is above Bondy's degree threshold, and its cycle search needs
+        # more than one node.
+        verdict = check_theorem(complete(5), TheoremId.LEMMA6_BONDY, budget=1)
+        assert verdict.status == "inconclusive"
+        assert check_theorem(complete(5), TheoremId.LEMMA6_BONDY).status \
+            == "holds"
+
     def test_shard_over_range_equals_shard_over_list(self):
-        theorems = tuple(t.value for t in ALL_THEOREMS)
         masks = range(100, 400)
-        by_range = _graph_shard(
-            (5, masks, theorems, False, DEFAULT_BUDGET, WALK_DEPTH))
-        by_list = _graph_shard(
-            (5, list(masks), theorems, False, DEFAULT_BUDGET, WALK_DEPTH))
+        by_range = _graph_shard((5, masks, ALL_THEOREMS, False))
+        by_list = _graph_shard((5, list(masks), ALL_THEOREMS, False))
         assert by_range == by_list
 
 
@@ -222,43 +223,6 @@ class TestSweep:
             assert fast["tight"]["hong"] and fast["totals"]["lemma6-bondy"][
                 "holds"]
 
-    @pytest.mark.parametrize("walk_depth", [0, 1, 2, 3])
-    def test_shallow_walk_depths_match_reference(self, walk_depth):
-        # Below depth 2 the inequality has no index to check, while the
-        # identity still uses a table of depth 2.
-        config = SweepConfig(
-            n_min=1, n_max=4, walk_depth=walk_depth,
-            theorems=(TheoremId.WALK_INEQUALITY,
-                      TheoremId.DECOMPOSITION_IDENTITY))
-        assert sweep(config).payload() == per_graph_payload(config)
-
-    def test_budget_reaches_the_resolver(self):
-        # Bondy's cycle search runs in the resolver; one node of budget makes
-        # it inconclusive on both engines.
-        config = SweepConfig(n_min=1, n_max=5, budget=1,
-                             theorems=(TheoremId.LEMMA6_BONDY,))
-        payload = sweep(config).payload()
-        assert payload["totals"]["lemma6-bondy"]["inconclusive"] > 0
-        assert payload == per_graph_payload(config)
-
-    def test_walk_depth_beyond_int64_uses_per_graph_path(self, monkeypatch):
-        # 16 * 3^38 >= 2^63 but 9 * 2^38 < 2^63: at depth 38 the int64 walk
-        # counts are exact up to n = 3 only.
-        assert not _exhaustive.walks_exact(4, 38)
-        assert _exhaustive.walks_exact(3, 38)
-        orders = self._spy_on_batch_engine(monkeypatch)
-        config = SweepConfig(
-            n_min=1, n_max=4, walk_depth=38,
-            theorems=(TheoremId.WALK_INEQUALITY,
-                      TheoremId.DECOMPOSITION_IDENTITY, TheoremId.HONG))
-        payload = sweep(config).payload()
-        assert not orders
-        assert payload == per_graph_payload(config)
-        config = replace(config, n_max=3)
-        payload = sweep(config).payload()
-        assert set(orders) == {1, 2, 3}
-        assert payload == per_graph_payload(config)
-
     def test_jobs_do_not_change_report(self):
         config1 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=1)
         config2 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=3)
@@ -283,15 +247,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(SweepConfig(n_min=0))
 
-    def test_config_rejects_negative_walk_depth(self):
-        with pytest.raises(ValueError, match="walk_depth"):
-            SweepConfig(walk_depth=-1).validate()
-        SweepConfig(walk_depth=0).validate()
-
-    def test_config_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            SweepConfig(budget=0).validate()
-        SweepConfig(budget=1).validate()
+    @pytest.mark.parametrize("dedup", ["labeled", "canonical"])
+    def test_config_rejects_repeated_theorems(self, dedup):
+        # Each listed id is a column of the totals; a repeat would count
+        # every graph twice on the per-graph path.
+        for theorems in (("nosal", "nosal"),
+                         (TheoremId.NOSAL, "stanley", "nosal")):
+            config = SweepConfig(n_min=1, n_max=4, dedup=dedup,
+                                 theorems=theorems)
+            with pytest.raises(ValueError, match="nosal"):
+                config.validate()
+            with pytest.raises(ValueError, match="nosal"):
+                sweep(config)
+        SweepConfig(dedup=dedup, theorems=("nosal", "stanley")).validate()
 
 
 class TestFuzz:
@@ -321,6 +289,13 @@ class TestFuzz:
         with pytest.raises(ValueError, match="jobs"):
             fuzz("gnp:5,0.5", 3, 1, jobs=0)
 
+    def test_repeated_theorems_rejected(self):
+        for theorems in (("nosal", "nosal"), (TheoremId.NOSAL, "nosal")):
+            with pytest.raises(ValueError, match="nosal"):
+                fuzz("gnp:8,0.5", 10, 1, theorems)
+        report = fuzz("gnp:8,0.5", 10, 1, (TheoremId.NOSAL,))
+        assert sum(report.totals["nosal"].values()) == 10
+
     def test_parse_distribution(self):
         assert parse_distribution("gnp:30,0.5") == ("gnp", 30, 0.5)
         assert parse_distribution("bipartite:8,8,0.7") == ("bipartite", 8, 8, 0.7)
@@ -342,6 +317,11 @@ class TestSpectralAudit:
     def test_range_must_be_nonempty_from_one(self, n_min, n_max):
         with pytest.raises(ValueError, match="n_min <= n_max"):
             exhaustive_spectral_audit(n_min, n_max)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            exhaustive_spectral_audit(1, 3, jobs=jobs)
 
 
 class TestReplay:
