@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import OrderTooLargeError
-from .spectrum import CLUSTER_EPS, EQ_EPS
+from .spectrum import CLUSTER_EPS, EQ_EPS, TRACE_EPS
 
 BLOCK = 4096
 # Matrices per batch of the power-sum key, so its matrix powers stay small
@@ -29,8 +29,6 @@ MAX_EXHAUSTIVE_N = 8
 # Horizon K of the walk inequality and decomposition identity in sweeps and
 # fuzz runs; int64 walk counts stay exact up to K = 20 at n = 8.
 WALK_DEPTH = 12
-# Bound on |sum lambda^k - trace(A^k)| for k = 1, 2, 3 (0, 2m and 6 triangles).
-TRACE_EPS = 1e-6
 
 WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
 # The bound theorems, whose tight graphs the sweeps list and the audit counts.
@@ -524,7 +522,7 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         out["graphs"] += len(masks)
         out["uncertified"] += masks[~stats["certified"]].tolist()
         spectral_tri = stats["sum_cubes"] / 6.0
-        mismatch = (np.abs(spectral_tri - stats["tri"]) > 1e-6) \
+        mismatch = (np.abs(spectral_tri - stats["tri"]) > TRACE_EPS) \
             | (np.rint(spectral_tri).astype(np.int64) != stats["tri"])
         out["triangle_mismatches"] += masks[mismatch].tolist()
 

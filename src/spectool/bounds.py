@@ -96,8 +96,7 @@ class BoundReport:
         }
 
 
-def evaluate_all(g: Graph, spec: Spectrum | None = None,
-                 eq_eps: float = EQ_EPS) -> list[BoundReport]:
+def evaluate_all(g: Graph, spec: Spectrum | None = None) -> list[BoundReport]:
     """One report per bound kind; inapplicable kinds carry a skip marker."""
     if spec is None:
         spec = eigendecompose(g)
@@ -117,10 +116,10 @@ def evaluate_all(g: Graph, spec: Spectrum | None = None,
                 kind, lam1, None, None, None, None, None, skipped=str(exc)))
             continue
         slack = value - lam1
-        tight = abs(slack) <= eq_eps
+        tight = abs(slack) <= EQ_EPS
         consistent = _extremal_class_consistent(g, kind) if tight else None
         reports.append(BoundReport(
-            kind, lam1, value, slack, slack >= -eq_eps, tight, consistent))
+            kind, lam1, value, slack, slack >= -EQ_EPS, tight, consistent))
     return reports
 
 
@@ -140,13 +139,12 @@ def _extremal_class_consistent(g: Graph, kind: BoundKind) -> bool | None:
 
 
 def tightness_check(g: Graph, kind: BoundKind,
-                    spec: Spectrum | None = None,
-                    eq_eps: float = EQ_EPS) -> bool | None:
+                    spec: Spectrum | None = None) -> bool | None:
     """Extremal-class verdict for a tight bound (NotTightError otherwise)."""
     if spec is None:
         spec = eigendecompose(g)
     value = bound_value(g, kind)
-    if abs(value - spec.lambda1) > eq_eps:
+    if abs(value - spec.lambda1) > EQ_EPS:
         raise NotTightError(
             f"{kind.value} is not tight: bound {value}, lambda1 {spec.lambda1}")
     return _extremal_class_consistent(g, kind)
@@ -176,8 +174,8 @@ class SpectralMantelResult:
         return out
 
 
-def spectral_mantel_classify(g: Graph, spec: Spectrum | None = None,
-                             eq_eps: float = EQ_EPS) -> SpectralMantelResult:
+def spectral_mantel_classify(g: Graph, spec: Spectrum | None = None
+                             ) -> SpectralMantelResult:
     """Classify a graph against the triangle threshold lambda_1 >= sqrt(m).
 
     Above (or at) the threshold the graph must contain a triangle or be a
@@ -190,7 +188,7 @@ def spectral_mantel_classify(g: Graph, spec: Spectrum | None = None,
         spec = eigendecompose(g)
     lam1 = spec.lambda1
     sqrt_m = math.sqrt(g.m)
-    if lam1 < sqrt_m - eq_eps:
+    if lam1 < sqrt_m - EQ_EPS:
         return SpectralMantelResult("below_threshold", lam1, sqrt_m)
     triangle = first_triangle(g)
     if triangle is not None:

@@ -87,7 +87,7 @@ def _analyze_one(g: Graph, args) -> dict:
     conn = connectivity(g)
     spec = eigendecompose(g)
     report = {
-        "graph6": to_graph6(g) if g.n <= MAX_GRAPH6_N else None,
+        "graph6": to_graph6(g),
         "n": g.n,
         "m": stats.m,
         "min_degree": stats.min_degree,
@@ -118,7 +118,7 @@ def _analyze_one(g: Graph, args) -> dict:
 
 
 def _print_analysis_table(report: dict) -> None:
-    print(f"graph {report['graph6'] or '(n > 62)'}: "
+    print(f"graph {report['graph6']}: "
           f"n={report['n']} m={report['m']} "
           f"degrees [{report['min_degree']}..{report['max_degree']}] "
           f"connected={report['connected']}")

@@ -189,7 +189,6 @@ class Theorem7Pipeline:
 
 
 def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
-                      even_cycle_cap: int = EVEN_CYCLE_CAP,
                       budget: int = DEFAULT_BUDGET) -> Theorem7Pipeline:
     """Certificate chain for the even-cycle theorem's proof steps.
 
@@ -199,9 +198,9 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
     (4) if the survivor core is small (n' <= n/4) its minimum degree
     exceeds n'/2, so cycles of every length 3..n' are verified explicitly;
     otherwise the dense-core lemma is flagged asymptotic-unverifiable and
-    even cycles are searched up to min(ceil(n/28), cap), plus the full
-    range 3..min(n', cap) whenever the n'/2 degree condition happens to
-    hold anyway.
+    even cycles are searched up to min(ceil(n/28), EVEN_CYCLE_CAP), plus the
+    full range 3..min(n', EVEN_CYCLE_CAP) whenever the n'/2 degree condition
+    happens to hold anyway.
     """
     if g.n < 4:
         raise ValueError("pipeline needs at least 4 vertices")
@@ -245,7 +244,7 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
             {"n_prime": n_prime, "core_min_degree": core_min_degree,
              "missing": found, "range": [3, n_prime]}))
     else:
-        l_even = min(math.ceil(g.n / 28), even_cycle_cap)
+        l_even = min(math.ceil(g.n / 28), EVEN_CYCLE_CAP)
         missing = [
             l for l in range(4, l_even + 1, 2)
             if has_cycle_of_length(g, l, budget) is None
@@ -255,7 +254,7 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
             {"note": "dense-core lemma is asymptotic; replaced by explicit search",
              "range": [4, l_even], "missing": missing}))
         if core_min_degree * 2 > n_prime:
-            upper = min(n_prime, even_cycle_cap)
+            upper = min(n_prime, EVEN_CYCLE_CAP)
             found = _verify_cycle_range(core, 3, upper, budget)
             steps.append(PipelineStep(
                 "core-pancyclic-bonus", found == [],
@@ -274,13 +273,12 @@ def _verify_cycle_range(g: Graph, lo: int, hi: int, budget: int) -> list[int]:
 
 def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
                                   spec: Spectrum | None = None,
-                                  safe_n: int = ASYMPTOTIC_SAFE_N,
                                   budget: int = DEFAULT_BUDGET) -> Verdict:
     """Presence of every even cycle length in [4, l_max] above the threshold.
 
     l_max defaults to ceil(n/28). Vacuous below the spectral threshold or
-    when l_max < 4. A violation below ``safe_n`` is still a violated verdict
-    but its report carries the asymptotic caveat.
+    when l_max < 4. A violation below ``ASYMPTOTIC_SAFE_N`` vertices is still
+    a violated verdict but its report carries the asymptotic caveat.
     """
     if l_max is None:
         l_max = math.ceil(g.n / 28)
@@ -303,7 +301,8 @@ def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
         return Verdict.inconclusive(str(exc))
     if not missing:
         return Verdict.holds()
-    caveat = "asymptotic theorem -- report, do not assert" if g.n < safe_n else ""
+    caveat = ("asymptotic theorem -- report, do not assert"
+              if g.n < ASYMPTOTIC_SAFE_N else "")
     return Verdict.violated(CounterexampleReport.of_graph(
         g, "thm7-even-cycles",
         {"n": g.n, "m": g.m, "lambda1": spec.lambda1, "threshold": threshold},

@@ -2,10 +2,13 @@
 
 The default engine is LAPACK's symmetric solver via numpy; a cyclic Jacobi
 rotation solver is kept as the reference implementation and both must meet
-the same residual certificate. Two comparison tiers are used throughout:
-``tol`` (solver residual, default 1e-12) and ``cluster_eps`` (grouping of
-nearby eigenvalues, default 1e-8); equality-style threshold decisions use
-``EQ_EPS`` = 1e-9.
+the same residual certificate. The theorem checkers, per-graph and batch,
+decide at four fixed tolerances:
+
+  TOL          1e-12  solver residual, Jacobi convergence, Perron dominance
+  CLUSTER_EPS  1e-8   grouping of nearby eigenvalues (Lemmas 1 and 2)
+  EQ_EPS       1e-9   equality-style threshold decisions ("tight", "holds")
+  TRACE_EPS    1e-6   integrality of sum lambda^k against trace(A^k)
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +28,10 @@ from .graph import Graph, is_connected
 TOL = 1e-12
 CLUSTER_EPS = 1e-8
 EQ_EPS = 1e-9
+TRACE_EPS = 1e-6
 
 JACOBI_MAX_SWEEPS = 100
+POWER_MAX_ITERS = 500_000
 
 
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
@@ -42,7 +47,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-    tol: float
     matrix: np.ndarray = field(repr=False)
 
     @property
@@ -59,29 +63,27 @@ class Spectrum:
         defect = self.matrix @ self.eigenvectors - self.eigenvectors * self.eigenvalues
         return float(np.max(np.linalg.norm(defect, axis=0)))
 
-    def validate(self, m: int | None = None) -> None:
+    def validate(self, m: int) -> None:
         """Raise NonConvergenceError unless all certificate bounds hold."""
         n = self.n
-        slack = 10 * self.tol * max(1, n)
-        if self.residual > self.tol * max(1, n):
+        slack = 10 * TOL * max(1, n)
+        if self.residual > TOL * max(1, n):
             raise NonConvergenceError(f"residual {self.residual:.3e}")
         if abs(float(self.eigenvalues.sum())) > slack:
             raise NonConvergenceError("nonzero trace")
-        if m is None:
-            m = int(round(self.matrix.sum())) // 2
         if abs(float(np.square(self.eigenvalues).sum()) - 2 * m) > slack:
             raise NonConvergenceError("sum of squares differs from 2m")
         gram = self.eigenvectors.T @ self.eigenvectors
-        if np.max(np.abs(gram - np.eye(n))) > 10 * self.tol:
+        if np.max(np.abs(gram - np.eye(n))) > 10 * TOL:
             raise NonConvergenceError("eigenvector basis not orthonormal")
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = TOL,
-                max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     Sweeps rotate every upper-triangle pair until the off-diagonal Frobenius
-    norm drops to ``tol``; raises NonConvergenceError after ``max_sweeps``.
+    norm drops to ``TOL``; raises NonConvergenceError after
+    ``JACOBI_MAX_SWEEPS``.
     """
     a = a.astype(float).copy()
     n = a.shape[0]
@@ -89,11 +91,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = TOL,
     if n < 2:
         return np.diagonal(a).copy(), v
     upper = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         # Summing the off-diagonal squares directly; the subtract-the-diagonal
         # shortcut cancels catastrophically near convergence.
         off = math.sqrt(2.0 * float(np.square(a[upper]).sum()))
-        if off <= tol:
+        if off <= TOL:
             return np.diagonal(a).copy(), v
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -114,10 +116,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = TOL,
                 rot_p = c * v[:, p] - s * v[:, q]
                 rot_q = s * v[:, p] + c * v[:, q]
                 v[:, p], v[:, q] = rot_p, rot_q
-    raise NonConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    raise NonConvergenceError(
+        f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
-def eigendecompose(g: Graph, tol: float = TOL, method: str = "lapack") -> Spectrum:
+def eigendecompose(g: Graph, method: str = "lapack") -> Spectrum:
     """Full eigendecomposition meeting the residual certificate."""
     if g.n == 0:
         raise EmptyGraphError("no spectrum for the empty graph")
@@ -129,17 +132,16 @@ def eigendecompose(g: Graph, tol: float = TOL, method: str = "lapack") -> Spectr
             raise NonConvergenceError(str(exc)) from exc
         order = np.argsort(evals)[::-1]
     elif method == "jacobi":
-        evals, evecs = jacobi_eigh(a, tol)
+        evals, evecs = jacobi_eigh(a)
         order = np.argsort(evals, kind="stable")[::-1]
     else:
         raise ValueError(f"unknown method {method!r}")
-    spec = Spectrum(evals[order], evecs[:, order], tol, a)
+    spec = Spectrum(evals[order], evecs[:, order], a)
     spec.validate(g.m)
     return spec
 
 
-def power_iteration_radius(g: Graph, tol: float = TOL,
-                           max_iters: int = 500_000) -> float:
+def power_iteration_radius(g: Graph) -> float:
     """Spectral radius via power iteration on A + I.
 
     The shift makes lambda_1 + 1 the unique dominant eigenvalue in modulus
@@ -150,25 +152,24 @@ def power_iteration_radius(g: Graph, tol: float = TOL,
         raise EmptyGraphError("no spectrum for the empty graph")
     b = adjacency_matrix(g) + np.eye(g.n)
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
-    target = max(10 * tol, 1e-11)
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         y = b @ x
         theta = float(x @ y)
-        if np.linalg.norm(y - theta * x) <= target * max(1.0, theta):
+        if np.linalg.norm(y - theta * x) <= 10 * TOL * max(1.0, theta):
             return theta - 1.0
         x = y / np.linalg.norm(y)
-    raise NonConvergenceError(f"power iteration stalled after {max_iters} iterations")
+    raise NonConvergenceError(
+        f"power iteration stalled after {POWER_MAX_ITERS} iterations")
 
 
-def spectral_radius(g: Graph, tol: float = TOL, cross_check: bool = True) -> float:
-    """Largest eigenvalue; optionally cross-checked against power iteration."""
-    lam = eigendecompose(g, tol).lambda1
-    if cross_check:
-        lam_power = power_iteration_radius(g, tol)
-        if abs(lam - lam_power) > 100 * tol * max(1.0, abs(lam)):
-            raise NonConvergenceError(
-                f"eigensolver {lam!r} and power iteration {lam_power!r} disagree"
-            )
+def spectral_radius(g: Graph) -> float:
+    """Largest eigenvalue, cross-checked against power iteration."""
+    lam = eigendecompose(g).lambda1
+    lam_power = power_iteration_radius(g)
+    if abs(lam - lam_power) > 100 * TOL * max(1.0, abs(lam)):
+        raise NonConvergenceError(
+            f"eigensolver {lam!r} and power iteration {lam_power!r} disagree"
+        )
     return lam
 
 
@@ -177,57 +178,53 @@ def triangle_count_spectral(spec: Spectrum) -> float:
     return float(np.power(spec.eigenvalues, 3).sum()) / 6.0
 
 
-def triangle_count_spectral_int(spec: Spectrum, tol: float = 1e-6) -> int:
+def triangle_count_spectral_int(spec: Spectrum) -> int:
     """Rounded triangle count; a non-integral value signals solver failure."""
     value = triangle_count_spectral(spec)
     nearest = round(value)
-    if abs(value - nearest) > tol:
+    if abs(value - nearest) > TRACE_EPS:
         raise NonIntegralError(f"triangle value {value} is not integral")
     return nearest
 
 
-def eigenvalue_clusters(spec: Spectrum,
-                        cluster_eps: float = CLUSTER_EPS) -> list[tuple[int, int]]:
-    """Half-open index ranges grouping eigenvalues separated by <= cluster_eps."""
+def eigenvalue_clusters(spec: Spectrum) -> list[tuple[int, int]]:
+    """Half-open index ranges grouping eigenvalues separated by <= CLUSTER_EPS."""
     clusters = []
     start = 0
     ev = spec.eigenvalues
     for i in range(1, len(ev)):
-        if ev[i - 1] - ev[i] > cluster_eps:
+        if ev[i - 1] - ev[i] > CLUSTER_EPS:
             clusters.append((start, i))
             start = i
     clusters.append((start, len(ev)))
     return clusters
 
 
-def distinct_eigenvalue_count(spec: Spectrum,
-                              cluster_eps: float = CLUSTER_EPS) -> int:
+def distinct_eigenvalue_count(spec: Spectrum) -> int:
     """Number of eigenvalue clusters under gap-based grouping."""
-    return len(eigenvalue_clusters(spec, cluster_eps))
+    return len(eigenvalue_clusters(spec))
 
 
-def is_spectrum_symmetric(spec: Spectrum,
-                          cluster_eps: float = CLUSTER_EPS) -> bool:
+def is_spectrum_symmetric(spec: Spectrum) -> bool:
     """Whether the eigenvalue multiset equals its negation."""
     ev = spec.eigenvalues
-    return bool(np.all(np.abs(ev + ev[::-1]) <= cluster_eps))
+    return bool(np.all(np.abs(ev + ev[::-1]) <= CLUSTER_EPS))
 
 
 @dataclass(frozen=True)
 class PerronReport:
     lambda1: float
-    dominant: bool  # lambda_1 >= |lambda_i| - tol for every i
-    negative_extreme: bool  # lambda_n = -lambda_1 within cluster_eps
+    dominant: bool  # lambda_1 >= |lambda_i| - TOL for every i
+    negative_extreme: bool  # lambda_n = -lambda_1 within CLUSTER_EPS
 
 
-def perron_check(g: Graph, spec: Spectrum,
-                 cluster_eps: float = CLUSTER_EPS) -> PerronReport:
+def perron_check(g: Graph, spec: Spectrum) -> PerronReport:
     """Dominance of lambda_1 and the lambda_n = -lambda_1 flag (connected input)."""
     if not is_connected(g):
         raise DisconnectedInputError("Perron check requires a connected graph")
     lam1 = spec.lambda1
-    dominant = bool(np.all(lam1 >= np.abs(spec.eigenvalues) - spec.tol))
+    dominant = bool(np.all(lam1 >= np.abs(spec.eigenvalues) - TOL))
     if not dominant:
         raise NonConvergenceError("lambda_1 fails Perron dominance; solver defect")
-    negative_extreme = abs(float(spec.eigenvalues[-1]) + lam1) <= cluster_eps
+    negative_extreme = abs(float(spec.eigenvalues[-1]) + lam1) <= CLUSTER_EPS
     return PerronReport(lam1, dominant, negative_extreme)

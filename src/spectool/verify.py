@@ -89,16 +89,13 @@ BOUND_THEOREMS = {
     TheoremId.LEMMA3_BOUND: BoundKind.OPEN_NEIGHBORHOOD,
 }
 
-def coerce_theorem(value) -> TheoremId:
-    if isinstance(value, TheoremId):
-        return value
-    return TheoremId(value)
-
-
 def coerce_theorems(values) -> tuple[TheoremId, ...]:
-    """The ids of ``values``, in order; a repeated id raises ValueError,
-    since each one would count every graph again."""
-    ids = tuple(coerce_theorem(v) for v in values)
+    """The ids of ``values``, in order. An empty list raises ValueError,
+    since the run would check nothing, and so does a repeated id, since each
+    one would count every graph again."""
+    ids = tuple(TheoremId(v) for v in values)
+    if not ids:
+        raise ValueError("no theorem ids given")
     repeated = sorted({t.value for t in ids if ids.count(t) > 1})
     if repeated:
         raise ValueError(f"theorem ids listed more than once: "
@@ -115,16 +112,9 @@ class GraphFacts:
     lambda_1 within ``EQ_EPS``, recorded when the bound is checked.
     """
 
-    def __init__(self, g: Graph, spec: Spectrum | None = None,
-                 budget: int = DEFAULT_BUDGET, walk_depth: int = WALK_DEPTH):
-        if walk_depth < 0:
-            raise ValueError("walk_depth must be nonnegative")
+    def __init__(self, g: Graph):
         self.g = g
-        self.budget = budget
-        self.walk_depth = walk_depth
         self.tight_bounds: set[TheoremId] = set()
-        if spec is not None:
-            self.spec = spec
 
     @cached_property
     def spec(self) -> Spectrum:
@@ -136,8 +126,8 @@ class GraphFacts:
 
     @cached_property
     def walks(self) -> WalkTable:
-        """Walk table of depth max(2, walk_depth), for both walk checkers."""
-        return walk_counts(self.g, max(2, self.walk_depth))
+        """Walk table of depth ``WALK_DEPTH``, for both walk checkers."""
+        return walk_counts(self.g, WALK_DEPTH)
 
     @cached_property
     def connectivity(self) -> Connectivity:
@@ -196,26 +186,25 @@ def _check_spectral_mantel(facts: GraphFacts) -> Verdict:
 
 
 def _check_walk_inequality(facts: GraphFacts) -> Verdict:
-    g, depth = facts.g, facts.walk_depth
+    g = facts.g
     if g.m == 0:
         return Verdict.vacuous("edgeless graph: no evaluable index")
     table = facts.walks
-    if walk_inequality_holds(g, depth, table, facts.sums):
+    if walk_inequality_holds(g, WALK_DEPTH, table, facts.sums):
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
         g, TheoremId.WALK_INEQUALITY.value,
-        {"m": g.m, "K": depth},
-        {"totals": [str(w) for w in table.totals[:depth + 1]]}))
+        {"m": g.m, "K": WALK_DEPTH},
+        {"totals": [str(w) for w in table.totals]}))
 
 
 def _check_decomposition(facts: GraphFacts) -> Verdict:
     g = facts.g
-    if decomposition_identity_check(g, max(2, facts.walk_depth), facts.walks,
-                                    facts.sums):
+    if decomposition_identity_check(g, WALK_DEPTH, facts.walks, facts.sums):
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
         g, TheoremId.DECOMPOSITION_IDENTITY.value,
-        {"m": g.m, "K": facts.walk_depth}))
+        {"m": g.m, "K": WALK_DEPTH}))
 
 
 def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
@@ -235,12 +224,11 @@ def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
 
 
 def _check_lemma6_bondy(facts: GraphFacts) -> Verdict:
-    return bondy_pancyclicity_check(facts.g, facts.budget)
+    return bondy_pancyclicity_check(facts.g)
 
 
 def _check_thm7(facts: GraphFacts) -> Verdict:
-    return consecutive_even_cycles_check(facts.g, spec=facts.spec,
-                                         budget=facts.budget)
+    return consecutive_even_cycles_check(facts.g, spec=facts.spec)
 
 
 def _check_lemma1(facts: GraphFacts) -> Verdict:
@@ -280,31 +268,27 @@ _CHECKERS = {
 }
 
 
-def check_theorem(g: Graph, theorem, spec: Spectrum | None = None,
-                  budget: int = DEFAULT_BUDGET,
-                  walk_depth: int = WALK_DEPTH, *,
+def check_theorem(g: Graph, theorem, *,
                   facts: GraphFacts | None = None) -> Verdict:
     """Deterministic verdict of one theorem on one graph.
 
-    ``facts`` shares g's computed quantities across calls; when it is
-    given, its spectrum, budget and walk depth replace the other arguments.
+    ``facts`` shares g's computed quantities across calls.
     """
-    theorem = coerce_theorem(theorem)
+    theorem = TheoremId(theorem)
     if facts is None:
-        facts = GraphFacts(g, spec, budget, walk_depth)
+        facts = GraphFacts(g)
     if theorem in BOUND_THEOREMS:
         return _check_bound(facts, theorem)
     return _CHECKERS[theorem](facts)
 
 
-def replay(report: CounterexampleReport,
-           budget: int = DEFAULT_BUDGET) -> Verdict:
+def replay(report: CounterexampleReport) -> Verdict:
     """Re-run the reported checker on the embedded graph."""
     if report.graph_format == "graph6":
         g = from_graph6(report.graph)
     else:
         g = from_edge_list(report.graph)
-    return check_theorem(g, report.theorem, budget=budget)
+    return check_theorem(g, report.theorem)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +450,7 @@ class SweepConfig:
         return {
             "n_min": self.n_min, "n_max": self.n_max,
             "connected_only": self.connected_only, "dedup": self.dedup,
-            "theorems": [coerce_theorem(t).value for t in self.theorems],
+            "theorems": [TheoremId(t).value for t in self.theorems],
             "budget": DEFAULT_BUDGET, "walk_depth": WALK_DEPTH,
         }
 

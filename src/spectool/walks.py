@@ -29,6 +29,7 @@ from .graph import (
 )
 from .spectrum import (
     CLUSTER_EPS,
+    TOL,
     Spectrum,
     adjacency_matrix,
     eigendecompose,
@@ -180,8 +181,8 @@ class SpectralWalkExpansion:
     has_negative_extreme: bool
 
 
-def walk_expansion(g: Graph, spec: Spectrum | None = None, K: int = 20,
-                   cluster_eps: float = CLUSTER_EPS) -> SpectralWalkExpansion:
+def walk_expansion(g: Graph, spec: Spectrum | None = None,
+                   K: int = 20) -> SpectralWalkExpansion:
     """Expansion coefficients, validated against the exact walk table."""
     if spec is None:
         spec = eigendecompose(g)
@@ -193,13 +194,14 @@ def walk_expansion(g: Graph, spec: Spectrum | None = None, K: int = 20,
         if abs(recon - exact) > 1e-6 * max(1, exact):
             raise ExpansionMismatchError(
                 f"w_{k}: expansion {recon} vs exact {exact}")
-    clusters = eigenvalue_clusters(spec, cluster_eps)
+    clusters = eigenvalue_clusters(spec)
     lo, hi = clusters[0]
     a = float(coeffs[lo:hi].sum())
     lam1 = spec.lambda1
     lo, hi = clusters[-1]
     has_negative_extreme = (
-        len(clusters) > 1 and abs(float(spec.eigenvalues[-1]) + lam1) <= cluster_eps
+        len(clusters) > 1
+        and abs(float(spec.eigenvalues[-1]) + lam1) <= CLUSTER_EPS
     )
     b = float(coeffs[lo:hi].sum()) if has_negative_extreme else 0.0
     return SpectralWalkExpansion(coeffs, a, b, has_negative_extreme)
@@ -234,7 +236,7 @@ def a_greater_b_check(g: Graph, spec: Spectrum | None = None,
     a, b = expansion.a, expansion.b
     if not expansion.has_negative_extreme:
         return AGreaterBReport(True, a, b, False)
-    ok = a > b + 10 * spec.tol
+    ok = a > b + 10 * TOL
     table = walk_counts(g, 2 * K)
     ratio = float(Fraction(table.totals[2 * K], table.totals[2 * K - 1]))
     expected = spec.lambda1 * (a + b) / (a - b) if a > b else float("inf")

@@ -76,6 +76,15 @@ def test_budget_sentinel_is_distinct_from_absence():
     assert has_cycle_of_length(path(9), 3, budget=10 ** 6) is None
 
 
+def test_even_cycles_exhausted_budget_is_inconclusive():
+    # K_5 is above the threshold sqrt(floor(25/4)), and finding its C_4
+    # needs more than one node.
+    verdict = consecutive_even_cycles_check(complete(5), l_max=4, budget=1)
+    assert verdict.status == "inconclusive"
+    assert consecutive_even_cycles_check(complete(5), l_max=4).status \
+        == "holds"
+
+
 def test_validate_cycle_rejects_garbage():
     g = cycle(5)
     assert not validate_cycle(g, (0, 1, 2))

@@ -13,6 +13,7 @@ from spectool.errors import (
 from spectool.families import complete, complete_bipartite, cycle, path, star
 from spectool.graph import Graph, from_edge_mask, from_edges
 from spectool.spectrum import (
+    TOL,
     adjacency_matrix,
     distinct_eigenvalue_count,
     eigendecompose,
@@ -57,10 +58,10 @@ def test_residual_and_validation_small_exhaustive():
         for mask in range(1 << (n * (n - 1) // 2)):
             g = from_edge_mask(n, mask)
             spec = eigendecompose(g)
-            assert spec.residual <= spec.tol * max(1, n)
-            assert abs(spec.eigenvalues.sum()) <= 10 * spec.tol * n
+            assert spec.residual <= TOL * max(1, n)
+            assert abs(spec.eigenvalues.sum()) <= 10 * TOL * n
             assert abs(np.square(spec.eigenvalues).sum() - 2 * g.m) \
-                <= 10 * spec.tol * n
+                <= 10 * TOL * n
 
 
 def test_jacobi_matches_lapack():
@@ -68,12 +69,12 @@ def test_jacobi_matches_lapack():
         lap = eigendecompose(g, method="lapack")
         jac = eigendecompose(g, method="jacobi")
         assert np.allclose(lap.eigenvalues, jac.eigenvalues, atol=1e-10)
-        assert jac.residual <= jac.tol * max(1, g.n)
+        assert jac.residual <= TOL * max(1, g.n)
         # Jacobi lambda_1, LAPACK lambda_1, and power iteration all agree
-        # within the 100*tol cross-check budget.
+        # within the 100*TOL cross-check budget.
         lam_power = power_iteration_radius(g)
         assert abs(jac.lambda1 - lam_power) \
-            <= 100 * jac.tol * max(1, jac.lambda1)
+            <= 100 * TOL * max(1, jac.lambda1)
 
 
 def test_jacobi_on_plain_matrix():

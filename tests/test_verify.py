@@ -4,6 +4,7 @@ import pytest
 
 from spectool import _exhaustive
 from spectool.bounds import bound_value
+from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, cycle, gnp, star
 from spectool.graph import from_edge_mask, to_edge_mask
@@ -147,15 +148,10 @@ class TestSharedFacts:
         assert partial["tight"]["thm11"] == [to_graph6(g)]
         _assert_battery_matches_fresh_checks(g)
 
-    def test_negative_walk_depth_rejected(self):
-        with pytest.raises(ValueError):
-            check_theorem(complete(3), TheoremId.WALK_INEQUALITY,
-                          walk_depth=-1)
-
     def test_exhausted_budget_is_inconclusive(self):
         # K_5 is above Bondy's degree threshold, and its cycle search needs
         # more than one node.
-        verdict = check_theorem(complete(5), TheoremId.LEMMA6_BONDY, budget=1)
+        verdict = bondy_pancyclicity_check(complete(5), budget=1)
         assert verdict.status == "inconclusive"
         assert check_theorem(complete(5), TheoremId.LEMMA6_BONDY).status \
             == "holds"
@@ -261,6 +257,16 @@ class TestSweep:
                 sweep(config)
         SweepConfig(dedup=dedup, theorems=("nosal", "stanley")).validate()
 
+    @pytest.mark.parametrize("dedup", ["labeled", "canonical"])
+    def test_config_rejects_empty_theorem_list(self, dedup):
+        # With no theorem the sweep would enumerate every graph and report
+        # nothing.
+        config = SweepConfig(n_min=1, n_max=5, dedup=dedup, theorems=())
+        with pytest.raises(ValueError, match="no theorem"):
+            config.validate()
+        with pytest.raises(ValueError, match="no theorem"):
+            sweep(config)
+
 
 class TestFuzz:
     def test_deterministic_given_seed(self):
@@ -295,6 +301,10 @@ class TestFuzz:
                 fuzz("gnp:8,0.5", 10, 1, theorems)
         report = fuzz("gnp:8,0.5", 10, 1, (TheoremId.NOSAL,))
         assert sum(report.totals["nosal"].values()) == 10
+
+    def test_empty_theorem_list_rejected(self):
+        with pytest.raises(ValueError, match="no theorem"):
+            fuzz("gnp:10,0.5", 5, 1, theorems=())
 
     def test_parse_distribution(self):
         assert parse_distribution("gnp:30,0.5") == ("gnp", 30, 0.5)
