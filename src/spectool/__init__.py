@@ -84,7 +84,6 @@ from .verify import (
     SweepReport,
     TheoremId,
     check_theorem,
-    enumerate_graphs,
     exhaustive_spectral_audit,
     fuzz,
     replay,

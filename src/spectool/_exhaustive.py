@@ -1,14 +1,15 @@
-"""Batched numpy engine for exhaustive labeled sweeps on small orders.
+"""Batched numpy engine for exhaustive sweeps on small orders.
 
-Graphs are edge bitmasks; blocks of a few thousand are expanded into stacked
-adjacency matrices for batched LAPACK (one solve per distinct characteristic
-polynomial in the shard, kept in a ``SpectrumTable``) and exact int64 walk
-counts, and into bitset rows for the structural facts (connectivity,
-bipartiteness, diameter, peeling cores). Semantics (thresholds, formulas,
-epsilons) mirror the per-graph checkers exactly; graphs needing
-combinatorial confirmation (extremal classification, cycle search, actual
-violations) or whose eigenvalues fail the trace certificate are handed back
-to the caller as masks.
+Graphs are edge bitmasks: a range of labeled ones or any array of masks,
+such as one per isomorphism class. Blocks of a few thousand are expanded
+into stacked adjacency matrices for batched LAPACK (one solve per distinct
+characteristic polynomial in the shard, kept in a ``SpectrumTable``) and
+exact int64 walk counts, and into bitset rows for the structural facts
+(connectivity, bipartiteness, diameter, peeling cores). Semantics
+(thresholds, formulas, epsilons) mirror the per-graph checkers exactly;
+graphs needing combinatorial confirmation (extremal classification, cycle
+search, actual violations) or whose eigenvalues fail the trace certificate
+are handed back to the caller as masks.
 """
 
 from functools import lru_cache
@@ -241,14 +242,6 @@ class SpectrumTable:
         self.distinct = np.concatenate([self.distinct, distinct])
 
 
-def _spectra(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a block, from a fresh ``SpectrumTable``: one
-    ``eigvalsh`` per distinct characteristic polynomial in the block."""
-    table = SpectrumTable(a.shape[1])
-    rows = table.rows(a)
-    return table.ev[rows]
-
-
 def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
     """Per-vertex walk counts W_0..W_K of a block, each a (b, n) int64 array.
 
@@ -428,12 +421,13 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     return table, tight
 
 
-def _blocks(n: int, start: int, stop: int, theorems,
-            connected_only: bool = False):
-    """Masks [start, stop) block by block, as ``(stats, certified, table)``.
+def _blocks(n: int, masks, theorems, connected_only: bool = False):
+    """Edge masks, a range or an int64 array, block by block, as
+    ``(stats, certified, table)``. A range becomes an array one block at a
+    time, so a shard's masks are never all held at once.
 
     One ``SpectrumTable`` serves all the blocks, so each characteristic
-    polynomial of the range is solved once.
+    polynomial of the masks is solved once.
 
     ``stats`` covers the block's graphs (the connected ones only, with
     ``connected_only``), ``certified`` the part of it whose eigenvalues pass
@@ -444,9 +438,11 @@ def _blocks(n: int, start: int, stop: int, theorems,
     want_diam = "lemma2-diameter-distinct" in theorems
     depth = WALK_DEPTH if WALK_THEOREMS & theorems else None
     table = SpectrumTable(n)
-    for lo in range(start, stop, BLOCK):
-        masks = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
-        stats = block_stats(n, masks, want_bip, want_diam, depth, table)
+    for lo in range(0, len(masks), BLOCK):
+        block = masks[lo:lo + BLOCK]
+        if isinstance(block, range):
+            block = np.arange(block.start, block.stop, dtype=np.int64)
+        stats = block_stats(n, block, want_bip, want_diam, depth, table)
         if connected_only:
             stats = _select(stats, stats["connected"])
         certified = _select(stats, stats["certified"])
@@ -462,7 +458,12 @@ def _select(stats: dict, keep: np.ndarray) -> dict:
 
 def sweep_range(n: int, start: int, stop: int, theorems: set,
                 connected_only: bool) -> dict:
-    """Tally theorems over masks [start, stop).
+    """``sweep_masks`` over the labeled masks [start, stop)."""
+    return sweep_masks(n, range(start, stop), theorems, connected_only)
+
+
+def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
+    """Tally theorems over edge masks, a range or an int64 array.
 
     Returns counts, tight-census masks per bound, and ``resolve`` masks that
     the caller must re-check per graph: what ``verdict_table`` leaves open,
@@ -474,17 +475,17 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
     tight: dict = {b: [] for b in BOUNDS if b in theorems}
     resolve: dict = {}
     for stats, certified, (table, tight_masks) in _blocks(
-            n, start, stop, theorems, connected_only):
+            n, masks, theorems, connected_only):
         uncertified = stats["masks"][~stats["certified"]].tolist()
-        masks = certified["masks"]
+        decided = certified["masks"]
         for theorem, (nonvac, holds) in table.items():
             counts[theorem]["vacuous"] += int((~nonvac).sum())
             counts[theorem]["holds"] += int(holds.sum())
-            open_masks = uncertified + masks[nonvac & ~holds].tolist()
+            open_masks = uncertified + decided[nonvac & ~holds].tolist()
             if open_masks:
                 resolve.setdefault(theorem, []).extend(open_masks)
         for bound, is_tight in tight_masks.items():
-            tight[bound].extend(masks[is_tight].tolist())
+            tight[bound].extend(decided[is_tight].tolist())
     return {"counts": counts, "tight": tight, "resolve": resolve}
 
 
@@ -517,7 +518,7 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         "tight_counts": dict.fromkeys(BOUNDS, 0),
     }
     for stats, certified, (table, tight) in _blocks(
-            n, start, stop, AUDIT_THEOREMS):
+            n, range(start, stop), AUDIT_THEOREMS):
         masks = stats["masks"]
         out["graphs"] += len(masks)
         out["uncertified"] += masks[~stats["certified"]].tolist()

@@ -9,6 +9,11 @@ decide at four fixed tolerances:
   CLUSTER_EPS  1e-8   grouping of nearby eigenvalues (Lemmas 1 and 2)
   EQ_EPS       1e-9   equality-style threshold decisions ("tight", "holds")
   TRACE_EPS    1e-6   integrality of sum lambda^k against trace(A^k)
+
+and the spectral walk expansion in ``walks`` at two more, both relative:
+
+  EXPANSION_EPS  1e-6  sum_i c_i lambda_i^k against the exact w_k
+  RATIO_EPS      1e-3  w_{2K}/w_{2K-1} against lambda_1 (a+b)/(a-b)
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +34,8 @@ TOL = 1e-12
 CLUSTER_EPS = 1e-8
 EQ_EPS = 1e-9
 TRACE_EPS = 1e-6
+EXPANSION_EPS = 1e-6
+RATIO_EPS = 1e-3
 
 JACOBI_MAX_SWEEPS = 100
 POWER_MAX_ITERS = 500_000

@@ -2,9 +2,11 @@
 
 Labeled enumeration in edge-bitmask order is the trusted ground truth;
 canonical dedup (lexicographically minimal adjacency bitstring over vertex
-permutations) is an optimization layer validated against labeled counts.
-Sweeps partition the mask space into fixed shards, so reports are identical
-for any worker count; merging is commutative (counters plus sorted lists).
+permutations) only selects which masks a sweep visits, one per isomorphism
+class, and sends them to the same batch engine and resolver as labeled
+masks. Sweeps partition the mask space into fixed shards, so reports are
+identical for any worker count; merging is commutative (counters plus
+sorted lists).
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,6 @@ from .graph import (
     first_triangle,
     from_edge_mask,
     is_complete_bipartite_plus_isolated,
-    is_connected,
     neighborhood_degree_sums,
 )
 from .graph6 import from_edge_list, from_graph6, graph_text, mask_to_graph6
@@ -299,33 +300,6 @@ def labeled_graph_count(n: int) -> int:
     return 1 << (n * (n - 1) // 2)
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     dedup: str = "labeled"):
-    """Stream graphs on n vertices: all labeled ones, or canonical reps."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if dedup == "labeled":
-        if n > MAX_EXHAUSTIVE_N:
-            raise OrderTooLargeError(f"labeled enumeration capped at n = "
-                                     f"{MAX_EXHAUSTIVE_N}")
-        for mask in range(labeled_graph_count(n)):
-            g = from_edge_mask(n, mask)
-            if connected_only and not is_connected(g):
-                continue
-            yield g
-    elif dedup == "canonical":
-        if n > MAX_CANONICAL_N:
-            raise OrderTooLargeError(f"canonical enumeration capped at n = "
-                                     f"{MAX_CANONICAL_N}")
-        for mask in canonical_masks(n):
-            g = from_edge_mask(n, mask)
-            if connected_only and not is_connected(g):
-                continue
-            yield g
-    else:
-        raise ValueError(f"unknown dedup mode {dedup!r}")
-
-
 def _perm_edge_table(n: int) -> np.ndarray:
     """table[p, e] = edge index of the image of edge e under permutation p."""
     pairs = [(u, v) for v in range(n) for u in range(v)]
@@ -528,27 +502,19 @@ def _battery(g: Graph, theorems, partial: dict) -> None:
             partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
-def _graph_shard(args) -> dict:
-    """Per-graph battery over a mask source: a range of labeled masks or a
-    list of canonical ones."""
-    n, masks, theorems, connected_only = args
-    partial = _empty_partial(theorems)
-    for mask in masks:
-        g = from_edge_mask(n, mask)
-        if connected_only and not is_connected(g):
-            continue
-        _battery(g, theorems, partial)
-    return partial
-
-
 def _vector_shard(args) -> dict:
-    """Batch engine over a range of labeled masks, with the per-graph
-    battery for the graphs it hands back."""
+    """Batch engine over a shard's masks, a range of labeled ones or a list
+    of canonical ones, with the per-graph battery for the graphs it hands
+    back."""
     n, masks, theorems, connected_only = args
     partial = _empty_partial(theorems)
-    result = _exhaustive.sweep_range(
-        n, masks.start, masks.stop, {t.value for t in theorems},
-        connected_only)
+    values = {t.value for t in theorems}
+    if isinstance(masks, range):
+        result = _exhaustive.sweep_range(n, masks.start, masks.stop, values,
+                                         connected_only)
+    else:
+        result = _exhaustive.sweep_masks(
+            n, np.array(masks, dtype=np.int64), values, connected_only)
     for tid_value, slot in result["counts"].items():
         for status, count in slot.items():
             partial["totals"][tid_value][status] += count
@@ -602,17 +568,17 @@ def _shards(n_min: int, n_max: int, dedup: str = "labeled") -> list:
     """``(n, masks)`` per shard: each order's masks, a range of labeled ones
     or a list of canonical ones, cut into up to ``SHARDS_PER_ORDER`` slices.
 
-    Labeled shards go to the batch engine and hold at least one whole
+    Every shard goes to the batch engine and holds at least one whole
     block, so small orders do not split into many tiny ``block_stats``
     calls.
     """
     shards = []
     for n in range(n_min, n_max + 1):
         if dedup == "labeled":
-            masks, min_size = range(labeled_graph_count(n)), _exhaustive.BLOCK
+            masks = range(labeled_graph_count(n))
         else:
-            masks, min_size = canonical_masks(n), 1
-        step = max(min_size, math.ceil(len(masks) / SHARDS_PER_ORDER))
+            masks = canonical_masks(n)
+        step = max(_exhaustive.BLOCK, math.ceil(len(masks) / SHARDS_PER_ORDER))
         shards += [(n, masks[i:i + step]) for i in range(0, len(masks), step)]
     return shards
 
@@ -625,8 +591,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     shard_args = [(n, masks, theorems, config.connected_only)
                   for n, masks in _shards(config.n_min, config.n_max,
                                           config.dedup)]
-    worker = _vector_shard if config.dedup == "labeled" else _graph_shard
-    merged = _run_shards(worker, shard_args, config.jobs,
+    merged = _run_shards(_vector_shard, shard_args, config.jobs,
                          _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, started)
 

@@ -29,6 +29,8 @@ from .graph import (
 )
 from .spectrum import (
     CLUSTER_EPS,
+    EXPANSION_EPS,
+    RATIO_EPS,
     TOL,
     Spectrum,
     adjacency_matrix,
@@ -183,7 +185,8 @@ class SpectralWalkExpansion:
 
 def walk_expansion(g: Graph, spec: Spectrum | None = None,
                    K: int = 20) -> SpectralWalkExpansion:
-    """Expansion coefficients, validated against the exact walk table."""
+    """Expansion coefficients, validated against the exact walk table
+    within relative ``EXPANSION_EPS``."""
     if spec is None:
         spec = eigendecompose(g)
     coeffs = np.square(spec.eigenvectors.sum(axis=0))
@@ -191,7 +194,7 @@ def walk_expansion(g: Graph, spec: Spectrum | None = None,
     for k in range(K + 1):
         recon = float(coeffs @ np.power(spec.eigenvalues, k))
         exact = table.totals[k]
-        if abs(recon - exact) > 1e-6 * max(1, exact):
+        if abs(recon - exact) > EXPANSION_EPS * max(1, exact):
             raise ExpansionMismatchError(
                 f"w_{k}: expansion {recon} vs exact {exact}")
     clusters = eigenvalue_clusters(spec)
@@ -223,7 +226,7 @@ def a_greater_b_check(g: Graph, spec: Spectrum | None = None,
 
     Only the bipartite Perron case (lambda_n = -lambda_1) carries content;
     there the finite ratio w_{2K}/w_{2K-1} must also match
-    lambda_1 (a+b)/(a-b) within relative 1e-3. Otherwise b = 0 and the
+    lambda_1 (a+b)/(a-b) within relative ``RATIO_EPS``. Otherwise b = 0 and the
     check is vacuously true.
     """
     if g.n == 0 or g.m == 0:
@@ -240,7 +243,7 @@ def a_greater_b_check(g: Graph, spec: Spectrum | None = None,
     table = walk_counts(g, 2 * K)
     ratio = float(Fraction(table.totals[2 * K], table.totals[2 * K - 1]))
     expected = spec.lambda1 * (a + b) / (a - b) if a > b else float("inf")
-    ok = ok and abs(ratio - expected) <= 1e-3 * abs(expected)
+    ok = ok and abs(ratio - expected) <= RATIO_EPS * abs(expected)
     return AGreaterBReport(ok, a, b, True, ratio, expected)
 
 

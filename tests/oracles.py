@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: triangles by triple
 enumeration, walks by explicit path extension, cycles by subset-and-
 permutation search, the diameter by one breadth-first search per vertex,
 neighbourhood sums neighbour by neighbour, G(n, p) through an edge list.
-``per_graph_payload`` is the exception: it runs a sweep through the
-per-graph reference checkers alone, which the batch engine must reproduce.
+``graph_shard`` and ``per_graph_payload`` are the exception: they run a
+shard or a whole sweep through the per-graph reference checkers alone,
+which the batch engine must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -14,13 +15,14 @@ import random
 
 import numpy as np
 
-from spectool.graph import Graph, from_edges
+from spectool.graph import Graph, from_edge_mask, from_edges, is_connected
 from spectool.verify import (
     SweepConfig,
+    _battery,
     _empty_partial,
     _finalize,
-    _graph_shard,
     _run_shards,
+    canonical_masks,
     labeled_graph_count,
 )
 
@@ -140,17 +142,34 @@ def power_sums_by_int_powers(adj: np.ndarray) -> np.ndarray:
     return np.stack(sums, axis=1)
 
 
+def graph_shard(args) -> dict:
+    """``verify._vector_shard``'s result from the per-graph battery alone,
+    over a range of labeled masks or a list of canonical ones."""
+    n, masks, theorems, connected_only = args
+    partial = _empty_partial(theorems)
+    for mask in masks:
+        g = from_edge_mask(n, mask)
+        if connected_only and not is_connected(g):
+            continue
+        _battery(g, theorems, partial)
+    return partial
+
+
 def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
-    """``sweep(config).payload()`` of a labeled sweep, from ``_graph_shard``
-    over each order's full mask range (split in ``jobs`` slices)."""
+    """``sweep(config).payload()`` from ``graph_shard`` over each order's
+    masks, all labeled ones or the canonical ones as ``config.dedup`` says
+    (split in ``jobs`` slices)."""
     theorems = config.theorem_ids()
     shard_args = []
     for n in range(config.n_min, config.n_max + 1):
-        total = labeled_graph_count(n)
-        step = math.ceil(total / jobs)
-        for lo in range(0, total, step):
-            shard_args.append((n, range(lo, min(lo + step, total)),
-                               theorems, config.connected_only))
-    merged = _run_shards(_graph_shard, shard_args, jobs,
+        if config.dedup == "labeled":
+            masks = range(labeled_graph_count(n))
+        else:
+            masks = canonical_masks(n)
+        step = math.ceil(len(masks) / jobs)
+        shard_args += [(n, masks[lo:lo + step], theorems,
+                        config.connected_only)
+                       for lo in range(0, len(masks), step)]
+    merged = _run_shards(graph_shard, shard_args, jobs,
                          _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, 0.0).payload()

@@ -15,7 +15,6 @@ from spectool._exhaustive import (
     SpectrumTable,
     _bound_arrays,
     _key_layout,
-    _spectra,
     adjacency,
     block_stats,
     packed_keys,
@@ -43,7 +42,6 @@ from spectool.verify import (
     ALL_THEOREMS,
     BOUND_THEOREMS,
     SweepConfig,
-    _graph_shard,
     _vector_shard,
     exhaustive_spectral_audit,
     labeled_graph_count,
@@ -55,7 +53,7 @@ from spectool.walks import (
     walk_inequality_holds,
 )
 
-from oracles import power_sums_by_int_powers
+from oracles import graph_shard, power_sums_by_int_powers
 
 
 def _assert_structure_matches_reference(n, masks):
@@ -183,11 +181,14 @@ def test_power_sums_exact_at_k8():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_grouped_spectra_match_eigvalsh(n):
     a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
-    grouped = _spectra(a)
+    table = SpectrumTable(n)
+    rows = table.rows(a)  # before reading ev, which it extends
+    grouped = table.ev[rows]
     assert grouped.shape == a.shape[:2]
     assert (np.diff(grouped, axis=1) >= 0).all()
     assert np.abs(grouped - np.linalg.eigvalsh(a)).max() <= 1e-12
-    assert _spectra(a[:0]).shape == (0, n)
+    rows = table.rows(a[:0])
+    assert table.ev[rows].shape == (0, n)
 
 
 def _cospectral_pair():
@@ -209,7 +210,9 @@ def test_one_solve_per_distinct_power_sum_key(monkeypatch):
         return eigvalsh(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    ev = _spectra(a)
+    table = SpectrumTable(n)
+    rows = table.rows(a)
+    ev = table.ev[rows]
     keys = power_sums(a)
     assert len(solved) == 1
     solved_keys = power_sums(solved[0])
@@ -423,7 +426,7 @@ def test_vector_shard_matches_graph_shard(n, where):
     for connected_only in (False, True):
         args = (n, range(lo, lo + 1200), ALL_THEOREMS, connected_only)
         assert _shard_payload(_vector_shard(args)) \
-            == _shard_payload(_graph_shard(args))
+            == _shard_payload(graph_shard(args))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,5 +1,6 @@
 """Enumeration, the sweep/fuzz harness, determinism, and replay."""
 
+import numpy as np
 import pytest
 
 from spectool import _exhaustive
@@ -7,7 +8,7 @@ from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, cycle, gnp, star
-from spectool.graph import from_edge_mask, to_edge_mask
+from spectool.graph import from_edge_mask, is_connected, to_edge_mask
 from spectool.graph6 import to_graph6
 from spectool.spectrum import EQ_EPS, eigendecompose
 from spectool.verdicts import CounterexampleReport
@@ -18,11 +19,10 @@ from spectool.verify import (
     TheoremId,
     _battery,
     _empty_partial,
-    _graph_shard,
+    _vector_shard,
     canonical_form,
     canonical_masks,
     check_theorem,
-    enumerate_graphs,
     exhaustive_spectral_audit,
     fuzz,
     labeled_graph_count,
@@ -36,8 +36,8 @@ from oracles import per_graph_payload
 
 class TestEnumeration:
     def test_labeled_counts(self):
-        assert len(list(enumerate_graphs(3))) == 8
-        assert len(list(enumerate_graphs(4))) == 64
+        assert labeled_graph_count(3) == 8
+        assert labeled_graph_count(4) == 64
 
     def test_canonical_counts(self):
         # Known isomorphism-class counts for small orders.
@@ -45,12 +45,17 @@ class TestEnumeration:
             assert len(canonical_masks(n)) == expected
 
     def test_canonical_connected_n4(self):
-        graphs = list(enumerate_graphs(4, connected_only=True, dedup="canonical"))
-        assert len(graphs) == 6
+        connected = [mask for mask in canonical_masks(4)
+                     if is_connected(from_edge_mask(4, mask))]
+        assert len(connected) == 6
+        report = sweep(SweepConfig(n_min=4, n_max=4, connected_only=True,
+                                   dedup="canonical",
+                                   theorems=(TheoremId.MANTEL,)))
+        assert sum(report.totals["mantel"].values()) == 6
 
     def test_too_large_rejected(self):
         with pytest.raises(OrderTooLargeError):
-            list(enumerate_graphs(9))
+            SweepConfig(n_max=9).validate()
         with pytest.raises(OrderTooLargeError):
             canonical_masks(8)
 
@@ -157,10 +162,15 @@ class TestSharedFacts:
             == "holds"
 
     def test_shard_over_range_equals_shard_over_list(self):
-        masks = range(100, 400)
-        by_range = _graph_shard((5, masks, ALL_THEOREMS, False))
-        by_list = _graph_shard((5, list(masks), ALL_THEOREMS, False))
-        assert by_range == by_list
+        # The densest 1,200 masks at n = 7 are above Bondy's degree
+        # threshold, so the resolver decides lemma6-bondy on them.
+        total = labeled_graph_count(7)
+        masks = range(total - 1200, total)
+        by_range = _vector_shard((7, masks, ALL_THEOREMS, False))
+        assert by_range["totals"]["lemma6-bondy"]["holds"] > 0
+        for as_array in (list(masks), np.arange(masks.start, masks.stop)):
+            assert _vector_shard((7, as_array, ALL_THEOREMS, False)) \
+                == by_range
 
 
 class TestSweep:
@@ -224,6 +234,19 @@ class TestSweep:
         config2 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=3)
         assert sweep(config1).payload()["totals"] \
             == sweep(config2).payload()["totals"]
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_canonical_sweep_matches_reference(self, connected_only):
+        # Canonical masks go through the batch engine and its resolver; the
+        # per-graph checkers over the same masks must give the same payload.
+        config = SweepConfig(n_min=1, n_max=7, dedup="canonical",
+                             connected_only=connected_only,
+                             theorems=ALL_THEOREMS)
+        fast = sweep(config).payload()
+        assert per_graph_payload(config) == fast
+        assert sum(fast["totals"]["mantel"].values()) == (
+            1 + 1 + 2 + 6 + 21 + 112 + 853 if connected_only
+            else 1 + 2 + 4 + 11 + 34 + 156 + 1044)
 
     def test_canonical_sweep_consistent_with_labeled(self):
         labeled = sweep(SweepConfig(n_min=4, n_max=4,
