@@ -5,11 +5,11 @@ such as one per isomorphism class. Blocks of a few thousand are expanded
 into stacked adjacency matrices for batched LAPACK (one solve per distinct
 characteristic polynomial in the shard, kept in a ``SpectrumTable``) and
 exact int64 walk counts, and into bitset rows for the structural facts
-(connectivity, bipartiteness, diameter, peeling cores). Semantics
-(thresholds, formulas, epsilons) mirror the per-graph checkers exactly;
-graphs needing combinatorial confirmation (extremal classification, cycle
-search, actual violations) or whose eigenvalues fail the trace certificate
-are handed back to the caller as masks.
+(connectivity, bipartiteness, diameter, peeling cores, the spectral
+Mantel equality case). Semantics (thresholds, formulas, epsilons) mirror
+the per-graph checkers exactly; Bondy's cycle search, apparent violations
+and graphs whose eigenvalues fail the trace certificate are handed back to
+the caller as masks.
 """
 
 from functools import lru_cache
@@ -98,8 +98,8 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     m = degrees.sum(axis=1) // 2
     a = adj.astype(np.float64)
     table = SpectrumTable(n) if table is None else table
-    spectrum = table.rows(a)
-    sum_ev, sum_squares, sum_cubes = table.sums[spectrum].T
+    spectrum = table.facts(a)
+    sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     tri = np.zeros(b, dtype=np.int64)
     for tm in triple_masks:
         tri += (masks & tm) == tm
@@ -111,7 +111,7 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
         "min_deg": degrees.min(axis=1),
         "degrees": degrees,
         "rows": rows,
-        "lam1": table.ev[spectrum, -1],
+        "lam1": spectrum["ev"][:, -1],
         "sum_cubes": sum_cubes,
         "tri": tri,
         "max_open": open_sums.max(axis=1).astype(np.int64),
@@ -124,10 +124,10 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     out["connected"] = connected
     if want_bip:
         out["bipartite"] = bipartite
-        out["symmetric"] = table.symmetric[spectrum]
+        out["symmetric"] = spectrum["symmetric"]
     if want_diam:
         out["diameter"] = diameter
-        out["distinct"] = table.distinct[spectrum]
+        out["distinct"] = spectrum["distinct"]
     if walk_depth is not None:
         out["walk_inequality"], out["decomposition"] = _walk_checks(
             adj, open_sums.astype(np.int64), max_closed, walk_depth)
@@ -199,7 +199,7 @@ class SpectrumTable:
     its ascending eigenvalues ``ev``, the certificate sums of lambda,
     lambda^2 and lambda^3 (``sums``), whether the spectrum is symmetric
     about 0 (Lemma 1) and its number of distinct eigenvalues (Lemma 2),
-    both up to ``CLUSTER_EPS``. Every graph reads its row's facts by index.
+    both up to ``CLUSTER_EPS``. ``facts`` hands a block each graph's copy.
     """
 
     def __init__(self, n: int):
@@ -209,11 +209,10 @@ class SpectrumTable:
         self.symmetric = np.empty(0, dtype=bool)
         self.distinct = np.empty(0, dtype=np.int64)
 
-    def rows(self, a: np.ndarray) -> np.ndarray:
-        """Each graph's row for a (b, n, n) float64 block, adding the rows
-        of keys not seen before."""
-        if not len(a):
-            return np.zeros(0, dtype=np.intp)
+    def facts(self, a: np.ndarray) -> dict:
+        """Each graph's facts for a (b, n, n) float64 block, gathered from
+        its row into arrays named like the stored ones; keys not seen before
+        get new rows."""
         keys = packed_keys(a)
         order = np.lexsort(keys.T)  # stable: a group's head is its first graph
         ranked = keys[order]
@@ -224,11 +223,13 @@ class SpectrumTable:
         seen = len(self.index)
         # A new key gets the next row number, in the order keys are met.
         row = np.array([self.index.setdefault(key, len(self.index))
-                        for key in map(tuple, ranked[first].tolist())])
+                        for key in map(tuple, ranked[first].tolist())],
+                       dtype=np.intp)
         new = row >= seen
         if new.any():
             self._append(np.linalg.eigvalsh(a[order[first][new]]))
-        return row[group]
+        return {name: getattr(self, name)[row[group]]
+                for name in ("ev", "sums", "symmetric", "distinct")}
 
     def _append(self, ev: np.ndarray) -> None:
         ev2 = ev * ev
@@ -303,6 +304,22 @@ def peel_survivors(rows: np.ndarray, k: int) -> np.ndarray:
     return alive
 
 
+def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
+    """``is_complete_bipartite_plus_isolated`` on (b, n) bitset rows.
+
+    With B the row of the lowest non-isolated vertex and A the other
+    non-isolated vertices, a graph qualifies iff every vertex of A sees
+    exactly B and every vertex of B sees exactly A. An edgeless graph does.
+    """
+    support = np.bitwise_or.reduce(rows, axis=1)
+    part_b = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    part_a = support & ~part_b
+    bits = np.uint8(1) << np.arange(rows.shape[1], dtype=np.uint8)
+    sees = np.where(part_b[:, None] & bits, part_a[:, None],
+                    np.where(part_a[:, None] & bits, part_b[:, None], 0))
+    return (rows == sees).all(axis=1)
+
+
 def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
     """Connectivity, bipartiteness and diameter from exact-length walk sets.
 
@@ -365,8 +382,9 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     with ``holds`` inside ``nonvac``, and ``{bound: tight}``, the graphs on
     which a requested bound applies and meets lambda_1 within ``EQ_EPS``.
     The batch engine leaves ``nonvac & ~holds`` open: an apparent
-    violation, a triangle-free graph at the spectral Mantel threshold, or
-    Bondy's cycle search above its degree threshold.
+    violation, or Bondy's cycle search above its degree threshold. A
+    triangle-free graph at the spectral Mantel threshold holds iff
+    ``complete_bipartite_cores`` accepts it.
     """
     m, lam1, tri = stats["m"], stats["lam1"], stats["tri"]
     sqrt_m = np.sqrt(m.astype(np.float64))
@@ -383,7 +401,12 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     if "nosal" in theorems:
         decide("nosal", lam1 > sqrt_m + EQ_EPS, tri > 0)
     if "spectral-mantel" in theorems:
-        decide("spectral-mantel", ~(lam1 < sqrt_m - EQ_EPS), tri > 0)
+        # The triangle-free graphs at the threshold must be complete
+        # bipartite plus isolated vertices; only their rows are read.
+        nonvac, holds = ~(lam1 < sqrt_m - EQ_EPS), tri > 0
+        left = nonvac & ~holds
+        holds[left] = complete_bipartite_cores(stats["rows"][left])
+        decide("spectral-mantel", nonvac, holds)
     bounds = [bound for bound in BOUNDS if bound in theorems]
     values = _bound_arrays(stats, n) if bounds else {}
     for bound in bounds:
@@ -497,18 +520,16 @@ AUDIT_THEOREMS = frozenset({"spectral-mantel", *BOUNDS,
 def audit_range(n: int, start: int, stop: int) -> dict:
     """Identity-and-tightness audit over masks [start, stop).
 
-    Keys are those of ``verify.SpectralAudit``, with masks for graphs, but
-    for the two the caller confirms per graph: ``mantel_candidates`` (the
-    spectral Mantel theorem left open) and ``threshold_tight_connected``.
-    The verdicts come from ``verdict_table``; only the triangle trace
-    identity, which the certificate also reads, covers uncertified graphs.
+    Keys are those of ``verify.SpectralAudit``, with masks for graphs. The
+    verdicts come from ``verdict_table``; only the triangle trace identity,
+    which the certificate also reads, covers uncertified graphs.
     """
     out = {
         "graphs": 0,
         "uncertified": [],
         "triangle_mismatches": [],
-        "mantel_candidates": [],
-        "threshold_tight_connected": [],
+        "spectral_mantel_failures": [],
+        "tight_threshold_not_complete_bipartite": [],
         "bound_violations": {b: [] for b in BOUNDS},
         "hsf_tight_not_class": [],
         "hsf_class_not_tight": [],
@@ -530,7 +551,7 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         masks = certified["masks"]
         open_masks = {theorem: masks[nonvac & ~holds].tolist()
                       for theorem, (nonvac, holds) in table.items()}
-        out["mantel_candidates"] += open_masks["spectral-mantel"]
+        out["spectral_mantel_failures"] += open_masks["spectral-mantel"]
         out["lemma1_mismatches"] += open_masks["lemma1-spectrum-symmetry"]
         out["lemma2_violations"] += open_masks["lemma2-diameter-distinct"]
         for bound in BOUNDS:
@@ -538,13 +559,13 @@ def audit_range(n: int, start: int, stop: int) -> dict:
             out["tight_counts"][bound] += int(tight[bound].sum())
 
         connected = certified["connected"]
-        # The extremal characterization at the threshold concerns
-        # triangle-free graphs; connected graphs with lambda_1 = sqrt(m)
-        # AND a triangle exist (n=7, m=9, lambda_1=3) and are fine.
+        # The open spectral Mantel graphs, connected and at the threshold.
+        nonvac, holds = table["spectral-mantel"]
         sqrt_m = np.sqrt(certified["m"].astype(np.float64))
-        at_threshold = connected & (certified["tri"] == 0) \
+        at_threshold = connected & nonvac & ~holds \
             & (np.abs(certified["lam1"] - sqrt_m) <= EQ_EPS)
-        out["threshold_tight_connected"] += masks[at_threshold].tolist()
+        out["tight_threshold_not_complete_bipartite"] += \
+            masks[at_threshold].tolist()
         degrees, min_deg = certified["degrees"], certified["min_deg"]
         in_class = (degrees.max(axis=1) == min_deg) | (
             (degrees == min_deg[:, None]) | (degrees == n - 1)).all(axis=1)

@@ -26,7 +26,7 @@ from .spectrum import eigendecompose, triangle_count_spectral
 from .verify import (
     ALL_THEOREMS,
     SweepConfig,
-    TheoremId,
+    coerce_theorems,
     fuzz,
     parse_distribution,
     sweep,
@@ -158,12 +158,11 @@ def _parse_theorems(value: str):
     if value == "all":
         return ALL_THEOREMS
     try:
-        return tuple(TheoremId(part) for part in value.split(","))
-    except ValueError:
+        return coerce_theorems(value.split(","))
+    except ValueError as exc:
         raise SystemExit(_fail(
             EXIT_CONFIG,
-            f"unknown theorem in {value!r}; valid ids: "
-            + ", ".join(t.value for t in ALL_THEOREMS)))
+            f"{exc}; valid ids: " + ", ".join(t.value for t in ALL_THEOREMS)))
 
 
 def _emit_sweep(report, args) -> int:

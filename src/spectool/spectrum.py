@@ -1,9 +1,9 @@
 """Eigendecomposition of adjacency matrices and spectral identities.
 
-The default engine is LAPACK's symmetric solver via numpy; a cyclic Jacobi
-rotation solver is kept as the reference implementation and both must meet
-the same residual certificate. The theorem checkers, per-graph and batch,
-decide at four fixed tolerances:
+``eigendecompose`` uses LAPACK's symmetric solver via numpy; a cyclic Jacobi
+rotation solver is kept as the reference implementation, and its results
+meet the same residual certificate. The theorem checkers, per-graph and
+batch, decide at four fixed tolerances:
 
   TOL          1e-12  solver residual, Jacobi convergence, Perron dominance
   CLUSTER_EPS  1e-8   grouping of nearby eigenvalues (Lemmas 1 and 2)
@@ -127,22 +127,16 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
-def eigendecompose(g: Graph, method: str = "lapack") -> Spectrum:
-    """Full eigendecomposition meeting the residual certificate."""
+def eigendecompose(g: Graph) -> Spectrum:
+    """Full LAPACK eigendecomposition meeting the residual certificate."""
     if g.n == 0:
         raise EmptyGraphError("no spectrum for the empty graph")
     a = adjacency_matrix(g)
-    if method == "lapack":
-        try:
-            evals, evecs = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(str(exc)) from exc
-        order = np.argsort(evals)[::-1]
-    elif method == "jacobi":
-        evals, evecs = jacobi_eigh(a)
-        order = np.argsort(evals, kind="stable")[::-1]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    try:
+        evals, evecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(str(exc)) from exc
+    order = np.argsort(evals)[::-1]
     spec = Spectrum(evals[order], evecs[:, order], a)
     spec.validate(g.m)
     return spec

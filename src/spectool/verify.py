@@ -40,7 +40,6 @@ from .graph import (
     connectivity,
     first_triangle,
     from_edge_mask,
-    is_complete_bipartite_plus_isolated,
     neighborhood_degree_sums,
 )
 from .graph6 import from_edge_list, from_graph6, graph_text, mask_to_graph6
@@ -507,7 +506,6 @@ def _vector_shard(args) -> dict:
     of canonical ones, with the per-graph battery for the graphs it hands
     back."""
     n, masks, theorems, connected_only = args
-    partial = _empty_partial(theorems)
     values = {t.value for t in theorems}
     if isinstance(masks, range):
         result = _exhaustive.sweep_range(n, masks.start, masks.stop, values,
@@ -515,16 +513,12 @@ def _vector_shard(args) -> dict:
     else:
         result = _exhaustive.sweep_masks(
             n, np.array(masks, dtype=np.int64), values, connected_only)
-    for tid_value, slot in result["counts"].items():
-        for status, count in slot.items():
-            partial["totals"][tid_value][status] += count
-    for bound_id, mask_list in result["tight"].items():
-        partial["tight"][bound_id].extend(
-            mask_to_graph6(n, mask) for mask in mask_list)
-    # Graphs the batch engine cannot decide alone (extremal confirmations,
-    # Bondy's cycle search, any apparent violation, a failed trace
-    # certificate) get the per-graph reference checker for the theorems it
-    # left open.
+    partial = {"totals": result["counts"], "counterexamples": [],
+               "tight": {bound: [mask_to_graph6(n, mask) for mask in mask_list]
+                         for bound, mask_list in result["tight"].items()}}
+    # Graphs the batch engine cannot decide alone (Bondy's cycle search,
+    # any apparent violation, a failed trace certificate) get the per-graph
+    # reference checker for the theorems it left open.
     open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:
@@ -689,6 +683,9 @@ class SpectralAudit:
     whose batch eigenvalues fail the trace certificate (sum lambda = 0,
     sum lambda^2 = 2m, sum lambda^3 = 6 triangles); only the triangle trace
     identity checks them, and ``ok`` fails while any are listed.
+    ``spectral_mantel_failures`` is the spectral Mantel theorem left open by
+    the batch engine; ``tight_threshold_not_complete_bipartite`` is its
+    connected part with lambda_1 = sqrt(m) within ``EQ_EPS``.
     ``tight_counts`` is diagnostic (census sizes per bound), not a
     pass/fail signal.
     """
@@ -729,20 +726,9 @@ def _as_graph6(n: int, value):
 
 
 def _audit_shard(args) -> dict:
-    """One shard's ``SpectralAudit`` fields, from the batch audit with its
-    threshold graphs confirmed per graph."""
+    """One shard's ``SpectralAudit`` fields, with graphs as graph6."""
     n, masks = args
-    part = _exhaustive.audit_range(n, masks.start, masks.stop)
-    # At-threshold triangle-free graphs must classify as extremal complete
-    # bipartite (with a validating witness).
-    part["spectral_mantel_failures"] = [
-        mask for mask in part.pop("mantel_candidates")
-        if spectral_mantel_classify(from_edge_mask(n, mask)).kind
-        != "extremal_complete_bipartite"]
-    part["tight_threshold_not_complete_bipartite"] = [
-        mask for mask in part.pop("threshold_tight_connected")
-        if is_complete_bipartite_plus_isolated(from_edge_mask(n, mask)) is None]
-    return _as_graph6(n, part)
+    return _as_graph6(n, _exhaustive.audit_range(n, masks.start, masks.stop))
 
 
 def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
@@ -750,8 +736,8 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
     """Audit all labeled graphs with n_min <= n <= n_max in one pass.
 
     Covers the trace certificate of the batch eigenvalues, the triangle
-    trace identity, the spectral Mantel trichotomy with extremal
-    confirmation, every bound's slack, the tightness degree-class
+    trace identity, the spectral Mantel trichotomy with its extremal case,
+    every bound's slack, the tightness degree-class
     equivalence for the minimum-degree bound, the closed-neighborhood vs
     edge-count bound dominance, spectrum symmetry vs bipartiteness, and the
     diameter vs distinct-eigenvalue inequality. The verdicts are the batch

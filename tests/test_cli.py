@@ -14,6 +14,7 @@ import pytest
 
 from spectool.cli import main
 from spectool.graph6 import HEADER_LINE, mask_to_graph6
+from spectool.verify import ALL_THEOREMS
 
 CLI = [sys.executable, "-m", "spectool.cli"]
 
@@ -223,6 +224,17 @@ def test_verify_n8_needs_long_run_flag():
 
 def test_verify_unknown_theorem_exit3():
     assert run_cli(["verify", "--theorem", "nonsense"]).returncode == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["fuzz", "--dist", "gnp:8,0.5", "--count", "10", "--theorem", "bogus"],
+    ["verify", "--max-n", "4", "--theorem", ""],
+])
+def test_bad_theorem_id_lists_the_valid_ids(args):
+    result = run_cli(args)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr and not result.stdout
+    assert all(t.value in result.stderr for t in ALL_THEOREMS)
 
 
 @pytest.mark.parametrize("args", [

@@ -17,6 +17,7 @@ from spectool._exhaustive import (
     _key_layout,
     adjacency,
     block_stats,
+    complete_bipartite_cores,
     packed_keys,
     peel_survivors,
     power_sums,
@@ -28,13 +29,15 @@ from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, star
-from spectool.spectrum import CLUSTER_EPS
+from spectool.spectrum import CLUSTER_EPS, EQ_EPS, eigendecompose
 from spectool.graph import (
     bipartition,
     connectivity,
     edge_order,
+    first_triangle,
     from_edge_mask,
     from_edges,
+    is_complete_bipartite_plus_isolated,
     to_edge_mask,
 )
 from spectool.graph6 import to_graph6
@@ -182,13 +185,11 @@ def test_power_sums_exact_at_k8():
 def test_grouped_spectra_match_eigvalsh(n):
     a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
     table = SpectrumTable(n)
-    rows = table.rows(a)  # before reading ev, which it extends
-    grouped = table.ev[rows]
+    grouped = table.facts(a)["ev"]
     assert grouped.shape == a.shape[:2]
     assert (np.diff(grouped, axis=1) >= 0).all()
     assert np.abs(grouped - np.linalg.eigvalsh(a)).max() <= 1e-12
-    rows = table.rows(a[:0])
-    assert table.ev[rows].shape == (0, n)
+    assert table.facts(a[:0])["ev"].shape == (0, n)
 
 
 def _cospectral_pair():
@@ -210,9 +211,7 @@ def test_one_solve_per_distinct_power_sum_key(monkeypatch):
         return eigvalsh(x)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    table = SpectrumTable(n)
-    rows = table.rows(a)
-    ev = table.ev[rows]
+    ev = SpectrumTable(n).facts(a)["ev"]
     keys = power_sums(a)
     assert len(solved) == 1
     solved_keys = power_sums(solved[0])
@@ -376,15 +375,97 @@ def test_peel_survivors_match_erdos_peel(n):
                 (n, int(mask), k)
 
 
+def _graph_of_rows(row):
+    """The graph whose vertex v has neighbour set ``row[v]``."""
+    n = len(row)
+    return from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                          if row[v] >> u & 1])
+
+
+def _assert_cores_match_reference(n, rows):
+    got = complete_bipartite_cores(rows).tolist()
+    for i, row in enumerate(rows.tolist()):
+        g = _graph_of_rows(row)
+        assert got[i] == (is_complete_bipartite_plus_isolated(g) is not None), \
+            (n, to_edge_mask(g))
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complete_bipartite_cores_match_reference(n):
+    rows = block_stats(n, _kernel_masks(n))["rows"]
+    got = _assert_cores_match_reference(n, rows)
+    if n >= 3:  # every graph on two vertices qualifies
+        assert any(got) and not all(got)
+
+
+def test_sweep_passes_the_cores_test_only_open_candidates(monkeypatch):
+    # Every n = 7 graph the sweep hands to the predicate is triangle-free
+    # at the spectral Mantel threshold; all of them are complete bipartite
+    # plus isolated vertices, as the theorem says.
+    n = 7
+    seen = []
+    real = _exhaustive.complete_bipartite_cores
+
+    def spy(rows):
+        seen.append(rows.copy())
+        return real(rows)
+
+    monkeypatch.setattr(_exhaustive, "complete_bipartite_cores", spy)
+    result = sweep_range(n, 0, labeled_graph_count(n), {"spectral-mantel"},
+                         False)
+    assert "spectral-mantel" not in result["resolve"]
+    rows = np.concatenate(seen)
+    assert len(rows) == 967
+    assert all(_assert_cores_match_reference(n, rows))
+    for row in rows.tolist():
+        g = _graph_of_rows(row)
+        assert first_triangle(g) is None
+        assert eigendecompose(g).lambda1 >= np.sqrt(g.m) - EQ_EPS
+
+
+def test_a_failing_cores_test_reaches_the_resolver_and_the_audit(
+        monkeypatch):
+    # With the predicate rejecting every graph, the resolver confirms each
+    # one per graph, so the payload stays as it was; the audit lists every
+    # certified triangle-free graph with lambda_1 >= sqrt(m) - EQ_EPS.
+    config = SweepConfig(n_min=1, n_max=6, theorems=ALL_THEOREMS)
+    expected = sweep(config).payload()
+    candidates, at_threshold = [], []
+    for n in range(1, 7):
+        for mask in range(labeled_graph_count(n)):
+            g = from_edge_mask(n, mask)
+            lam1, sqrt_m = eigendecompose(g).lambda1, np.sqrt(g.m)
+            if first_triangle(g) is None and lam1 >= sqrt_m - EQ_EPS:
+                candidates.append(to_graph6(g))
+                if connectivity(g).is_connected \
+                        and abs(lam1 - sqrt_m) <= EQ_EPS:
+                    at_threshold.append(to_graph6(g))
+    monkeypatch.setattr(_exhaustive, "complete_bipartite_cores",
+                        lambda rows: np.zeros(len(rows), dtype=bool))
+    resolve = sweep_range(6, 0, labeled_graph_count(6),
+                          {"spectral-mantel"}, False)["resolve"]
+    assert len(resolve["spectral-mantel"]) == 302
+    assert sweep(config).payload() == expected
+    audit = exhaustive_spectral_audit(1, 6)
+    assert audit.uncertified == []
+    assert sorted(audit.spectral_mantel_failures) == sorted(candidates)
+    assert sorted(audit.tight_threshold_not_complete_bipartite) \
+        == sorted(at_threshold)
+    assert at_threshold and not audit.ok()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_only_bondy_above_its_threshold_is_resolved(n):
-    # The walk identities, the peel and thm7 are decided in the batch; the
-    # payload tests cannot see a kernel that sends too much to the resolver.
+    # Spectral Mantel, the walk identities, the peel and thm7 are decided
+    # in the batch; the payload tests cannot see a kernel that sends too
+    # much to the resolver.
     total = labeled_graph_count(n)
     values = {t.value for t in ALL_THEOREMS}
     resolve = sweep_range(n, 0, total, values, False)["resolve"]
-    for theorem in ("walk-inequality", "decomposition-identity",
-                    "lemma5-peel", "thm7-even-cycles"):
+    for theorem in ("spectral-mantel", "walk-inequality",
+                    "decomposition-identity", "lemma5-peel",
+                    "thm7-even-cycles"):
         assert theorem not in resolve
     above = [mask for mask in range(total)
              if 2 * min(from_edge_mask(n, mask).degrees()) > n]
