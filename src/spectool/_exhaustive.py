@@ -6,10 +6,10 @@ into stacked adjacency matrices for batched LAPACK (one solve per distinct
 characteristic polynomial in the shard, kept in a ``SpectrumTable``) and
 exact int64 walk counts, and into bitset rows for the structural facts
 (connectivity, bipartiteness, diameter, peeling cores, the spectral
-Mantel equality case). Semantics (thresholds, formulas, epsilons) mirror
-the per-graph checkers exactly; Bondy's cycle search, apparent violations
-and graphs whose eigenvalues fail the trace certificate are handed back to
-the caller as masks.
+Mantel equality case, cycle lengths). Semantics (thresholds, formulas,
+epsilons) mirror the per-graph checkers exactly. The engine decides every
+theorem; it hands back to the caller, as masks, only the graphs whose
+eigenvalues fail the trace certificate and apparent violations.
 """
 
 from functools import lru_cache
@@ -320,6 +320,37 @@ def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
     return (rows == sees).all(axis=1)
 
 
+def cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """The cycle lengths of each graph of (b, n) bitset rows, as an int64
+    bitmask whose bit l is set iff the graph has a cycle on l vertices.
+
+    One dynamic program over the vertex subsets S in increasing order
+    (Bellman; Held and Karp): ``ends[S]`` is the set of vertices v at which
+    some path from min(S) through exactly S ends. A path extends only
+    through vertices above min(S), so every cycle is met from its lowest
+    vertex, and every extension of S is a larger subset, met later. S holds
+    a cycle on |S| >= 3 vertices iff ``ends[S]`` meets the row of min(S).
+    """
+    b, n = rows.shape
+    columns = np.ascontiguousarray(rows.T)
+    ends = np.zeros((1 << n, b), dtype=np.uint8)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    lengths = np.zeros(b, dtype=np.int64)
+    for s in range(1, 1 << n):
+        reach = ends[s]
+        if not reach.any():
+            continue
+        low = (s & -s).bit_length() - 1
+        if s.bit_count() >= 3:
+            lengths[(reach & columns[low]) != 0] |= 1 << s.bit_count()
+        grow = [u for u in range(low + 1, n) if not s >> u & 1]
+        if grow:
+            bit = np.uint8(1) << np.array(grow, dtype=np.uint8)
+            ends[s | bit] |= ((reach & columns[grow]) != 0) * bit[:, None]
+    return lengths
+
+
 def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
     """Connectivity, bipartiteness and diameter from exact-length walk sets.
 
@@ -381,10 +412,10 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     Returns ``{theorem: (nonvac, holds)}``, boolean arrays over the block
     with ``holds`` inside ``nonvac``, and ``{bound: tight}``, the graphs on
     which a requested bound applies and meets lambda_1 within ``EQ_EPS``.
-    The batch engine leaves ``nonvac & ~holds`` open: an apparent
-    violation, or Bondy's cycle search above its degree threshold. A
-    triangle-free graph at the spectral Mantel threshold holds iff
-    ``complete_bipartite_cores`` accepts it.
+    ``nonvac & ~holds`` is an apparent violation. A triangle-free graph at
+    the spectral Mantel threshold holds iff ``complete_bipartite_cores``
+    accepts it, and a graph with 2 * min_deg > n holds Bondy's lemma iff
+    ``cycle_lengths`` finds every length 3..n.
     """
     m, lam1, tri = stats["m"], stats["lam1"], stats["tri"]
     sqrt_m = np.sqrt(m.astype(np.float64))
@@ -433,8 +464,14 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
                 holds &= ~applies | (peel_survivors(stats["rows"], k) != 0)
         decide("lemma5-peel", m >= n, holds)
     if "lemma6-bondy" in theorems:
-        # Above the degree threshold the cycle search stays per graph.
-        decide("lemma6-bondy", 2 * stats["min_deg"] > n, nowhere)
+        nonvac = 2 * stats["min_deg"] > n
+        holds = nonvac.copy()
+        # The kernel visits all 2^n subsets however few rows it gets.
+        if nonvac.any():
+            every = sum(1 << l for l in range(3, n + 1))
+            lengths = cycle_lengths(stats["rows"][nonvac])
+            holds[nonvac] = lengths & every == every
+        decide("lemma6-bondy", nonvac, holds)
     if "thm7-even-cycles" in theorems:
         # No even length lies in [4, ceil(n/28)] at these orders.
         if math.ceil(n / 28) >= 4:
@@ -489,9 +526,9 @@ def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
     """Tally theorems over edge masks, a range or an int64 array.
 
     Returns counts, tight-census masks per bound, and ``resolve`` masks that
-    the caller must re-check per graph: what ``verdict_table`` leaves open,
-    and every requested theorem on the graphs that fail the trace
-    certificate.
+    the caller must re-check per graph: the apparent violations in
+    ``verdict_table``, and every requested theorem on the graphs that fail
+    the trace certificate.
     """
     counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
               for t in theorems}

@@ -237,7 +237,7 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
     n_prime = core.n
     core_min_degree = min(core.degrees())
     if n_prime <= g.n / 4:
-        found = _verify_cycle_range(core, 3, n_prime, budget)
+        found = missing_lengths(core, range(3, n_prime + 1), budget)
         steps.append(PipelineStep(
             "small-core-pancyclic",
             core_min_degree * 2 > n_prime and found == [],
@@ -245,17 +245,14 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
              "missing": found, "range": [3, n_prime]}))
     else:
         l_even = min(math.ceil(g.n / 28), EVEN_CYCLE_CAP)
-        missing = [
-            l for l in range(4, l_even + 1, 2)
-            if has_cycle_of_length(g, l, budget) is None
-        ]
+        missing = missing_lengths(g, range(4, l_even + 1, 2), budget)
         steps.append(PipelineStep(
             "even-cycles", missing == [],
             {"note": "dense-core lemma is asymptotic; replaced by explicit search",
              "range": [4, l_even], "missing": missing}))
         if core_min_degree * 2 > n_prime:
             upper = min(n_prime, EVEN_CYCLE_CAP)
-            found = _verify_cycle_range(core, 3, upper, budget)
+            found = missing_lengths(core, range(3, upper + 1), budget)
             steps.append(PipelineStep(
                 "core-pancyclic-bonus", found == [],
                 {"n_prime": n_prime, "core_min_degree": core_min_degree,
@@ -263,12 +260,14 @@ def theorem7_pipeline(g: Graph, spec: Spectrum | None = None,
     return Theorem7Pipeline(all(s.ok for s in steps), tuple(steps))
 
 
-def _verify_cycle_range(g: Graph, lo: int, hi: int, budget: int) -> list[int]:
-    """Lengths in lo..hi with no cycle found (exhaustive search per length)."""
-    return [
-        l for l in range(lo, hi + 1)
-        if has_cycle_of_length(g, l, budget) is None
-    ]
+def missing_lengths(g: Graph, lengths, budget: int) -> list[int]:
+    """The lengths, in the order given, on which g has no cycle: one
+    exhaustive search per length, and every length above g.n.
+
+    Raises SearchBudgetExceededError as ``has_cycle_of_length`` does.
+    """
+    return [l for l in lengths
+            if l > g.n or has_cycle_of_length(g, l, budget) is None]
 
 
 def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
@@ -293,10 +292,7 @@ def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
     if l_max < 4:
         return Verdict.vacuous(f"no even lengths in [4, {l_max}]")
     try:
-        missing = [
-            l for l in range(4, l_max + 1, 2)
-            if l > g.n or has_cycle_of_length(g, l, budget) is None
-        ]
+        missing = missing_lengths(g, range(4, l_max + 1, 2), budget)
     except SearchBudgetExceededError as exc:
         return Verdict.inconclusive(str(exc))
     if not missing:
@@ -317,10 +313,9 @@ def bondy_pancyclicity_check(g: Graph, budget: int = DEFAULT_BUDGET) -> Verdict:
     if 2 * delta <= g.n:
         return Verdict.vacuous(f"min degree {delta} <= n/2")
     try:
-        spectrum = cycle_spectrum(g, g.n, budget)
+        missing = missing_lengths(g, range(3, g.n + 1), budget)
     except SearchBudgetExceededError as exc:
         return Verdict.inconclusive(str(exc))
-    missing = [l for l in range(3, g.n + 1) if not spectrum.present >> l & 1]
     if not missing:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(

@@ -95,9 +95,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
-
     def edges(self):
         """Yield edges as pairs ``(u, v)`` with ``u < v``."""
         for v, row in enumerate(self.adj):

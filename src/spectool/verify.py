@@ -516,9 +516,9 @@ def _vector_shard(args) -> dict:
     partial = {"totals": result["counts"], "counterexamples": [],
                "tight": {bound: [mask_to_graph6(n, mask) for mask in mask_list]
                          for bound, mask_list in result["tight"].items()}}
-    # Graphs the batch engine cannot decide alone (Bondy's cycle search,
-    # any apparent violation, a failed trace certificate) get the per-graph
-    # reference checker for the theorems it left open.
+    # Graphs the batch engine hands back (a failed trace certificate, an
+    # apparent violation) get the per-graph reference checker for the
+    # theorems it left open.
     open_theorems: dict[int, list] = {}
     for tid_value, mask_list in result["resolve"].items():
         for mask in mask_list:

@@ -18,6 +18,7 @@ from spectool._exhaustive import (
     adjacency,
     block_stats,
     complete_bipartite_cores,
+    cycle_lengths,
     packed_keys,
     peel_survivors,
     power_sums,
@@ -26,7 +27,7 @@ from spectool._exhaustive import (
     walks_exact,
 )
 from spectool.bounds import BoundKind, bound_value
-from spectool.cycles import erdos_peel
+from spectool.cycles import cycle_spectrum, erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, star
 from spectool.spectrum import CLUSTER_EPS, EQ_EPS, eigendecompose
@@ -399,6 +400,21 @@ def test_complete_bipartite_cores_match_reference(n):
         assert any(got) and not all(got)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cycle_lengths_match_cycle_spectrum(n):
+    # Every labeled graph n <= 6; at n = 7 and 8 the seeded masks hold
+    # graphs on both sides of Bondy's degree threshold 2 * min_deg > n.
+    masks = _kernel_masks(n)
+    stats = block_stats(n, masks)
+    got = cycle_lengths(stats["rows"]).tolist()
+    for i, mask in enumerate(masks.tolist()):
+        assert got[i] == cycle_spectrum(from_edge_mask(n, mask), n).present, \
+            (n, mask)
+    above = 2 * stats["min_deg"] > n
+    if n >= 7:
+        assert above.any() and not above.all()
+
+
 def test_sweep_passes_the_cores_test_only_open_candidates(monkeypatch):
     # Every n = 7 graph the sweep hands to the predicate is triangle-free
     # at the spectral Mantel threshold; all of them are complete bipartite
@@ -455,21 +471,35 @@ def test_a_failing_cores_test_reaches_the_resolver_and_the_audit(
     assert at_threshold and not audit.ok()
 
 
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_nothing_is_resolved_up_to_six_vertices(connected_only):
+    # Every theorem is decided in the batch, and no graph fails the
+    # certificate or a theorem; the payload tests cannot see a kernel that
+    # sends too much to the resolver.
+    values = {t.value for t in ALL_THEOREMS}
+    for n in range(1, 7):
+        result = sweep_range(n, 0, labeled_graph_count(n), values,
+                             connected_only)
+        assert result["resolve"] == {}, n
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_only_bondy_above_its_threshold_is_resolved(n):
-    # Spectral Mantel, the walk identities, the peel and thm7 are decided
-    # in the batch; the payload tests cannot see a kernel that sends too
-    # much to the resolver.
+def test_only_bondy_above_its_threshold_is_resolved(monkeypatch, n):
+    # With the cycle kernel finding no cycle, exactly the graphs above
+    # Bondy's degree threshold reach the resolver, which finds every length
+    # on each, so the payload stays as it was.
+    config = SweepConfig(n_min=n, n_max=n, theorems=ALL_THEOREMS)
+    expected = sweep(config).payload()
+    monkeypatch.setattr(_exhaustive, "cycle_lengths",
+                        lambda rows: np.zeros(len(rows), dtype=np.int64))
     total = labeled_graph_count(n)
     values = {t.value for t in ALL_THEOREMS}
     resolve = sweep_range(n, 0, total, values, False)["resolve"]
-    for theorem in ("spectral-mantel", "walk-inequality",
-                    "decomposition-identity", "lemma5-peel",
-                    "thm7-even-cycles"):
-        assert theorem not in resolve
     above = [mask for mask in range(total)
              if 2 * min(from_edge_mask(n, mask).degrees()) > n]
-    assert sorted(resolve.get("lemma6-bondy", [])) == above
+    assert sorted(resolve.pop("lemma6-bondy", [])) == above
+    assert resolve == {}
+    assert sweep(config).payload() == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
