@@ -1,15 +1,20 @@
-"""Batched numpy engine for exhaustive sweeps on small orders.
+"""Batched numpy engine for exhaustive sweeps and fuzz runs.
 
-Graphs are edge bitmasks: a range of labeled ones or any array of masks,
-such as one per isomorphism class. Blocks of a few thousand are expanded
-into stacked adjacency matrices for batched LAPACK (one solve per distinct
-characteristic polynomial in the shard, kept in a ``SpectrumTable``) and
-exact int64 walk counts, and into bitset rows for the structural facts
-(connectivity, bipartiteness, diameter, peeling cores, the spectral
-Mantel equality case, cycle lengths). Semantics (thresholds, formulas,
-epsilons) mirror the per-graph checkers exactly. The engine decides every
-theorem; it hands back to the caller, as masks, only the graphs whose
-eigenvalues fail the trace certificate and apparent violations.
+Sweeps hand it edge bitmasks on up to 8 vertices: a range of labeled ones
+or any array of masks, such as one per isomorphism class. Blocks of a few
+thousand are expanded into stacked adjacency matrices for batched LAPACK
+(one solve per distinct characteristic polynomial in the shard, kept in a
+``SpectrumTable``) and exact int64 walk counts, and into bitset rows for
+the structural facts (connectivity, bipartiteness, diameter, peeling
+cores, the spectral Mantel equality case, cycle lengths). Fuzz runs hand
+it stacks of sampled graphs on up to 64 vertices as ``uint64`` bitset
+rows, one word per vertex (``stack_stats``), which get the same facts
+with one unkeyed solve per stack. Both feed one ``verdict_table``.
+Semantics (thresholds, formulas, epsilons) mirror the per-graph checkers
+exactly. The engine hands back to the caller only the graphs whose
+eigenvalues fail the trace certificate and apparent violations, which
+include the verdicts it does not decide on a stack: Bondy's lemma above 8
+vertices and the walk theorems where int64 could overflow.
 """
 
 from functools import lru_cache
@@ -27,6 +32,11 @@ BLOCK = 4096
 KEY_CHUNK = 512
 # A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
 MAX_EXHAUSTIVE_N = 8
+# In a stack of sampled graphs a vertex's neighbourhood is one 64-bit word.
+MAX_STACK_N = 64
+# Sampled graphs per stack: enough to share each stack's fixed numpy costs,
+# few enough that a stack of order 64 stays a few megabytes.
+STACK = 128
 # Horizon K of the walk inequality and decomposition identity in sweeps and
 # fuzz runs; int64 walk counts stay exact up to K = 20 at n = 8.
 WALK_DEPTH = 12
@@ -63,6 +73,32 @@ def walks_exact(n: int, K: int) -> bool:
     return n * n * (n - 1) ** K < 2 ** 63
 
 
+@lru_cache(maxsize=None)
+def walk_degree_limit(n: int, K: int) -> int:
+    """The largest maximum degree D at which int64 holds every walk
+    quantity up to length K >= 2 of an n-vertex graph exactly, by the rule
+    n (D+1) D^(K-1) < 2^63.
+
+    w_k(i) <= D^k, so a total is at most n D^K, the walk inequality's left
+    side w_k + w_{k-1} at most n (D+1) D^(K-1), and its right side
+    max_closed * w_{k-2}, with max_closed <= D (D+1), the same; the
+    decomposition sums are at most n D^K. ``walks._walk_dtype``'s rule
+    D^K < 2^63 bounds only the per-vertex counts.
+    """
+    d = n - 1
+    while d > 0 and n * (d + 1) * d ** (K - 1) >= 2 ** 63:
+        d -= 1
+    return d
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The set bits of each entry of an unsigned integer array, as int64,
+    counted byte by byte (numpy 1.24 has no ``bitwise_count``)."""
+    x = np.ascontiguousarray(x)
+    return _POPCOUNT[x.view(np.uint8)].reshape(*x.shape, x.itemsize) \
+        .sum(axis=-1)
+
+
 def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
     """The (b, n, n) uint8 adjacency matrices of a block of edge masks."""
     u_idx, v_idx, _ = _tables(n)
@@ -94,19 +130,62 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     # rows[:, v] has bit u set iff u ~ v; distinct powers of two sum to at
     # most 255, so the uint8 product is exact.
     rows = adj @ (np.uint8(1) << np.arange(n, dtype=np.uint8))
-    degrees = _POPCOUNT[rows]
-    m = degrees.sum(axis=1) // 2
     a = adj.astype(np.float64)
     table = SpectrumTable(n) if table is None else table
-    spectrum = table.facts(a)
-    sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     tri = np.zeros(b, dtype=np.int64)
     for tm in triple_masks:
         tri += (masks & tm) == tm
+    out = _stats(adj, a, rows, _POPCOUNT[rows], table.facts(a), tri,
+                 _walk_facts(n, rows, want_bip), want_bip, want_diam,
+                 walk_depth)
+    out["masks"] = masks
+    return out
+
+
+def stack_stats(rows: np.ndarray, want_bip: bool = False,
+                want_diam: bool = False,
+                walk_depth: int | None = None) -> dict:
+    """``block_stats`` for a stack of sampled graphs of one order n <= 64,
+    given as (b, n) ``uint64`` bitset rows (bit u of ``rows[:, v]`` set iff
+    u ~ v), with every key but ``masks``.
+
+    The spectra come from one ``eigvalsh`` of the whole stack, with no key:
+    sampled graphs rarely share one. The triangles are trace(A^3) / 6, and
+    connectivity, bipartiteness and the diameter come from ``_ball_facts``.
+    The walk verdicts are decided only on the graphs within
+    ``walk_degree_limit``; they are False on the rest, which hands those
+    graphs to the resolver.
+    """
+    b, n = rows.shape
+    if n > MAX_STACK_N:
+        raise OrderTooLargeError(f"stacks capped at n = {MAX_STACK_N}")
+    # Byte j of a little-endian word holds vertices 8j..8j+7.
+    adj = np.unpackbits(rows.astype("<u8").view(np.uint8).reshape(b, n, 8),
+                        axis=2, count=n, bitorder="little")
+    a = adj.astype(np.float64)
+    # Entries of A^2 are at most n, so the float64 trace is exact.
+    tri = np.einsum("bij,bij->b", a @ a, a).astype(np.int64) // 6
+    degrees = _popcount(rows)
+    fits = None
+    if walk_depth is not None:
+        fits = degrees.max(axis=1) <= walk_degree_limit(n, max(2, walk_depth))
+    return _stats(adj, a, rows, degrees,
+                  _spectrum_facts(np.linalg.eigvalsh(a)), tri,
+                  _ball_facts(adj), want_bip, want_diam, walk_depth, fits)
+
+
+def _stats(adj, a, rows, degrees, spectrum, tri, structure, want_bip,
+           want_diam, walk_depth, fits=None) -> dict:
+    """The facts of ``block_stats`` and ``stack_stats`` from a block's
+    (b, n, n) uint8 and float64 adjacency, bitset rows, degrees, spectral
+    facts (``_spectrum_facts``' keys), triangle counts and (connected,
+    bipartite, diameter). ``fits`` marks the graphs whose walk verdicts
+    are decided (all if None)."""
+    m = degrees.sum(axis=1) // 2
+    sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
     max_closed = (open_sums + degrees).max(axis=1).astype(np.int64)
     out = {
-        "masks": masks,
         "m": m,
         "min_deg": degrees.min(axis=1),
         "degrees": degrees,
@@ -120,7 +199,7 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
         & (np.abs(sum_squares - 2 * m) <= TRACE_EPS)
         & (np.abs(sum_cubes - 6 * tri) <= TRACE_EPS),
     }
-    connected, bipartite, diameter = _walk_facts(n, rows, want_bip)
+    connected, bipartite, diameter = structure
     out["connected"] = connected
     if want_bip:
         out["bipartite"] = bipartite
@@ -130,7 +209,7 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
         out["distinct"] = spectrum["distinct"]
     if walk_depth is not None:
         out["walk_inequality"], out["decomposition"] = _walk_checks(
-            adj, open_sums.astype(np.int64), max_closed, walk_depth)
+            adj, open_sums.astype(np.int64), max_closed, walk_depth, fits)
     return out
 
 
@@ -232,15 +311,25 @@ class SpectrumTable:
                 for name in ("ev", "sums", "symmetric", "distinct")}
 
     def _append(self, ev: np.ndarray) -> None:
-        ev2 = ev * ev
-        sums = np.stack([ev.sum(axis=1), ev2.sum(axis=1),
-                         (ev2 * ev).sum(axis=1)], axis=1)
-        symmetric = np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS
-        distinct = (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1
-        self.ev = np.concatenate([self.ev, ev])
-        self.sums = np.concatenate([self.sums, sums])
-        self.symmetric = np.concatenate([self.symmetric, symmetric])
-        self.distinct = np.concatenate([self.distinct, distinct])
+        for name, value in _spectrum_facts(ev).items():
+            setattr(self, name,
+                    np.concatenate([getattr(self, name), value]))
+
+
+def _spectrum_facts(ev: np.ndarray) -> dict:
+    """The spectral facts of (b, n) ascending eigenvalue rows: ``ev``
+    itself, the certificate sums of lambda, lambda^2 and lambda^3
+    (``sums``), whether the spectrum is symmetric about 0 (``symmetric``)
+    and the number of distinct eigenvalues (``distinct``), both up to
+    ``CLUSTER_EPS``."""
+    ev2 = ev * ev
+    return {
+        "ev": ev,
+        "sums": np.stack([ev.sum(axis=1), ev2.sum(axis=1),
+                          (ev2 * ev).sum(axis=1)], axis=1),
+        "symmetric": np.abs(ev + ev[:, ::-1]).max(axis=1) <= CLUSTER_EPS,
+        "distinct": (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1,
+    }
 
 
 def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
@@ -252,6 +341,11 @@ def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
     if not walks_exact(n, K):
         raise OrderTooLargeError(
             f"int64 walk counts are not exact at n = {n}, K = {K}")
+    return _levels(adj, K)
+
+
+def _levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
+    """``walk_levels`` without its order check; int64 may overflow."""
     a = adj.astype(np.int64)
     levels = [np.ones(adj.shape[:2], dtype=np.int64)]
     for _ in range(K):
@@ -260,7 +354,8 @@ def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
 
 
 def _walk_checks(adj: np.ndarray, open_sums: np.ndarray,
-                 max_closed: np.ndarray, walk_depth: int):
+                 max_closed: np.ndarray, walk_depth: int,
+                 fits: np.ndarray | None = None):
     """Walk inequality and decomposition identity, as the per-graph
     ``walk_inequality_holds`` and ``decomposition_identity_check`` decide
     them on a walk table of depth K = max(2, walk_depth).
@@ -268,10 +363,18 @@ def _walk_checks(adj: np.ndarray, open_sums: np.ndarray,
     The inequality w_k + w_{k-1} <= max_closed * w_{k-2} is checked for k
     in 2..walk_depth with w_{k-2} > 0; the identity needs W_2 to equal the
     open neighbourhood sums and w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K.
+    With ``fits``, only the graphs it marks are checked, on counts that
+    ``walk_degree_limit`` proves exact, and both verdicts are False on the
+    others.
     """
-    levels = walk_levels(adj, max(2, walk_depth))
+    K = max(2, walk_depth)
+    if fits is None:
+        levels = walk_levels(adj, K)
+    else:
+        levels = _levels(adj[fits], K)
+        open_sums, max_closed = open_sums[fits], max_closed[fits]
     totals = [level.sum(axis=1) for level in levels]
-    inequality = np.ones(len(adj), dtype=bool)
+    inequality = np.ones(len(levels[0]), dtype=bool)
     for k in range(2, walk_depth + 1):
         inequality &= (totals[k - 2] <= 0) | (
             totals[k] + totals[k - 1] <= max_closed * totals[k - 2])
@@ -279,12 +382,16 @@ def _walk_checks(adj: np.ndarray, open_sums: np.ndarray,
     decomposition = (w2 == open_sums).all(axis=1)
     for k in range(2, len(levels)):
         decomposition &= totals[k] == (levels[k - 2] * w2).sum(axis=1)
-    return inequality, decomposition
+    if fits is None:
+        return inequality, decomposition
+    verdicts = np.zeros((2, len(fits)), dtype=bool)
+    verdicts[:, fits] = inequality, decomposition
+    return verdicts[0], verdicts[1]
 
 
 def peel_survivors(rows: np.ndarray, k: int) -> np.ndarray:
     """Vertex bitmask of each graph's (k+1)-core, which is the survivor set
-    of ``cycles.erdos_peel(g, k)``.
+    of ``cycles.erdos_peel(g, k)``, for bitset rows of any unsigned width.
 
     Each round deletes every surviving vertex with at most k surviving
     neighbours. The survivors contain the core, so such a vertex has at most
@@ -292,20 +399,26 @@ def peel_survivors(rows: np.ndarray, k: int) -> np.ndarray:
     core, whatever order the per-graph peel deletes in. Every round but the
     last deletes a vertex, so n rounds suffice.
     """
-    n = rows.shape[1]
-    weights = np.uint8(1) << np.arange(n, dtype=np.uint8)
-    alive = np.full(len(rows), (1 << n) - 1, dtype=np.uint8)
+    n, word = rows.shape[1], rows.dtype
+    weights = _vertex_bits(n, word)
+    alive = np.full(len(rows), (1 << n) - 1, dtype=word)
     for _ in range(n):
-        low = _POPCOUNT[rows & alive[:, None]] <= k
-        drop = (low * weights).sum(axis=1, dtype=np.uint8) & alive
+        low = _popcount(rows & alive[:, None]) <= k
+        drop = (low * weights).sum(axis=1, dtype=word) & alive
         if not drop.any():
             break
         alive &= ~drop
     return alive
 
 
+def _vertex_bits(n: int, word) -> np.ndarray:
+    """1 << v for each vertex v < n, in the unsigned dtype ``word``."""
+    return np.dtype(word).type(1) << np.arange(n, dtype=word)
+
+
 def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
-    """``is_complete_bipartite_plus_isolated`` on (b, n) bitset rows.
+    """``is_complete_bipartite_plus_isolated`` on (b, n) bitset rows of any
+    unsigned width.
 
     With B the row of the lowest non-isolated vertex and A the other
     non-isolated vertices, a graph qualifies iff every vertex of A sees
@@ -314,7 +427,7 @@ def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
     support = np.bitwise_or.reduce(rows, axis=1)
     part_b = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
     part_a = support & ~part_b
-    bits = np.uint8(1) << np.arange(rows.shape[1], dtype=np.uint8)
+    bits = _vertex_bits(rows.shape[1], rows.dtype)
     sees = np.where(part_b[:, None] & bits, part_a[:, None],
                     np.where(part_a[:, None] & bits, part_b[:, None], 0))
     return (rows == sees).all(axis=1)
@@ -392,6 +505,48 @@ def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
     return connected, (~odd_closed if want_bip else None), diameter
 
 
+def _ball_facts(adj: np.ndarray):
+    """``_walk_facts``' connectivity, bipartiteness and diameter for a
+    (b, n, n) stack with n <= 64, by growing every vertex's ball at once.
+
+    As in ``graph._diameter``, ``reach`` holds one 64-bit word per vertex
+    with bit s set when vertex s lies within the current radius, and a
+    round ORs into it the words of its neighbours: one gather and one
+    ``bitwise_or.reduceat`` over the stack's arcs and a loop at each vertex
+    (so no group is empty). The rounds stop when no word changes. A graph
+    is connected iff vertex 0's word is then full, and its diameter is the
+    number of rounds at which some word was not full (n if disconnected).
+    ``even`` collects the sources at even distance. Adjacent vertices lie
+    at distances from a source in their component that differ by at most
+    1, and by exactly 1 for every source iff the component is bipartite;
+    so a graph is bipartite iff no edge has ends whose words agree on the
+    parity of a source they reach.
+    """
+    b, n = adj.shape[:2]
+    full = np.uint64((1 << n) - 1)
+    # Arc v -> u of graph g sits at (g n + v) n + u of the flat stack.
+    arcs = np.flatnonzero((adj | np.eye(n, dtype=np.uint8)).view(bool))
+    tails, heads = arcs // n, arcs // (n * n) * n + arcs % n
+    starts = np.searchsorted(tails, np.arange(b * n))
+    reach = np.tile(np.uint64(1) << np.arange(n, dtype=np.uint64), b)
+    even = reach.copy()
+    diameter = np.zeros(b, dtype=np.int64)
+    for radius in range(1, n + 1):
+        diameter += (reach != full).reshape(b, n).any(axis=1)
+        grown = np.bitwise_or.reduceat(reach[heads], starts)
+        if (grown == reach).all():
+            break
+        if radius % 2 == 0:
+            even |= grown & ~reach
+        reach = grown
+    connected = reach.reshape(b, n)[:, 0] == full
+    tails, heads = tails[tails != heads], heads[tails != heads]
+    agree = ~(even[tails] ^ even[heads]) & reach[tails]
+    odd = np.zeros(b, dtype=bool)
+    odd[tails[agree != 0] // n] = True
+    return connected, ~odd, np.where(connected, diameter, n)
+
+
 def _bound_arrays(stats: dict, n: int) -> dict:
     m = stats["m"].astype(np.float64)
     delta = stats["min_deg"].astype(np.float64)
@@ -465,9 +620,10 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         decide("lemma5-peel", m >= n, holds)
     if "lemma6-bondy" in theorems:
         nonvac = 2 * stats["min_deg"] > n
-        holds = nonvac.copy()
-        # The kernel visits all 2^n subsets however few rows it gets.
-        if nonvac.any():
+        # The kernel visits all 2^n subsets however few rows it gets, so
+        # above n = 8 the resolver decides the lemma.
+        holds = nonvac & (n <= MAX_EXHAUSTIVE_N)
+        if holds.any():
             every = sum(1 << l for l in range(3, n + 1))
             lengths = cycle_lengths(stats["rows"][nonvac])
             holds[nonvac] = lengths & every == every
@@ -494,19 +650,25 @@ def _blocks(n: int, masks, theorems, connected_only: bool = False):
     the trace certificate, and ``table`` is ``verdict_table`` on that part.
     A graph that fails the certificate gets no batch verdict.
     """
-    want_bip = "lemma1-spectrum-symmetry" in theorems
-    want_diam = "lemma2-diameter-distinct" in theorems
-    depth = WALK_DEPTH if WALK_THEOREMS & theorems else None
+    wants = _wants(theorems)
     table = SpectrumTable(n)
     for lo in range(0, len(masks), BLOCK):
         block = masks[lo:lo + BLOCK]
         if isinstance(block, range):
             block = np.arange(block.start, block.stop, dtype=np.int64)
-        stats = block_stats(n, block, want_bip, want_diam, depth, table)
+        stats = block_stats(n, block, *wants, table=table)
         if connected_only:
             stats = _select(stats, stats["connected"])
         certified = _select(stats, stats["certified"])
         yield stats, certified, verdict_table(n, certified, theorems)
+
+
+def _wants(theorems) -> tuple:
+    """``(want_bip, want_diam, walk_depth)``: the optional facts that the
+    theorems read."""
+    return ("lemma1-spectrum-symmetry" in theorems,
+            "lemma2-diameter-distinct" in theorems,
+            WALK_DEPTH if WALK_THEOREMS & theorems else None)
 
 
 def _select(stats: dict, keep: np.ndarray) -> dict:
@@ -523,9 +685,30 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
 
 
 def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
-    """Tally theorems over edge masks, a range or an int64 array.
+    """``_tally`` over edge masks, a range or an int64 array, with graphs
+    named by their masks."""
+    return _tally(((stats["masks"], stats["certified"], table)
+                   for stats, _, table in _blocks(n, masks, theorems,
+                                                  connected_only)),
+                  theorems)
 
-    Returns counts, tight-census masks per bound, and ``resolve`` masks that
+
+def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
+    """``_tally`` over one ``stack_stats`` stack of (b, n) ``uint64`` rows,
+    with graphs named by their positions in the stack."""
+    stats = stack_stats(rows, *_wants(theorems))
+    table = verdict_table(rows.shape[1], _select(stats, stats["certified"]),
+                          theorems)
+    return _tally([(np.arange(len(rows)), stats["certified"], table)],
+                  theorems)
+
+
+def _tally(blocks, theorems: set) -> dict:
+    """Tally theorems over ``(names, certified, (table, tight))`` blocks:
+    the graphs' names, the trace certificate's flags and ``verdict_table``
+    on the certified graphs.
+
+    Returns counts, tight-census names per bound, and ``resolve`` names that
     the caller must re-check per graph: the apparent violations in
     ``verdict_table``, and every requested theorem on the graphs that fail
     the trace certificate.
@@ -534,17 +717,16 @@ def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
               for t in theorems}
     tight: dict = {b: [] for b in BOUNDS if b in theorems}
     resolve: dict = {}
-    for stats, certified, (table, tight_masks) in _blocks(
-            n, masks, theorems, connected_only):
-        uncertified = stats["masks"][~stats["certified"]].tolist()
-        decided = certified["masks"]
+    for names, certified, (table, tight_names) in blocks:
+        uncertified = names[~certified].tolist()
+        decided = names[certified]
         for theorem, (nonvac, holds) in table.items():
             counts[theorem]["vacuous"] += int((~nonvac).sum())
             counts[theorem]["holds"] += int(holds.sum())
-            open_masks = uncertified + decided[nonvac & ~holds].tolist()
-            if open_masks:
-                resolve.setdefault(theorem, []).extend(open_masks)
-        for bound, is_tight in tight_masks.items():
+            open_names = uncertified + decided[nonvac & ~holds].tolist()
+            if open_names:
+                resolve.setdefault(theorem, []).extend(open_names)
+        for bound, is_tight in tight_names.items():
             tight[bound].extend(decided[is_tight].tolist())
     return {"counts": counts, "tight": tight, "resolve": resolve}
 

@@ -4,9 +4,12 @@ Labeled enumeration in edge-bitmask order is the trusted ground truth;
 canonical dedup (lexicographically minimal adjacency bitstring over vertex
 permutations) only selects which masks a sweep visits, one per isomorphism
 class, and sends them to the same batch engine and resolver as labeled
-masks. Sweeps partition the mask space into fixed shards, so reports are
-identical for any worker count; merging is commutative (counters plus
-sorted lists).
+masks. Fuzz runs draw seeded samples and send stacks of them, up to 64
+vertices, to the same engine and resolver. The per-graph checkers are the
+reference and the resolver: they decide only the graphs the engine hands
+back, and every sample above 64 vertices. Sweeps and fuzz runs partition
+their work into fixed shards, so reports are identical for any worker
+count; merging is commutative (counters plus sorted lists).
 """
 
 from dataclasses import dataclass
@@ -501,6 +504,27 @@ def _battery(g: Graph, theorems, partial: dict) -> None:
             partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
+def _resolved(result: dict, text, graph) -> dict:
+    """A shard's partial result from the batch engine's ``result``, whose
+    graphs are names that ``text`` turns into their report text and
+    ``graph`` into a ``Graph``.
+
+    The graphs the engine hands back (a failed trace certificate, an
+    apparent violation) get the per-graph reference checkers for the
+    theorems it left open.
+    """
+    partial = {"totals": result["counts"], "counterexamples": [],
+               "tight": {bound: [text(name) for name in names]
+                         for bound, names in result["tight"].items()}}
+    open_theorems: dict[int, list] = {}
+    for tid_value, names in result["resolve"].items():
+        for name in names:
+            open_theorems.setdefault(name, []).append(TheoremId(tid_value))
+    for name, ids in open_theorems.items():
+        _battery(graph(name), ids, partial)
+    return partial
+
+
 def _vector_shard(args) -> dict:
     """Batch engine over a shard's masks, a range of labeled ones or a list
     of canonical ones, with the per-graph battery for the graphs it hands
@@ -513,19 +537,8 @@ def _vector_shard(args) -> dict:
     else:
         result = _exhaustive.sweep_masks(
             n, np.array(masks, dtype=np.int64), values, connected_only)
-    partial = {"totals": result["counts"], "counterexamples": [],
-               "tight": {bound: [mask_to_graph6(n, mask) for mask in mask_list]
-                         for bound, mask_list in result["tight"].items()}}
-    # Graphs the batch engine hands back (a failed trace certificate, an
-    # apparent violation) get the per-graph reference checker for the
-    # theorems it left open.
-    open_theorems: dict[int, list] = {}
-    for tid_value, mask_list in result["resolve"].items():
-        for mask in mask_list:
-            open_theorems.setdefault(mask, []).append(TheoremId(tid_value))
-    for mask, ids in open_theorems.items():
-        _battery(from_edge_mask(n, mask), ids, partial)
-    return partial
+    return _resolved(result, lambda mask: mask_to_graph6(n, mask),
+                     lambda mask: from_edge_mask(n, mask))
 
 
 def _run_shards(worker, shard_args, jobs: int, merged: dict) -> dict:
@@ -595,7 +608,8 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 
 def parse_distribution(spec_text: str) -> tuple:
-    """Parse "gnp:30,0.5" / "bipartite:8,8,0.7" / "regular:20,3"."""
+    """Parse "gnp:30,0.5" / "bipartite:8,8,0.7" / "regular:20,3", checking
+    every parameter; raises ValueError naming a bad spec."""
     name, _, params_text = spec_text.partition(":")
     params = [p for p in params_text.split(",") if p]
     try:
@@ -630,41 +644,60 @@ def sample_distribution(dist: tuple, sample_seed: int) -> Graph:
     raise ValueError(f"unknown distribution {dist!r}")
 
 
+def _distribution_text(dist: tuple) -> str:
+    """The text form of a distribution tuple: ("gnp", 30, 0.5) -> "gnp:30,0.5"."""
+    return f"{dist[0]}:{','.join(str(x) for x in dist[1:])}"
+
+
 def _sample_seed(seed: int, index: int) -> int:
     # Stable per-sample derivation, independent of worker layout.
     return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0x7FFFFFFF
 
 
 def _fuzz_shard(args) -> dict:
+    """The samples lo..hi-1, drawn ``_exhaustive.STACK`` at a time. A stack
+    of at most ``_exhaustive.MAX_STACK_N`` vertices goes through the batch
+    engine, with the per-graph battery for the graphs it hands back; a
+    larger sample gets the battery for every theorem."""
     dist, lo, hi, seed, theorems = args
+    values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
-    for index in range(lo, hi):
-        g = sample_distribution(dist, _sample_seed(seed, index))
-        _battery(g, theorems, partial)
+    for start in range(lo, hi, _exhaustive.STACK):
+        samples = [sample_distribution(dist, _sample_seed(seed, index))
+                   for index in range(start, min(start + _exhaustive.STACK,
+                                                 hi))]
+        if samples[0].n > _exhaustive.MAX_STACK_N:
+            for g in samples:
+                _battery(g, theorems, partial)
+            continue
+        rows = np.array([g.adj for g in samples], dtype=np.uint64)
+        _merge(partial, _resolved(_exhaustive.sweep_stack(rows, values),
+                                  lambda i: graph_text(samples[i])[1],
+                                  samples.__getitem__))
     return partial
 
 
 def fuzz(distribution, count: int, seed: int,
          theorems=ALL_THEOREMS, jobs: int = 1) -> SweepReport:
-    """Randomized sweep: ``count`` seeded samples from one distribution."""
-    if isinstance(distribution, str):
-        dist = parse_distribution(distribution)
-    else:
-        dist = tuple(distribution)
+    """Randomized sweep: ``count`` seeded samples from one distribution,
+    given as text or as the tuple ``parse_distribution`` returns; both are
+    checked the same way before any sample is drawn."""
+    dist = parse_distribution(distribution if isinstance(distribution, str)
+                              else _distribution_text(distribution))
     if count < 0:
         raise ValueError("count must be nonnegative")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     theorem_ids = coerce_theorems(theorems)
     started = time.perf_counter()
-    step = max(1, math.ceil(count / SHARDS_PER_ORDER))
+    # A shard holds at least one whole stack, as a sweep shard holds a block.
+    step = max(_exhaustive.STACK, math.ceil(count / SHARDS_PER_ORDER))
     shard_args = [(dist, lo, min(lo + step, count), seed, theorem_ids)
                   for lo in range(0, count, step)]
     merged = _run_shards(_fuzz_shard, shard_args, jobs,
                          _empty_partial(theorem_ids))
     config = {
-        "distribution": ":".join(
-            [dist[0], ",".join(str(x) for x in dist[1:])]),
+        "distribution": _distribution_text(dist),
         "count": count, "seed": seed,
         "theorems": [t.value for t in theorem_ids],
     }

@@ -4,9 +4,10 @@ These deliberately avoid the library's own algorithms: triangles by triple
 enumeration, walks by explicit path extension, cycles by subset-and-
 permutation search, the diameter by one breadth-first search per vertex,
 neighbourhood sums neighbour by neighbour, G(n, p) through an edge list.
-``graph_shard`` and ``per_graph_payload`` are the exception: they run a
-shard or a whole sweep through the per-graph reference checkers alone,
-which the batch engine must reproduce.
+``graph_shard``, ``per_graph_payload`` and ``fuzz_shard_per_graph`` are
+the exception: they run a sweep shard, a whole sweep or a fuzz shard
+through the per-graph reference checkers alone, which the batch engine
+must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -22,8 +23,10 @@ from spectool.verify import (
     _empty_partial,
     _finalize,
     _run_shards,
+    _sample_seed,
     canonical_masks,
     labeled_graph_count,
+    sample_distribution,
 )
 
 
@@ -173,3 +176,14 @@ def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
     merged = _run_shards(graph_shard, shard_args, jobs,
                          _empty_partial(theorems))
     return _finalize(config.to_dict(), merged, 0.0).payload()
+
+
+def fuzz_shard_per_graph(args) -> dict:
+    """``verify._fuzz_shard``'s result from the per-graph battery alone:
+    every sample lo..hi-1 is drawn and checked on its own."""
+    dist, lo, hi, seed, theorems = args
+    partial = _empty_partial(theorems)
+    for index in range(lo, hi):
+        g = sample_distribution(dist, _sample_seed(seed, index))
+        _battery(g, theorems, partial)
+    return partial

@@ -259,6 +259,19 @@ def test_fuzz_deterministic_byte_identical():
     assert rep1.stdout == rep2.stdout
 
 
+@pytest.mark.parametrize("dist", ["gnp:7,0.9", "gnp:30,0.5"])
+def test_fuzz_report_survives_python_O(dist):
+    # python -O strips assert statements; a check of the batch engine made
+    # with one would vanish there and change the report.
+    args = ["fuzz", "--dist", dist, "--count", "40", "--seed", "3",
+            "--theorem", "all", "--json"]
+    plain = run_cli(args)
+    optimized = subprocess.run([sys.executable, "-O", *CLI[1:], *args],
+                               text=True, capture_output=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout and '"holds"' in plain.stdout
+
+
 def test_fuzz_bad_distribution_exit3():
     assert run_cli(["fuzz", "--dist", "gnp:30,1.5"]).returncode == 3
 

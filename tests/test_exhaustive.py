@@ -22,14 +22,16 @@ from spectool._exhaustive import (
     packed_keys,
     peel_survivors,
     power_sums,
+    stack_stats,
     sweep_range,
+    walk_degree_limit,
     walk_levels,
     walks_exact,
 )
 from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import cycle_spectrum, erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
-from spectool.families import complete, star
+from spectool.families import complete, gnp, random_bipartite, star
 from spectool.spectrum import CLUSTER_EPS, EQ_EPS, eigendecompose
 from spectool.graph import (
     bipartition,
@@ -689,3 +691,134 @@ def test_audit_tight_counts_match_the_sweep_census():
     tight = sweep(config).payload()["tight"]
     assert exhaustive_spectral_audit(1, 6).tight_counts == {
         bound: len(graphs) for bound, graphs in tight.items()}
+
+
+def _word_rows(graphs):
+    """The (b, n) uint64 bitset rows of graphs of one order."""
+    return np.array([g.adj for g in graphs], dtype=np.uint64)
+
+
+def _through_vertex_63():
+    """Graphs on 64 vertices built to use vertex 63, the top bit of a
+    word: K_{a,b} plus isolated vertices, with and without one edge inside
+    a part; paths and cycles relabelled to pass through it; and
+    disconnected unions."""
+    order = np.random.default_rng(63).permutation(64).tolist()
+    order.remove(63)
+    order.insert(5, 63)  # every relabelled shape below uses vertex 63
+
+    def relabel(edges):
+        return from_edges(64, [(order[u], order[v]) for u, v in edges])
+
+    def cbip(a, b, offset=0):
+        return [(offset + u, offset + a + v) for u in range(a)
+                for v in range(b)]
+
+    def path_edges(k, offset=0):
+        return [(offset + v, offset + v + 1) for v in range(k - 1)]
+
+    def cycle_edges(k, offset=0):
+        return path_edges(k, offset) + [(offset, offset + k - 1)]
+
+    return [
+        relabel(cbip(3, 4)), relabel(cbip(3, 4) + [(0, 1)]),
+        relabel(cbip(6, 1)), relabel(cbip(1, 6) + [(6, 7)]),
+        relabel(cbip(32, 32)), relabel(cbip(32, 32) + [(33, 40)]),
+        relabel(path_edges(64)), relabel(path_edges(9)),
+        relabel(cycle_edges(64)), relabel(cycle_edges(63)),
+        relabel(cycle_edges(63) + [(0, 63)]), relabel(cycle_edges(7)),
+        relabel(cycle_edges(6) + cycle_edges(5, 6) + cbip(2, 3, 20)),
+        relabel(cbip(2, 2) + cbip(3, 3, 4)),
+        from_edges(64, [(0, 63)]), from_edges(64, []),
+    ]
+
+
+def _word_graphs(n):
+    """Seeded G(n, p) over a range of densities and seeded random
+    bipartite graphs at order n, plus ``_through_vertex_63`` at n = 64."""
+    graphs = [gnp(n, p, seed) for p in (0.02, 0.06, 0.15, 0.4, 0.9)
+              for seed in range(8)]
+    graphs += [random_bipartite(n // 2, n - n // 2, p, seed)
+               for p in (0.05, 0.3, 1.0) for seed in range(3)]
+    return graphs + (_through_vertex_63() if n == 64 else [])
+
+
+@pytest.mark.parametrize("n", [9, 30, 63, 64])
+def test_word_kernels_match_reference(n):
+    # The peeling cores, the complete bipartite test and the structure of a
+    # uint64 stack against erdos_peel, is_complete_bipartite_plus_isolated,
+    # connectivity and bipartition, on rows one word wide.
+    graphs = _word_graphs(n)
+    rows = _word_rows(graphs)
+    stats = stack_stats(rows, want_bip=True, want_diam=True)
+    cores = complete_bipartite_cores(rows).tolist()
+    alive = {k: peel_survivors(rows, k).tolist() for k in (1, 2, 3)}
+    for i, g in enumerate(graphs):
+        conn = connectivity(g)
+        expected_diameter = conn.diameter if conn.is_connected else n
+        got = (bool(stats["connected"][i]), bool(stats["bipartite"][i]),
+               int(stats["diameter"][i]))
+        assert got == (conn.is_connected, bipartition(g) is not None,
+                       expected_diameter), (n, i)
+        assert cores[i] == (is_complete_bipartite_plus_isolated(g)
+                            is not None), (n, i)
+        for k in (1, 2, 3):
+            surviving = erdos_peel(g, k).surviving
+            assert alive[k][i] == sum(1 << v for v in surviving), (n, i, k)
+    for flags in (stats["connected"], stats["bipartite"], cores):
+        assert any(flags) and not all(flags)
+    assert len(set(stats["diameter"][stats["connected"]].tolist())) >= 3
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stack_stats_match_block_stats(n):
+    # Both fact builders on the same graphs: one from edge masks, triangle
+    # masks and walk sets, the other from uint64 rows, trace(A^3) and balls.
+    masks = _kernel_masks(n)
+    by_masks = block_stats(n, masks, True, True, WALK_DEPTH)
+    by_rows = stack_stats(by_masks["rows"].astype(np.uint64), True, True,
+                          WALK_DEPTH)
+    assert set(by_rows) == set(by_masks) - {"masks"}
+    for key, value in by_rows.items():
+        if value.dtype == np.float64:
+            assert np.abs(value - by_masks[key]).max() <= 1e-12, key
+        else:
+            assert (value == by_masks[key]).all(), key
+
+
+def _circulant(n, degree):
+    """The circulant graph on n (even) vertices joined at offsets
+    1..degree // 2, and n / 2 too when the degree is odd."""
+    offsets = list(range(1, degree // 2 + 1)) + ([n // 2] if degree % 2
+                                                   else [])
+    return from_edges(n, {(min(v, (v + d) % n), max(v, (v + d) % n))
+                          for v in range(n) for d in offsets})
+
+
+def test_stack_walks_at_the_edge_of_the_int64_rule():
+    # D = 26 is the largest degree at n = 64 whose totals, inequality sides
+    # and decomposition sums int64 holds at K = 12: the D-regular graph's
+    # int64 totals equal walk_counts' Python ints (w_12 = 64 * 26^12 > 2^62)
+    # and both walk verdicts are decided; a (D+1)-regular graph is left
+    # to the resolver.
+    n, K = 64, max(2, WALK_DEPTH)
+    limit = walk_degree_limit(n, K)
+    assert n * (limit + 1) * limit ** (K - 1) < 2 ** 63 \
+        <= n * (limit + 2) * (limit + 1) ** (K - 1)
+    edge, past = _circulant(n, limit), _circulant(n, limit + 1)
+    assert set(edge.degrees()) == {limit} and set(past.degrees()) == {limit + 1}
+    stats = stack_stats(_word_rows([edge, past]), walk_depth=WALK_DEPTH)
+    levels = _exhaustive._levels(stats["rows"][:1, :, None]
+                                 >> np.arange(n, dtype=np.uint64) & 1, K)
+    totals = walk_counts(edge, K).totals
+    assert [int(level.sum()) for level in levels] == list(totals)
+    assert totals[K] == n * limit ** K > 2 ** 62
+    assert walk_inequality_holds(edge, WALK_DEPTH)
+    assert decomposition_identity_check(edge, K)
+    assert stats["walk_inequality"].tolist() == [True, False]
+    assert stats["decomposition"].tolist() == [True, False]
+
+
+def test_stack_stats_rejects_orders_above_64():
+    with pytest.raises(OrderTooLargeError):
+        stack_stats(np.zeros((1, 65), dtype=np.uint64))

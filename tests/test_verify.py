@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spectool import _exhaustive
+from spectool import _exhaustive, verify
 from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
@@ -31,7 +31,7 @@ from spectool.verify import (
     sweep,
 )
 
-from oracles import per_graph_payload
+from oracles import fuzz_shard_per_graph, per_graph_payload
 
 
 class TestEnumeration:
@@ -337,6 +337,131 @@ class TestFuzz:
                     "regular:9,3", "gnp:0,0.5", "bipartite:0,0,0.5"):
             with pytest.raises(ValueError):
                 parse_distribution(bad)
+
+
+def _per_graph_fuzz(monkeypatch, *args, **kwargs) -> dict:
+    """``fuzz(*args, **kwargs).payload()`` with every sample decided by the
+    per-graph battery alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_fuzz_shard", fuzz_shard_per_graph)
+        return fuzz(*args, **kwargs).payload()
+
+
+def _spy_on_battery(monkeypatch) -> list:
+    """``(graph6 or edge list, theorem ids)`` for each ``_battery`` call."""
+    calls = []
+    real = verify._battery
+
+    def spy(g, theorems, partial):
+        calls.append((verify.graph_text(g)[1], [t.value for t in theorems]))
+        real(g, theorems, partial)
+
+    monkeypatch.setattr(verify, "_battery", spy)
+    return calls
+
+
+class TestFuzzEngine:
+    """Fuzz runs decide through the batch engine up to n = 64, with the
+    same payload as the per-graph battery on every sample."""
+
+    @pytest.mark.parametrize("dist,count", [
+        ("gnp:30,0.5", 300), ("regular:12,3", 300),
+        ("bipartite:6,7,0.5", 300), ("gnp:8,0.8", 60), ("gnp:9,0.5", 60),
+        ("gnp:64,0.5", 12), ("gnp:65,0.5", 6), ("gnp:20,0.95", 30),
+        ("gnp:40,0.99", 12), ("gnp:1,0.5", 4)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_payload_matches_the_per_graph_battery(self, monkeypatch, dist,
+                                                   count, jobs):
+        # gnp:8,0.8 reaches the Bondy kernel; from gnp:9 up, Bondy graphs
+        # (most of gnp:20,0.95) go to the resolver, and so do the walk
+        # theorems at gnp:40,0.99 and gnp:64,0.5, past the int64 rule.
+        expected = _per_graph_fuzz(monkeypatch, dist, count, 7, jobs=jobs)
+        assert fuzz(dist, count, 7, jobs=jobs).payload() == expected
+
+    def test_reference_samples_need_no_resolver(self, monkeypatch):
+        calls = _spy_on_battery(monkeypatch)
+        report = fuzz("gnp:30,0.5", 200, 0)
+        assert calls == [] and report.violated_count() == 0
+
+    def test_resolver_gets_only_what_the_stack_cannot_decide(
+            self, monkeypatch):
+        # At n = 9 only Bondy graphs go back; past the walk rule only the
+        # walk theorems; above n = 64 every theorem.
+        calls = _spy_on_battery(monkeypatch)
+        fuzz("gnp:9,0.9", 40, 1)
+        assert calls and {tuple(ids) for _, ids in calls} \
+            == {("lemma6-bondy",)}
+        calls.clear()
+        fuzz("gnp:40,0.99", 4, 1, ("walk-inequality", "stanley"))
+        assert [ids for _, ids in calls] == [["walk-inequality"]] * 4
+        calls.clear()
+        fuzz("gnp:65,0.1", 3, 1, ("mantel", "hong"))
+        assert [ids for _, ids in calls] == [["mantel", "hong"]] * 3
+
+    def test_a_failed_certificate_sends_one_sample_back(self, monkeypatch):
+        # Lower lambda_1 of sample 5 in its stack: it fails the trace
+        # certificate, goes to the battery for every theorem, and the
+        # payload stays as it was.
+        dist, seed = "gnp:30,0.5", 7
+        expected = fuzz(dist, 40, seed).payload()
+        target = verify.sample_distribution(
+            parse_distribution(dist), verify._sample_seed(seed, 5))
+        a = np.zeros((30, 30))
+        a[target._arcs] = 1
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(x):
+            ev = eigvalsh(x)
+            if x.shape[1:] == a.shape:
+                ev[(x == a).all(axis=(1, 2)), -1] -= 1.0
+            return ev
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        calls = _spy_on_battery(monkeypatch)
+        assert fuzz(dist, 40, seed).payload() == expected
+        assert [(text, sorted(ids)) for text, ids in calls] \
+            == [(to_graph6(target), sorted(t.value for t in ALL_THEOREMS))]
+
+    def test_a_lowered_bound_is_overruled_per_graph(self, monkeypatch):
+        # Stanley's batch value put 1 below lambda_1 on one sample: an
+        # apparent violation, which the per-graph checker finds to hold.
+        dist, seed = "regular:12,3", 7
+        expected = fuzz(dist, 40, seed).payload()
+        target = verify.sample_distribution(
+            parse_distribution(dist), verify._sample_seed(seed, 3))
+        rows = np.array(target.adj, dtype=np.uint64)
+        real = _exhaustive._bound_arrays
+
+        def lowered(stats, order):
+            values = real(stats, order)
+            hit = (stats["rows"] == rows).all(axis=1)
+            values["stanley"][hit] = stats["lam1"][hit] - 1
+            return values
+
+        monkeypatch.setattr(_exhaustive, "_bound_arrays", lowered)
+        calls = _spy_on_battery(monkeypatch)
+        report = fuzz(dist, 40, seed)
+        assert calls == [(to_graph6(target), ["stanley"])]
+        assert report.payload() == expected
+        assert report.totals["stanley"]["violated"] == 0
+
+    @pytest.mark.parametrize("dist", [("gnp", 0, 0.5),
+                                      ("bipartite", 0, 0, 0.5),
+                                      ("gnp", 5, 1.5), ("regular", 9, 3),
+                                      ("gnp", 5)])
+    def test_a_bad_tuple_is_rejected_before_sampling(self, monkeypatch,
+                                                     dist):
+        def never(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(verify, "sample_distribution", never)
+        with pytest.raises(ValueError, match="bad distribution spec"):
+            fuzz(dist, 2, 1)
+
+    def test_a_tuple_and_its_text_give_one_report(self):
+        text = fuzz("bipartite:4,5,0.6", 20, 3).payload()
+        assert fuzz(("bipartite", 4, 5, 0.6), 20, 3).payload() == text
+        assert text["config"]["distribution"] == "bipartite:4,5,0.6"
 
 
 class TestSpectralAudit:
