@@ -15,6 +15,17 @@ exactly. The engine hands back to the caller only the graphs whose
 eigenvalues fail the trace certificate and apparent violations, which
 include the verdicts it does not decide on a stack: Bondy's lemma above 8
 vertices and the walk theorems where int64 could overflow.
+
+Masks and stacks keep three kernel pairs, each chosen by the input and
+faster on its side (4,096-graph blocks, one Xeon core):
+- walk sets (``_walk_facts``) take 0.52-1.45 ms per n = 6..8 mask block,
+  ball growth (``_ball_facts``) 12.6-15.4 ms and one loop over rows of any
+  width 2.4-4.8 ms; on ``gnp:64,0.05`` stacks that loop takes 19.8 ms
+  against 5.9 ms for ball growth;
+- trace(A^3) / 6 in place of the triple masks raised an n = 7 mask block
+  from 9.0-13.7 ms to 13.4-16.6 ms;
+- the 2,097,152 graphs at n = 7 share 44,096 characteristic polynomials
+  (``SpectrumTable``), while sampled graphs rarely share one.
 """
 
 from functools import lru_cache
@@ -38,7 +49,8 @@ MAX_STACK_N = 64
 # few enough that a stack of order 64 stays a few megabytes.
 STACK = 128
 # Horizon K of the walk inequality and decomposition identity in sweeps and
-# fuzz runs; int64 walk counts stay exact up to K = 20 at n = 8.
+# fuzz runs; int64 walk counts stay exact on every graph up to K = 21 at
+# n = 8 (``walk_degree_limit``).
 WALK_DEPTH = 12
 
 WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
@@ -60,17 +72,6 @@ def _tables(n: int):
         for i, j, k in itertools.combinations(range(n), 3)
     ], dtype=np.int64)
     return u_idx, v_idx, triple_masks
-
-
-def walks_exact(n: int, K: int) -> bool:
-    """Whether int64 holds every walk quantity of an n-vertex graph up to
-    length K exactly.
-
-    w_k(i) <= (n-1)^k, so totals, the decomposition sums and the walk
-    inequality's right side max_closed * w_{k-2} (max_closed <= n(n-1)) all
-    stay at or below n^2 (n-1)^K.
-    """
-    return n * n * (n - 1) ** K < 2 ** 63
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +110,7 @@ def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
     return adj
 
 
-def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
-                want_diam: bool = False, walk_depth: int | None = None,
+def block_stats(n: int, masks: np.ndarray, walks: bool = False,
                 table: "SpectrumTable | None" = None) -> dict:
     """Vectorized per-graph quantities for a block of edge masks.
 
@@ -118,8 +118,8 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     solves only the characteristic polynomials it has not met before.
     ``certified`` flags the graphs whose eigenvalues meet the exact trace
     identities sum(lambda) = 0, sum(lambda^2) = 2m and sum(lambda^3) =
-    6 * triangles within ``TRACE_EPS``. A ``walk_depth`` adds the walk
-    inequality and decomposition identity verdicts at that depth.
+    6 * triangles within ``TRACE_EPS``. ``walks`` adds the walk inequality
+    and decomposition identity verdicts at depth ``WALK_DEPTH``.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(
@@ -136,15 +136,12 @@ def block_stats(n: int, masks: np.ndarray, want_bip: bool = False,
     for tm in triple_masks:
         tri += (masks & tm) == tm
     out = _stats(adj, a, rows, _POPCOUNT[rows], table.facts(a), tri,
-                 _walk_facts(n, rows, want_bip), want_bip, want_diam,
-                 walk_depth)
+                 _walk_facts(n, rows), walks)
     out["masks"] = masks
     return out
 
 
-def stack_stats(rows: np.ndarray, want_bip: bool = False,
-                want_diam: bool = False,
-                walk_depth: int | None = None) -> dict:
+def stack_stats(rows: np.ndarray, walks: bool = False) -> dict:
     """``block_stats`` for a stack of sampled graphs of one order n <= 64,
     given as (b, n) ``uint64`` bitset rows (bit u of ``rows[:, v]`` set iff
     u ~ v), with every key but ``masks``.
@@ -152,9 +149,6 @@ def stack_stats(rows: np.ndarray, want_bip: bool = False,
     The spectra come from one ``eigvalsh`` of the whole stack, with no key:
     sampled graphs rarely share one. The triangles are trace(A^3) / 6, and
     connectivity, bipartiteness and the diameter come from ``_ball_facts``.
-    The walk verdicts are decided only on the graphs within
-    ``walk_degree_limit``; they are False on the rest, which hands those
-    graphs to the resolver.
     """
     b, n = rows.shape
     if n > MAX_STACK_N:
@@ -165,22 +159,16 @@ def stack_stats(rows: np.ndarray, want_bip: bool = False,
     a = adj.astype(np.float64)
     # Entries of A^2 are at most n, so the float64 trace is exact.
     tri = np.einsum("bij,bij->b", a @ a, a).astype(np.int64) // 6
-    degrees = _popcount(rows)
-    fits = None
-    if walk_depth is not None:
-        fits = degrees.max(axis=1) <= walk_degree_limit(n, max(2, walk_depth))
-    return _stats(adj, a, rows, degrees,
+    return _stats(adj, a, rows, _popcount(rows),
                   _spectrum_facts(np.linalg.eigvalsh(a)), tri,
-                  _ball_facts(adj), want_bip, want_diam, walk_depth, fits)
+                  _ball_facts(adj), walks)
 
 
-def _stats(adj, a, rows, degrees, spectrum, tri, structure, want_bip,
-           want_diam, walk_depth, fits=None) -> dict:
+def _stats(adj, a, rows, degrees, spectrum, tri, structure, walks) -> dict:
     """The facts of ``block_stats`` and ``stack_stats`` from a block's
     (b, n, n) uint8 and float64 adjacency, bitset rows, degrees, spectral
     facts (``_spectrum_facts``' keys), triangle counts and (connected,
-    bipartite, diameter). ``fits`` marks the graphs whose walk verdicts
-    are decided (all if None)."""
+    bipartite, diameter)."""
     m = degrees.sum(axis=1) // 2
     sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
@@ -199,17 +187,12 @@ def _stats(adj, a, rows, degrees, spectrum, tri, structure, want_bip,
         & (np.abs(sum_squares - 2 * m) <= TRACE_EPS)
         & (np.abs(sum_cubes - 6 * tri) <= TRACE_EPS),
     }
-    connected, bipartite, diameter = structure
-    out["connected"] = connected
-    if want_bip:
-        out["bipartite"] = bipartite
-        out["symmetric"] = spectrum["symmetric"]
-    if want_diam:
-        out["diameter"] = diameter
-        out["distinct"] = spectrum["distinct"]
-    if walk_depth is not None:
+    out["connected"], out["bipartite"], out["diameter"] = structure
+    out["symmetric"] = spectrum["symmetric"]
+    out["distinct"] = spectrum["distinct"]
+    if walks:
         out["walk_inequality"], out["decomposition"] = _walk_checks(
-            adj, open_sums.astype(np.int64), max_closed, walk_depth, fits)
+            adj, degrees, open_sums.astype(np.int64), max_closed)
     return out
 
 
@@ -335,17 +318,9 @@ def _spectrum_facts(ev: np.ndarray) -> dict:
 def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
     """Per-vertex walk counts W_0..W_K of a block, each a (b, n) int64 array.
 
-    W_0 is all ones and W_k = A W_{k-1} is one batched int64 product.
+    W_0 is all ones and W_k = A W_{k-1} is one batched int64 product, exact
+    on the graphs within ``walk_degree_limit(n, K)``.
     """
-    n = adj.shape[1]
-    if not walks_exact(n, K):
-        raise OrderTooLargeError(
-            f"int64 walk counts are not exact at n = {n}, K = {K}")
-    return _levels(adj, K)
-
-
-def _levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
-    """``walk_levels`` without its order check; int64 may overflow."""
     a = adj.astype(np.int64)
     levels = [np.ones(adj.shape[:2], dtype=np.int64)]
     for _ in range(K):
@@ -353,37 +328,31 @@ def _levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
     return levels
 
 
-def _walk_checks(adj: np.ndarray, open_sums: np.ndarray,
-                 max_closed: np.ndarray, walk_depth: int,
-                 fits: np.ndarray | None = None):
+def _walk_checks(adj: np.ndarray, degrees: np.ndarray,
+                 open_sums: np.ndarray, max_closed: np.ndarray):
     """Walk inequality and decomposition identity, as the per-graph
     ``walk_inequality_holds`` and ``decomposition_identity_check`` decide
-    them on a walk table of depth K = max(2, walk_depth).
+    them on a walk table of depth K = ``WALK_DEPTH``.
 
     The inequality w_k + w_{k-1} <= max_closed * w_{k-2} is checked for k
-    in 2..walk_depth with w_{k-2} > 0; the identity needs W_2 to equal the
-    open neighbourhood sums and w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K.
-    With ``fits``, only the graphs it marks are checked, on counts that
-    ``walk_degree_limit`` proves exact, and both verdicts are False on the
-    others.
+    in 2..K with w_{k-2} > 0; the identity needs W_2 to equal the open
+    neighbourhood sums and w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K.
+    Only the graphs within ``walk_degree_limit(n, K)``, which is all of
+    them for n <= 8, are checked; both verdicts are False on the rest,
+    which hands them to the resolver.
     """
-    K = max(2, walk_depth)
-    if fits is None:
-        levels = walk_levels(adj, K)
-    else:
-        levels = _levels(adj[fits], K)
-        open_sums, max_closed = open_sums[fits], max_closed[fits]
+    fits = degrees.max(axis=1) <= walk_degree_limit(adj.shape[1], WALK_DEPTH)
+    levels = walk_levels(adj[fits], WALK_DEPTH)
+    open_sums, max_closed = open_sums[fits], max_closed[fits]
     totals = [level.sum(axis=1) for level in levels]
-    inequality = np.ones(len(levels[0]), dtype=bool)
-    for k in range(2, walk_depth + 1):
+    inequality = np.ones(len(max_closed), dtype=bool)
+    for k in range(2, WALK_DEPTH + 1):
         inequality &= (totals[k - 2] <= 0) | (
             totals[k] + totals[k - 1] <= max_closed * totals[k - 2])
     w2 = levels[2]
     decomposition = (w2 == open_sums).all(axis=1)
-    for k in range(2, len(levels)):
+    for k in range(2, WALK_DEPTH + 1):
         decomposition &= totals[k] == (levels[k - 2] * w2).sum(axis=1)
-    if fits is None:
-        return inequality, decomposition
     verdicts = np.zeros((2, len(fits)), dtype=bool)
     verdicts[:, fits] = inequality, decomposition
     return verdicts[0], verdicts[1]
@@ -464,7 +433,7 @@ def cycle_lengths(rows: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
+def _walk_facts(n: int, rows: np.ndarray):
     """Connectivity, bipartiteness and diameter from exact-length walk sets.
 
     W_k[v] is the set of ends of walks of length k from v: W_0[v] = {v} and
@@ -477,8 +446,7 @@ def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
     every vertex, and bipartite iff no odd k <= n has v in W_k[v]. The
     diameter is the number of k in 0..n-1 at which some ball of radius k is
     not the whole vertex set: the first k at which all balls are whole, 0
-    for n = 1 and n for disconnected graphs. ``bipartite`` is None unless
-    ``want_bip``, since the odd rounds up to n are only run then.
+    for n = 1 and n for disconnected graphs.
     """
     b = len(rows)
     full = (1 << n) - 1
@@ -489,7 +457,7 @@ def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
     seen = np.zeros(b, dtype=np.uint64)
     diameter = np.zeros(b, dtype=np.int64)
     odd_closed = np.zeros(b, dtype=bool)
-    for k in range(n + 1 if want_bip else n):
+    for k in range(n + 1):
         if k:
             step = np.zeros(b, dtype=np.uint64)
             for u in range(n):
@@ -502,7 +470,7 @@ def _walk_facts(n: int, rows: np.ndarray, want_bip: bool):
         if k % 2:
             odd_closed |= (walk & diag) != 0
     connected = (seen & np.uint64(0xFF)) == np.uint64(full)
-    return connected, (~odd_closed if want_bip else None), diameter
+    return connected, ~odd_closed, diameter
 
 
 def _ball_facts(adj: np.ndarray):
@@ -650,25 +618,17 @@ def _blocks(n: int, masks, theorems, connected_only: bool = False):
     the trace certificate, and ``table`` is ``verdict_table`` on that part.
     A graph that fails the certificate gets no batch verdict.
     """
-    wants = _wants(theorems)
+    walks = not WALK_THEOREMS.isdisjoint(theorems)
     table = SpectrumTable(n)
     for lo in range(0, len(masks), BLOCK):
         block = masks[lo:lo + BLOCK]
         if isinstance(block, range):
             block = np.arange(block.start, block.stop, dtype=np.int64)
-        stats = block_stats(n, block, *wants, table=table)
+        stats = block_stats(n, block, walks, table)
         if connected_only:
             stats = _select(stats, stats["connected"])
         certified = _select(stats, stats["certified"])
         yield stats, certified, verdict_table(n, certified, theorems)
-
-
-def _wants(theorems) -> tuple:
-    """``(want_bip, want_diam, walk_depth)``: the optional facts that the
-    theorems read."""
-    return ("lemma1-spectrum-symmetry" in theorems,
-            "lemma2-diameter-distinct" in theorems,
-            WALK_DEPTH if WALK_THEOREMS & theorems else None)
 
 
 def _select(stats: dict, keep: np.ndarray) -> dict:
@@ -696,7 +656,7 @@ def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
 def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
     """``_tally`` over one ``stack_stats`` stack of (b, n) ``uint64`` rows,
     with graphs named by their positions in the stack."""
-    stats = stack_stats(rows, *_wants(theorems))
+    stats = stack_stats(rows, not WALK_THEOREMS.isdisjoint(theorems))
     table = verdict_table(rows.shape[1], _select(stats, stats["certified"]),
                           theorems)
     return _tally([(np.arange(len(rows)), stats["certified"], table)],

@@ -12,11 +12,12 @@ import os
 import sys
 
 from .bounds import evaluate_all, spectral_mantel_classify
-from .cycles import cycle_spectrum
+from .cycles import DEFAULT_BUDGET, cycle_spectrum
 from .errors import (
     Graph6Error,
     OrderTooLargeError,
     RedrawLimitError,
+    SearchBudgetExceededError,
     SpectoolError,
 )
 from .families import complete, complete_bipartite, cycle, path, petersen, star
@@ -37,6 +38,11 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
+
+# The largest --walks K whose totals can be printed: the densest graph6
+# input, K_62, has w_K = 62 * 61^K, which stays within Python's 4,300-digit
+# limit on int-to-str conversion up to K = 2407.
+MAX_WALKS = 2407
 
 
 def _default_jobs() -> int:
@@ -111,7 +117,13 @@ def _analyze_one(g: Graph, args) -> dict:
         report["walks"] = {"K": args.walks,
                            "totals": [str(w) for w in table.totals]}
     if args.cycles:
-        spectrum = cycle_spectrum(g, min(args.cycles, g.n))
+        try:
+            spectrum = cycle_spectrum(g, min(args.cycles, g.n))
+        except SearchBudgetExceededError as exc:
+            raise SystemExit(_fail(
+                EXIT_CONFIG, f"--cycles {args.cycles}: the cycle search on "
+                f"{report['graph6']} exceeded its budget of {DEFAULT_BUDGET} "
+                f"node expansions ({exc})"))
         report["cycles"] = {"l_max": spectrum.l_max,
                             "present": spectrum.lengths()}
     return report
@@ -144,6 +156,8 @@ def cmd_analyze(args) -> int:
     for flag, value in (("--walks", args.walks), ("--cycles", args.cycles)):
         if value < 0:
             return _fail(EXIT_CONFIG, f"{flag} must be nonnegative")
+    if args.walks > MAX_WALKS:
+        return _fail(EXIT_CONFIG, f"--walks must be at most {MAX_WALKS}")
     graphs = _read_graphs(args.input)
     reports = [_analyze_one(g, args) for g in graphs]
     if args.json:

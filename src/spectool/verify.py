@@ -369,24 +369,6 @@ def canonical_masks(n: int) -> list[int]:
     return reps
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class (n <= 8)."""
-    if g.n > MAX_EXHAUSTIVE_N:
-        raise OrderTooLargeError("canonical form supported up to n = 8")
-    if g.n < 2:
-        return g
-    from .graph import to_edge_mask
-
-    table = _perm_edge_table(g.n)
-    nbits = g.n * (g.n - 1) // 2
-    images = _orbit_masks(to_edge_mask(g), table)
-    keys = np.zeros_like(images)
-    for e in range(nbits):
-        keys |= ((images >> e) & 1) << (nbits - 1 - e)
-    best = images[int(np.argmin(keys))]
-    return from_edge_mask(g.n, int(best))
-
-
 # ---------------------------------------------------------------------------
 # Sweeping
 
@@ -544,11 +526,12 @@ def _vector_shard(args) -> dict:
 def _run_shards(worker, shard_args, jobs: int, merged: dict) -> dict:
     """``merged`` with the worker's result for each shard merged in, in shard
     order: computed lazily in this process for one job, or by a pool of
-    ``jobs`` forked workers."""
+    ``jobs`` forked workers, one per shard at most."""
     if jobs <= 1 or len(shard_args) <= 1:
         parts = map(worker, shard_args)
     else:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(
+                min(jobs, len(shard_args))) as pool:
             parts = pool.map(worker, shard_args, chunksize=1)
     for part in parts:
         _merge(merged, part)

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 import pytest
 
-from spectool.cli import main
+from spectool import cli
+from spectool.cli import MAX_WALKS, main
+from spectool.cycles import DEFAULT_BUDGET
+from spectool.errors import SearchBudgetExceededError
 from spectool.graph6 import HEADER_LINE, mask_to_graph6
 from spectool.verify import ALL_THEOREMS
 
@@ -156,12 +159,38 @@ def test_analyze_negative_cycles_exit3():
     assert "--cycles" in result.stderr and "Traceback" not in result.stderr
 
 
-@given(hst.sampled_from(["--walks", "--cycles"]),
-       hst.integers(max_value=-1))
+@given(hst.one_of(
+    hst.tuples(hst.sampled_from(["--walks", "--cycles"]),
+               hst.integers(max_value=-1)),
+    hst.tuples(hst.just("--walks"), hst.integers(min_value=MAX_WALKS + 1))))
 @settings(max_examples=30, deadline=None)
-def test_analyze_any_negative_depth_exit3(flag, value):
+def test_analyze_any_negative_depth_exit3(case):
     # Rejected before any input is read.
+    flag, value = case
     assert main(["analyze", f"{flag}={value}"]) == 3
+
+
+def test_walks_cap_is_the_largest_printable_depth():
+    # K_62's total w_K = 62 * 61^K has at most 4,300 digits, Python's limit
+    # on int-to-str conversion, up to the cap and not one step beyond.
+    assert len(str(62 * 61 ** MAX_WALKS)) <= 4300
+    assert 62 * 61 ** (MAX_WALKS + 1) >= 10 ** 4300
+
+
+def test_analyze_exhausted_cycle_budget_exit3(monkeypatch, capsys, tmp_path):
+    def exhausted(g, l_max):
+        raise SearchBudgetExceededError(
+            f"budget {DEFAULT_BUDGET} exhausted at l=3")
+
+    monkeypatch.setattr(cli, "cycle_spectrum", exhausted)
+    source = tmp_path / "graphs.g6"
+    source.write_text("Bw\n")
+    assert main(["analyze", "--json", "--cycles", "3", str(source)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cycles" in captured.err and "Bw" in captured.err
+    assert str(DEFAULT_BUDGET) in captured.err
+    assert "Traceback" not in captured.err
 
 
 # Printable lines: arbitrary text without control or line-break characters,

@@ -26,7 +26,6 @@ from spectool._exhaustive import (
     sweep_range,
     walk_degree_limit,
     walk_levels,
-    walks_exact,
 )
 from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import cycle_spectrum, erdos_peel
@@ -63,7 +62,7 @@ from oracles import graph_shard, power_sums_by_int_powers
 
 
 def _assert_structure_matches_reference(n, masks):
-    stats = block_stats(n, masks, want_bip=True, want_diam=True)
+    stats = block_stats(n, masks)
     for i, mask in enumerate(masks):
         g = from_edge_mask(n, int(mask))
         conn = connectivity(g)
@@ -124,41 +123,23 @@ def test_walk_levels_match_walk_counts(n):
 
 
 def test_sweep_walk_depth_is_exact_at_every_order():
-    # Sweeps check the walk theorems at WALK_DEPTH on int64 counts only;
-    # walk_levels raises past the exact range, which would stop a labeled
-    # n = 8 sweep partway through.
-    assert walks_exact(MAX_EXHAUSTIVE_N, max(2, WALK_DEPTH))
-
-
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_shallow_walk_checks_match_reference(depth):
-    # Below depth 2 the inequality has no index to check, while the
-    # identity still uses a table of depth 2.
-    for n in range(1, 5):
-        masks = np.arange(labeled_graph_count(n), dtype=np.int64)
-        stats = block_stats(n, masks, walk_depth=depth)
-        for i, mask in enumerate(masks.tolist()):
-            g = from_edge_mask(n, mask)
-            table = walk_counts(g, max(2, depth))
-            assert stats["walk_inequality"][i] \
-                == walk_inequality_holds(g, depth, table), (n, mask)
-            assert stats["decomposition"][i] == decomposition_identity_check(
-                g, max(2, depth), table), (n, mask)
+    # Every graph a sweep meets is within the int64 walk rule at WALK_DEPTH,
+    # so a sweep never hands a walk theorem back to the resolver.
+    for n in range(1, MAX_EXHAUSTIVE_N + 1):
+        assert walk_degree_limit(n, WALK_DEPTH) == n - 1, n
 
 
 def test_walk_levels_at_the_int64_limit():
-    # n^2 (n-1)^K < 2^63 holds up to K = 20 at n = 8; K_8 attains the bound
-    # on every count.
-    assert walks_exact(8, 20) and not walks_exact(8, 21)
+    # n (D+1) D^(K-1) < 2^63 holds for D = 7 up to K = 21 at n = 8; K_8
+    # attains the bound on every count.
+    assert walk_degree_limit(8, 21) == 7 and walk_degree_limit(8, 22) == 6
     masks = np.concatenate([[labeled_graph_count(8) - 1],
                             _random_masks(8, 50, 23)]).astype(np.int64)
-    levels = walk_levels(adjacency(8, masks), 20)
+    levels = walk_levels(adjacency(8, masks), 21)
     for i, mask in enumerate(masks):
-        table = walk_counts(from_edge_mask(8, int(mask)), 20)
+        table = walk_counts(from_edge_mask(8, int(mask)), 21)
         assert [int(level[i].sum()) for level in levels] == list(table.totals)
-    assert int(levels[20][0].sum()) == 8 * 7 ** 20
-    with pytest.raises(OrderTooLargeError):
-        walk_levels(adjacency(8, masks), 21)
+    assert int(levels[21][0].sum()) == 8 * 7 ** 21
 
 
 def _spectrum_masks(n):
@@ -277,7 +258,7 @@ def test_table_rows_match_a_fresh_eigensolve(n):
     masks = _spectrum_masks(n)
     half = len(masks) // 2
     table = SpectrumTable(n)
-    parts = [block_stats(n, part, want_bip=True, want_diam=True, table=table)
+    parts = [block_stats(n, part, table=table)
              for part in (masks[:half], masks[half:])]
     ev = np.linalg.eigvalsh(adjacency(n, masks).astype(np.float64))
     got = {key: np.concatenate([part[key] for part in parts])
@@ -750,7 +731,7 @@ def test_word_kernels_match_reference(n):
     # connectivity and bipartition, on rows one word wide.
     graphs = _word_graphs(n)
     rows = _word_rows(graphs)
-    stats = stack_stats(rows, want_bip=True, want_diam=True)
+    stats = stack_stats(rows)
     cores = complete_bipartite_cores(rows).tolist()
     alive = {k: peel_survivors(rows, k).tolist() for k in (1, 2, 3)}
     for i, g in enumerate(graphs):
@@ -775,9 +756,8 @@ def test_stack_stats_match_block_stats(n):
     # Both fact builders on the same graphs: one from edge masks, triangle
     # masks and walk sets, the other from uint64 rows, trace(A^3) and balls.
     masks = _kernel_masks(n)
-    by_masks = block_stats(n, masks, True, True, WALK_DEPTH)
-    by_rows = stack_stats(by_masks["rows"].astype(np.uint64), True, True,
-                          WALK_DEPTH)
+    by_masks = block_stats(n, masks, walks=True)
+    by_rows = stack_stats(by_masks["rows"].astype(np.uint64), walks=True)
     assert set(by_rows) == set(by_masks) - {"masks"}
     for key, value in by_rows.items():
         if value.dtype == np.float64:
@@ -801,15 +781,15 @@ def test_stack_walks_at_the_edge_of_the_int64_rule():
     # int64 totals equal walk_counts' Python ints (w_12 = 64 * 26^12 > 2^62)
     # and both walk verdicts are decided; a (D+1)-regular graph is left
     # to the resolver.
-    n, K = 64, max(2, WALK_DEPTH)
+    n, K = 64, WALK_DEPTH
     limit = walk_degree_limit(n, K)
     assert n * (limit + 1) * limit ** (K - 1) < 2 ** 63 \
         <= n * (limit + 2) * (limit + 1) ** (K - 1)
     edge, past = _circulant(n, limit), _circulant(n, limit + 1)
     assert set(edge.degrees()) == {limit} and set(past.degrees()) == {limit + 1}
-    stats = stack_stats(_word_rows([edge, past]), walk_depth=WALK_DEPTH)
-    levels = _exhaustive._levels(stats["rows"][:1, :, None]
-                                 >> np.arange(n, dtype=np.uint64) & 1, K)
+    stats = stack_stats(_word_rows([edge, past]), walks=True)
+    levels = walk_levels(stats["rows"][:1, :, None]
+                         >> np.arange(n, dtype=np.uint64) & 1, K)
     totals = walk_counts(edge, K).totals
     assert [int(level.sum()) for level in levels] == list(totals)
     assert totals[K] == n * limit ** K > 2 ** 62

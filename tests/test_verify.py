@@ -1,5 +1,7 @@
 """Enumeration, the sweep/fuzz harness, determinism, and replay."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
 from spectool.families import complete, cycle, gnp, star
-from spectool.graph import from_edge_mask, is_connected, to_edge_mask
+from spectool.graph import from_edge_mask, is_connected
 from spectool.graph6 import to_graph6
 from spectool.spectrum import EQ_EPS, eigendecompose
 from spectool.verdicts import CounterexampleReport
@@ -20,7 +22,6 @@ from spectool.verify import (
     _battery,
     _empty_partial,
     _vector_shard,
-    canonical_form,
     canonical_masks,
     check_theorem,
     exhaustive_spectral_audit,
@@ -70,16 +71,6 @@ class TestEnumeration:
             assert min(orbit, key=lambda m: _lex_key(m, 6)) == mask
             total += len(orbit)
         assert total == labeled_graph_count(4)
-
-    def test_canonical_form_is_isomorphism_invariant(self):
-        g = star(5)
-        relabeled = from_edge_mask(5, to_edge_mask(g))
-        # Permute vertices: star centered at 4 instead of 0.
-        from spectool.graph import from_edges
-
-        h = from_edges(5, [(4, v) for v in range(4)])
-        assert canonical_form(g) == canonical_form(h)
-        assert canonical_form(relabeled) == canonical_form(g)
 
 
 def _lex_key(mask: int, nbits: int) -> int:
@@ -234,6 +225,34 @@ class TestSweep:
         config2 = SweepConfig(n_min=1, n_max=5, theorems=ALL_THEOREMS, jobs=3)
         assert sweep(config1).payload()["totals"] \
             == sweep(config2).payload()["totals"]
+
+    def test_pool_holds_one_worker_per_shard_at_most(self, monkeypatch):
+        # A fake pool records its size and maps in this process, so no
+        # worker is started. n <= 6 is 13 shards (8 of them at n = 6), and
+        # 300 samples are 3 shards of one stack each.
+        sizes = []
+
+        class Pool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, args, chunksize=1):
+                return list(map(worker, args))
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context",
+                            lambda method: mock.Mock(Pool=Pool))
+        swept = sweep(SweepConfig(n_max=6, jobs=1000)).payload()
+        fuzzed = fuzz("gnp:12,0.5", 300, 7, jobs=64).payload()
+        assert sizes == [13, 3]
+        monkeypatch.undo()
+        assert swept == sweep(SweepConfig(n_max=6, jobs=1)).payload()
+        assert fuzzed == fuzz("gnp:12,0.5", 300, 7, jobs=1).payload()
 
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_canonical_sweep_matches_reference(self, connected_only):
