@@ -1,6 +1,14 @@
-"""Graph generators: named families and seeded random models."""
+"""Graph generators: named families and seeded random models.
 
+``gnp`` and ``random_bipartite`` draw through one sampler,
+``bernoulli_rows``, which also gives fuzz runs their samples as packed rows
+without building a ``Graph``.
+"""
+
+import functools
 import random
+
+import numpy as np
 
 from .errors import InvalidOrderError, RedrawLimitError
 from .graph import Graph, from_edges
@@ -61,38 +69,109 @@ def petersen() -> Graph:
     return from_edges(10, edges)
 
 
+# Pairs drawn per getrandbits call, so a sample's draws take a bounded
+# amount of memory beyond its one byte per pair.
+DRAW_CHUNK = 1 << 14
+
+
+def _word_draws(rngs, count: int) -> np.ndarray:
+    """(len(rngs), count) array of each generator's next ``count`` random()
+    values, two 32-bit words of one getrandbits call each.
+
+    CPython's random() takes the next two Mersenne Twister words w0, w1 and
+    returns ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53, and getrandbits(64 * k)
+    returns the next 2k words with the first in the lowest bits.
+    """
+    words = np.frombuffer(b"".join(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        for rng in rngs), dtype="<u4").reshape(len(rngs), 2 * count)
+    return ((words[:, 0::2] >> 5) * 67108864.0
+            + (words[:, 1::2] >> 6)) / 9007199254740992.0
+
+
+@functools.cache
+def _words_match_random() -> bool:
+    """Whether ``_word_draws`` gives random()'s values in this interpreter:
+    getrandbits' word order is a CPython implementation detail. Checked on
+    first use, once per process; when it fails the draws come from
+    random()."""
+    seed = 0x5EED
+    reference = random.Random(seed)
+    return (_word_draws([random.Random(seed)], 8).tolist()
+            == [[reference.random() for _ in range(8)]])
+
+
+def _draws(rngs, count: int) -> np.ndarray:
+    """``_word_draws``, or the same values from random() calls where the
+    words do not give them."""
+    if not _words_match_random():
+        return np.array([[rng.random() for _ in range(count)]
+                         for rng in rngs]).reshape(len(rngs), count)
+    return _word_draws(rngs, count)
+
+
+def bernoulli_rows(slots: np.ndarray, p: float, seeds) -> np.ndarray:
+    """Packed adjacency rows of one sample per seed, as a
+    (len(seeds), n, ceil(n / 8)) ``uint8`` array whose row v holds bit u,
+    little-endian, iff {u, v} is an edge.
+
+    ``slots`` is an (n, n) bool mask of the candidate pairs (v, u), u < v,
+    and its row-major order is the draw order: a sample keeps its k-th pair
+    iff the k-th random() draw of ``random.Random(seed)`` is below p. The
+    draws come ``DRAW_CHUNK`` pairs at a time, so memory stays a few bytes
+    per vertex pair.
+    """
+    rngs = [random.Random(seed) for seed in seeds]
+    count = int(np.count_nonzero(slots))
+    keep = np.empty((len(rngs), count), dtype=bool)
+    for lo in range(0, count, DRAW_CHUNK):
+        hi = min(lo + DRAW_CHUNK, count)
+        keep[:, lo:hi] = _draws(rngs, hi - lo) < p
+    adj = np.zeros((len(rngs), *slots.shape), dtype=bool)
+    # place, unlike a masked assignment, builds no index arrays.
+    np.place(adj, np.broadcast_to(slots, adj.shape), keep)
+    adj |= adj.transpose(0, 2, 1)
+    return np.packbits(adj, axis=2, bitorder="little")
+
+
+def gnp_slots(n: int) -> np.ndarray:
+    """``bernoulli_rows`` slots of G(n, p): every pair, in ``edge_order``."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
+def bipartite_slots(a: int, b: int) -> np.ndarray:
+    """``bernoulli_rows`` slots of G(a, b, p): the a*b cross pairs, B-vertex
+    by B-vertex, which is again ``edge_order``."""
+    slots = np.zeros((a + b, a + b), dtype=bool)
+    slots[a:, :a] = True
+    return slots
+
+
+def _graph(packed: np.ndarray) -> Graph:
+    """The graph of one sample's packed ``bernoulli_rows``."""
+    return Graph(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
+                                    for row in packed))
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic for a fixed seed."""
+    """Erdos-Renyi G(n, p), deterministic for a fixed seed: one
+    ``random.Random(seed).random()`` draw per pair in ``edge_order``, the
+    pair kept iff the draw is below p."""
     if n < 0:
         raise InvalidOrderError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    # One draw per pair in edge_order (v ascending, then u < v), with the
-    # rows filled as the draws come.
-    rand = random.Random(seed).random
-    rows = [0] * n
-    for v in range(n):
-        bit_v = 1 << v
-        row = 0
-        for u in range(v):
-            if rand() < p:
-                row |= 1 << u
-                rows[u] |= bit_v
-        rows[v] = row
-    return Graph(n, tuple(rows))
+    return _graph(bernoulli_rows(gnp_slots(n), p, [seed])[0])
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
-    """Bipartite G(a, b, p): each of the a*b cross pairs kept with probability p."""
+    """Bipartite G(a, b, p): each of the a*b cross pairs kept with
+    probability p, one draw per pair as in ``gnp``, B-vertex by B-vertex."""
     if a < 0 or b < 0:
         raise InvalidOrderError("part sizes must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (u, a + v) for v in range(b) for u in range(a) if rng.random() < p
-    ]
-    return from_edges(a + b, edges)
+    return _graph(bernoulli_rows(bipartite_slots(a, b), p, [seed])[0])
 
 
 def _pairing_edges(n: int, k: int, rng: random.Random) -> set | None:

@@ -33,7 +33,14 @@ from .cycles import (
     erdos_peel,
 )
 from .errors import OrderTooLargeError, PreconditionViolatedError
-from .families import gnp, random_bipartite, random_regular
+from .families import (
+    bernoulli_rows,
+    bipartite_slots,
+    gnp,
+    gnp_slots,
+    random_bipartite,
+    random_regular,
+)
 from .graph import (
     Bipartition,
     Connectivity,
@@ -637,26 +644,44 @@ def _sample_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B1 + index * 0x85EBCA77) & 0x7FFFFFFF
 
 
+def _stack_rows(dist: tuple, seeds: list) -> np.ndarray:
+    """(len(seeds), n) ``uint64`` rows of the samples drawn from ``seeds``,
+    straight from the draws for ``gnp`` and ``bipartite``."""
+    if dist[0] == "regular":
+        return np.array([sample_distribution(dist, s).adj for s in seeds],
+                        dtype=np.uint64)
+    slots = (gnp_slots(dist[1]) if dist[0] == "gnp"
+             else bipartite_slots(dist[1], dist[2]))
+    packed = bernoulli_rows(slots, dist[-1], seeds)
+    return np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[2]))
+                  ).view("<u8")[..., 0]
+
+
 def _fuzz_shard(args) -> dict:
     """The samples lo..hi-1, drawn ``_exhaustive.STACK`` at a time. A stack
     of at most ``_exhaustive.MAX_STACK_N`` vertices goes through the batch
-    engine, with the per-graph battery for the graphs it hands back; a
-    larger sample gets the battery for every theorem."""
+    engine as rows, and a row becomes a ``Graph`` only when the per-graph
+    battery or the tight census needs it; a larger sample gets the battery
+    for every theorem."""
     dist, lo, hi, seed, theorems = args
     values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
+    n = dist[1] + dist[2] if dist[0] == "bipartite" else dist[1]
     for start in range(lo, hi, _exhaustive.STACK):
-        samples = [sample_distribution(dist, _sample_seed(seed, index))
-                   for index in range(start, min(start + _exhaustive.STACK,
-                                                 hi))]
-        if samples[0].n > _exhaustive.MAX_STACK_N:
-            for g in samples:
-                _battery(g, theorems, partial)
+        seeds = [_sample_seed(seed, index)
+                 for index in range(start, min(start + _exhaustive.STACK, hi))]
+        if n > _exhaustive.MAX_STACK_N:
+            for sample_seed in seeds:
+                _battery(sample_distribution(dist, sample_seed), theorems,
+                         partial)
             continue
-        rows = np.array([g.adj for g in samples], dtype=np.uint64)
+        rows = _stack_rows(dist, seeds)
+
+        def graph(i: int) -> Graph:
+            return Graph(n, tuple(rows[i].tolist()))
+
         _merge(partial, _resolved(_exhaustive.sweep_stack(rows, values),
-                                  lambda i: graph_text(samples[i])[1],
-                                  samples.__getitem__))
+                                  lambda i: graph_text(graph(i))[1], graph))
     return partial
 
 

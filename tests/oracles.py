@@ -3,11 +3,11 @@
 These deliberately avoid the library's own algorithms: triangles by triple
 enumeration, walks by explicit path extension, cycles by subset-and-
 permutation search, the diameter by one breadth-first search per vertex,
-neighbourhood sums neighbour by neighbour, G(n, p) through an edge list.
-``graph_shard``, ``per_graph_payload`` and ``fuzz_shard_per_graph`` are
-the exception: they run a sweep shard, a whole sweep or a fuzz shard
-through the per-graph reference checkers alone, which the batch engine
-must reproduce.
+neighbourhood sums neighbour by neighbour, G(n, p) and G(a, b, p) through
+an edge list. ``graph_shard``, ``per_graph_payload`` and
+``fuzz_shard_per_graph`` are the exception: they run a sweep shard, a whole
+sweep or a fuzz shard through the per-graph reference checkers alone, which
+the batch engine must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -16,6 +16,7 @@ import random
 
 import numpy as np
 
+from spectool.families import random_regular
 from spectool.graph import Graph, from_edge_mask, from_edges, is_connected
 from spectool.verify import (
     SweepConfig,
@@ -26,7 +27,6 @@ from spectool.verify import (
     _sample_seed,
     canonical_masks,
     labeled_graph_count,
-    sample_distribution,
 )
 
 
@@ -94,6 +94,14 @@ def gnp_by_edge_list(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     return from_edges(n, [(u, v) for v in range(n) for u in range(v)
                           if rng.random() < p])
+
+
+def bipartite_by_edge_list(a: int, b: int, p: float, seed: int) -> Graph:
+    """G(a, b, p) from the list of kept cross pairs, drawn B-vertex by
+    B-vertex."""
+    rng = random.Random(seed)
+    return from_edges(a + b, [(u, a + v) for v in range(b) for u in range(a)
+                              if rng.random() < p])
 
 
 def walks_by_enumeration(g: Graph, k: int) -> int:
@@ -180,10 +188,13 @@ def per_graph_payload(config: SweepConfig, jobs: int = 1) -> dict:
 
 def fuzz_shard_per_graph(args) -> dict:
     """``verify._fuzz_shard``'s result from the per-graph battery alone:
-    every sample lo..hi-1 is drawn and checked on its own."""
+    every sample lo..hi-1 is drawn on its own, ``gnp`` and ``bipartite``
+    ones through the edge-list oracles, and checked on its own."""
     dist, lo, hi, seed, theorems = args
+    draw = {"gnp": gnp_by_edge_list, "bipartite": bipartite_by_edge_list,
+            "regular": random_regular}[dist[0]]
     partial = _empty_partial(theorems)
     for index in range(lo, hi):
-        g = sample_distribution(dist, _sample_seed(seed, index))
+        g = draw(*dist[1:], _sample_seed(seed, index))
         _battery(g, theorems, partial)
     return partial

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import platform
 import random
 import re
 import tracemalloc
@@ -20,6 +21,7 @@ from spectool.errors import (
     TruncatedBodyError,
     UnsupportedOrderError,
 )
+from spectool import families
 from spectool.families import (
     complete,
     complete_bipartite,
@@ -27,6 +29,7 @@ from spectool.families import (
     gnp,
     path,
     petersen,
+    random_bipartite,
     random_regular,
     star,
 )
@@ -59,6 +62,7 @@ from spectool.graph6 import (
 )
 
 from oracles import (
+    bipartite_by_edge_list,
     complete_bipartite_parts_by_subsets,
     diameter_by_bfs,
     gnp_by_edge_list,
@@ -319,6 +323,72 @@ class TestFamilies:
             g = random_regular(8, 6, seed)
             assert g.n == 8 and set(g.degrees()) == {6}
         assert random_regular(7, 6, 1) == complete(7)
+
+
+DRAW_SEEDS = (0, 1, 7, 12345, 2**31 - 1, 2**40 + 3, -5)
+
+
+class TestSampler:
+    """``gnp`` and ``random_bipartite`` draw their pairs from getrandbits
+    words, which must be exactly the draws of random()."""
+
+    @pytest.mark.parametrize("length", [0, 1, 435, 2016])
+    def test_word_draws_are_the_random_draws(self, length):
+        drawn = families._word_draws(
+            [random.Random(seed) for seed in DRAW_SEEDS], length)
+        for seed, row in zip(DRAW_SEEDS, drawn):
+            reference = random.Random(seed)
+            assert row.tolist() == [reference.random()
+                                    for _ in range(length)], seed
+
+    def test_the_self_check_passes_here_and_can_fail(self, monkeypatch):
+        if platform.python_implementation() == "CPython":
+            assert families._words_match_random()
+        real = families._word_draws
+        monkeypatch.setattr(families, "_word_draws",
+                            lambda rngs, count: real(rngs, count)[:, ::-1])
+        assert not families._words_match_random.__wrapped__()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 435])
+    def test_chunks_continue_the_stream(self, monkeypatch, chunk):
+        monkeypatch.setattr(families, "DRAW_CHUNK", chunk)
+        for seed in DRAW_SEEDS:
+            assert gnp(30, 0.5, seed) == gnp_by_edge_list(30, 0.5, seed)
+            assert random_bipartite(4, 9, 0.3, seed) \
+                == bipartite_by_edge_list(4, 9, 0.3, seed)
+
+    def test_the_random_fallback_gives_the_same_graphs(self, monkeypatch):
+        expected = [gnp(n, 0.4, seed) for n in (0, 1, 9, 64, 70)
+                    for seed in DRAW_SEEDS]
+        expected += [random_bipartite(5, 6, 0.5, seed) for seed in DRAW_SEEDS]
+        monkeypatch.setattr(families, "_words_match_random", lambda: False)
+        monkeypatch.setattr(families, "DRAW_CHUNK", 100)
+        got = [gnp(n, 0.4, seed) for n in (0, 1, 9, 64, 70)
+               for seed in DRAW_SEEDS]
+        got += [random_bipartite(5, 6, 0.5, seed) for seed in DRAW_SEEDS]
+        assert got == expected
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (5, 0), (0, 0), (1, 1), (6, 7),
+                                     (32, 32), (33, 32)])
+    def test_random_bipartite_matches_the_edge_list_construction(self, a, b):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            for seed in range(20):
+                assert random_bipartite(a, b, p, seed) \
+                    == bipartite_by_edge_list(a, b, p, seed), (a, b, p, seed)
+
+    def test_gnp_draw_memory_is_bounded(self):
+        # n = 1,500 has 1,124,250 pairs. The draws in chunks, the kept-pair
+        # bytes, the bool matrix, its transpose and the slot mask take about
+        # 3.5 n^2 bytes (7.5 MB); all the words and floats at once would
+        # add about 16 bytes per pair (18 MB) on top.
+        tracemalloc.start()
+        try:
+            g = gnp(1500, 0.001, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == gnp_by_edge_list(1500, 0.001, 3).m
+        assert peak < 12 * 2**20, peak
 
 
 class TestStats:

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from spectool import _exhaustive, verify
+from spectool import _exhaustive, families, verify
 from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
@@ -32,7 +32,12 @@ from spectool.verify import (
     sweep,
 )
 
-from oracles import fuzz_shard_per_graph, per_graph_payload
+from oracles import (
+    bipartite_by_edge_list,
+    fuzz_shard_per_graph,
+    gnp_by_edge_list,
+    per_graph_payload,
+)
 
 
 class TestEnumeration:
@@ -387,13 +392,16 @@ class TestFuzzEngine:
         ("gnp:30,0.5", 300), ("regular:12,3", 300),
         ("bipartite:6,7,0.5", 300), ("gnp:8,0.8", 60), ("gnp:9,0.5", 60),
         ("gnp:64,0.5", 12), ("gnp:65,0.5", 6), ("gnp:20,0.95", 30),
-        ("gnp:40,0.99", 12), ("gnp:1,0.5", 4)])
+        ("gnp:40,0.99", 12), ("gnp:1,0.5", 4), ("gnp:63,0.3", 12),
+        ("bipartite:32,32,0.5", 12), ("bipartite:33,32,0.5", 6)])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_payload_matches_the_per_graph_battery(self, monkeypatch, dist,
                                                    count, jobs):
         # gnp:8,0.8 reaches the Bondy kernel; from gnp:9 up, Bondy graphs
         # (most of gnp:20,0.95) go to the resolver, and so do the walk
         # theorems at gnp:40,0.99 and gnp:64,0.5, past the int64 rule.
+        # gnp:63 and bipartite:32,32 name their graphs by edge lists, past
+        # graph6's cap; bipartite:33,32 is past the stacks' cap.
         expected = _per_graph_fuzz(monkeypatch, dist, count, 7, jobs=jobs)
         assert fuzz(dist, count, 7, jobs=jobs).payload() == expected
 
@@ -416,6 +424,50 @@ class TestFuzzEngine:
         calls.clear()
         fuzz("gnp:65,0.1", 3, 1, ("mantel", "hong"))
         assert [ids for _, ids in calls] == [["mantel", "hong"]] * 3
+
+    @pytest.mark.parametrize("dist", [
+        ("gnp", 1, 0.5), ("gnp", 2, 0.5), ("gnp", 8, 0.5), ("gnp", 62, 0.3),
+        ("gnp", 63, 0.7), ("gnp", 64, 0.5), ("bipartite", 32, 32, 0.5),
+        ("bipartite", 0, 5, 0.5)])
+    def test_stack_rows_are_the_sampled_graphs(self, dist):
+        # Rows of 1, 2 and 8 vertices pack into one byte of the word; rows
+        # of 62 to 64 vertices reach its last bits.
+        oracle = {"gnp": gnp_by_edge_list,
+                  "bipartite": bipartite_by_edge_list}[dist[0]]
+        seeds = [verify._sample_seed(3, index) for index in range(40)]
+        rows = verify._stack_rows(dist, seeds)
+        assert rows.dtype == np.uint64
+        assert [tuple(row) for row in rows.tolist()] \
+            == [oracle(*dist[1:], seed).adj for seed in seeds]
+
+    @pytest.mark.parametrize("dist,seed,built", [
+        ("gnp:30,0.5", 1, 0), ("gnp:64,0.05", 1, 0),
+        ("bipartite:10,10,0.5", 1, 0), ("gnp:8,0.5", 1, 2)])
+    def test_graphs_are_built_only_for_the_tight_census(self, monkeypatch,
+                                                        dist, seed, built):
+        # Without resolver graphs, a stack row becomes a Graph once per
+        # tight-list entry: gnp:8,0.5 seed 1 has one graph tight for thm11
+        # and lemma3.
+        made = []
+        real = verify.Graph
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "Graph", counted)
+        calls = _spy_on_battery(monkeypatch)
+        report = fuzz(dist, 1000, seed)
+        assert calls == [] and len(made) == built
+        assert sum(map(len, report.tight.values())) == built
+
+    @pytest.mark.parametrize("dist", ["gnp:30,0.5", "bipartite:6,7,0.5",
+                                      "gnp:8,0.5"])
+    def test_the_random_fallback_gives_the_same_payload(self, monkeypatch,
+                                                        dist):
+        expected = fuzz(dist, 300, 1).payload()
+        monkeypatch.setattr(families, "_words_match_random", lambda: False)
+        assert fuzz(dist, 300, 1).payload() == expected
 
     def test_a_failed_certificate_sends_one_sample_back(self, monkeypatch):
         # Lower lambda_1 of sample 5 in its stack: it fails the trace
@@ -474,6 +526,7 @@ class TestFuzzEngine:
             raise AssertionError("a sample was drawn")
 
         monkeypatch.setattr(verify, "sample_distribution", never)
+        monkeypatch.setattr(verify, "bernoulli_rows", never)
         with pytest.raises(ValueError, match="bad distribution spec"):
             fuzz(dist, 2, 1)
 
