@@ -16,20 +16,22 @@ eigenvalues fail the trace certificate and apparent violations, which
 include the verdicts it does not decide on a stack: Bondy's lemma above 8
 vertices and the walk theorems where int64 could overflow.
 
-Masks and stacks keep three kernel pairs, each chosen by the input and
+Masks and stacks keep two kernel pairs, each chosen by the input and
 faster on its side (4,096-graph blocks, one Xeon core):
 - walk sets (``_walk_facts``) take 0.52-1.45 ms per n = 6..8 mask block,
   ball growth (``_ball_facts``) 12.6-15.4 ms and one loop over rows of any
   width 2.4-4.8 ms; on ``gnp:64,0.05`` stacks that loop takes 19.8 ms
   against 5.9 ms for ball growth;
-- trace(A^3) / 6 in place of the triple masks raised an n = 7 mask block
-  from 9.0-13.7 ms to 13.4-16.6 ms;
 - the 2,097,152 graphs at n = 7 share 44,096 characteristic polynomials
   (``SpectrumTable``), while sampled graphs rarely share one.
+
+Both count triangles as trace(A^3) / 6. Masks once kept a third pair, one
+mask per vertex triple, because a separate float64 trace(A^3) raised an
+n = 7 mask block from 9.0-13.7 ms to 13.4-16.6 ms; now the key's one
+``power_sums`` pass yields p_3 for free, and the triple masks are gone.
 """
 
 from functools import lru_cache
-import itertools
 import math
 
 import numpy as np
@@ -38,7 +40,7 @@ from .errors import OrderTooLargeError
 from .spectrum import CLUSTER_EPS, EQ_EPS, TRACE_EPS
 
 BLOCK = 4096
-# Matrices per batch of the power-sum key, so its matrix powers stay small
+# Matrices per batch of ``power_sums``, so its matrix powers stay small
 # beside the block.
 KEY_CHUNK = 512
 # A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
@@ -62,16 +64,26 @@ _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int):
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    index = {pair: e for e, pair in enumerate(pairs)}
-    u_idx = np.array([u for u, _ in pairs], dtype=np.intp)
-    v_idx = np.array([v for _, v in pairs], dtype=np.intp)
-    triple_masks = np.array([
-        (1 << index[(i, j)]) | (1 << index[(i, k)]) | (1 << index[(j, k)])
-        for i, j, k in itertools.combinations(range(n), 3)
-    ], dtype=np.int64)
-    return u_idx, v_idx, triple_masks
+def _byte_tables(n: int) -> tuple:
+    """For each byte j of an edge mask, the (256, n, n) uint8 adjacency
+    and the (256, n) uint8 bitset rows of the graphs whose masks are the
+    byte values put at byte j."""
+    # Row-major below the diagonal is ``edge_order``: (v, u) for u < v.
+    v_idx, u_idx = np.tril_indices(n, -1)
+    values = np.arange(256, dtype=np.int64)[:, None]
+    # Distinct powers of two sum to at most 255: the row product is exact.
+    weights = np.uint8(1) << np.arange(n, dtype=np.uint8)
+    tables = []
+    for shift in range(0, max(len(u_idx), 1), 8):
+        bits = ((values << shift) >> np.arange(len(u_idx))) & 1
+        adj = np.zeros((256, n, n), dtype=np.uint8)
+        adj[:, u_idx, v_idx] = bits
+        adj[:, v_idx, u_idx] = bits
+        rows = adj @ weights
+        # Cached and shared: gathers copy them, and nothing may write them.
+        adj.flags.writeable = rows.flags.writeable = False
+        tables.append((adj, rows))
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)
@@ -102,12 +114,21 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
     """The (b, n, n) uint8 adjacency matrices of a block of edge masks."""
-    u_idx, v_idx, _ = _tables(n)
-    bits = (masks[:, None] >> np.arange(len(u_idx), dtype=np.int64)) & 1
-    adj = np.zeros((len(masks), n, n), dtype=np.uint8)
-    adj[:, u_idx, v_idx] = bits
-    adj[:, v_idx, u_idx] = bits
-    return adj
+    return _bitsets(n, masks)[0]
+
+
+def _bitsets(n: int, masks: np.ndarray):
+    """The (b, n, n) uint8 adjacency and the (b, n) uint8 bitset rows
+    (bit u of ``rows[:, v]`` set iff u ~ v) of a block of edge masks, each
+    an OR of one ``_byte_tables`` gather per mask byte."""
+    octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8) \
+        .reshape(len(masks), 8)
+    (adj, rows), *rest = _byte_tables(n)
+    adj, rows = adj[octets[:, 0]], rows[octets[:, 0]]
+    for j, (adj_j, rows_j) in enumerate(rest, 1):
+        adj |= adj_j[octets[:, j]]
+        rows |= rows_j[octets[:, j]]
+    return adj, rows
 
 
 def block_stats(n: int, masks: np.ndarray, walks: bool = False,
@@ -116,26 +137,22 @@ def block_stats(n: int, masks: np.ndarray, walks: bool = False,
 
     The spectral facts come from ``table`` (a fresh one if None), which
     solves only the characteristic polynomials it has not met before.
-    ``certified`` flags the graphs whose eigenvalues meet the exact trace
-    identities sum(lambda) = 0, sum(lambda^2) = 2m and sum(lambda^3) =
-    6 * triangles within ``TRACE_EPS``. ``walks`` adds the walk inequality
-    and decomposition identity verdicts at depth ``WALK_DEPTH``.
+    One ``power_sums`` pass gives the exact p_2..p_n that key the table
+    and count the triangles, p_3 / 6. ``certified`` flags the graphs whose
+    eigenvalues meet the exact trace identities sum(lambda) = 0,
+    sum(lambda^2) = 2m and sum(lambda^3) = p_3 = 6 * triangles within
+    ``TRACE_EPS``. ``walks`` adds the walk inequality and decomposition
+    identity verdicts at depth ``WALK_DEPTH``.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(
             f"batch engine capped at n = {MAX_EXHAUSTIVE_N}")
-    _, _, triple_masks = _tables(n)
-    b = len(masks)
-    adj = adjacency(n, masks)
-    # rows[:, v] has bit u set iff u ~ v; distinct powers of two sum to at
-    # most 255, so the uint8 product is exact.
-    rows = adj @ (np.uint8(1) << np.arange(n, dtype=np.uint8))
+    adj, rows = _bitsets(n, masks)
     a = adj.astype(np.float64)
     table = SpectrumTable(n) if table is None else table
-    tri = np.zeros(b, dtype=np.int64)
-    for tm in triple_masks:
-        tri += (masks & tm) == tm
-    out = _stats(adj, a, rows, _POPCOUNT[rows], table.facts(a), tri,
+    sums = power_sums(a)
+    tri = sums[:, 1] // 6 if n >= 3 else np.zeros(len(masks), dtype=np.int64)
+    out = _stats(adj, a, rows, _POPCOUNT[rows], table.facts(a, sums), tri,
                  _walk_facts(n, rows), walks)
     out["masks"] = masks
     return out
@@ -169,19 +186,22 @@ def _stats(adj, a, rows, degrees, spectrum, tri, structure, walks) -> dict:
     (b, n, n) uint8 and float64 adjacency, bitset rows, degrees, spectral
     facts (``_spectrum_facts``' keys), triangle counts and (connected,
     bipartite, diameter)."""
-    m = degrees.sum(axis=1) // 2
-    sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     open_sums = np.einsum("bij,bj->bi", a, degrees.astype(np.float64))
-    max_closed = (open_sums + degrees).max(axis=1).astype(np.int64)
+    # Reduced along axis 0 of (n, b) copies, far faster than along axis 1.
+    columns = np.ascontiguousarray(degrees.T)
+    open_columns = np.ascontiguousarray(open_sums.T)
+    m = columns.sum(axis=0) // 2
+    max_closed = (open_columns + columns).max(axis=0).astype(np.int64)
+    sum_ev, sum_squares, sum_cubes = spectrum["sums"].T
     out = {
         "m": m,
-        "min_deg": degrees.min(axis=1),
+        "min_deg": columns.min(axis=0),
         "degrees": degrees,
         "rows": rows,
         "lam1": spectrum["ev"][:, -1],
         "sum_cubes": sum_cubes,
         "tri": tri,
-        "max_open": open_sums.max(axis=1).astype(np.int64),
+        "max_open": open_columns.max(axis=0).astype(np.int64),
         "max_closed": max_closed,
         "certified": (np.abs(sum_ev) <= TRACE_EPS)
         & (np.abs(sum_squares - 2 * m) <= TRACE_EPS)
@@ -192,26 +212,34 @@ def _stats(adj, a, rows, degrees, spectrum, tri, structure, walks) -> dict:
     out["distinct"] = spectrum["distinct"]
     if walks:
         out["walk_inequality"], out["decomposition"] = _walk_checks(
-            adj, degrees, open_sums.astype(np.int64), max_closed)
+            adj, columns.max(axis=0), open_sums.astype(np.int64), max_closed)
     return out
 
 
 def power_sums(a: np.ndarray) -> np.ndarray:
-    """The power sums trace(A^k), k = 2..n, of a (b, n, n) float64 block of
-    adjacency matrices, as a (b, n - 1) array.
+    """The power sums p_k = trace(A^k), k = 2..n, of a (b, n, n) float64
+    block of adjacency matrices, as a (b, n - 1) int64 array.
 
-    trace(A^k) is the sum of A^i * A^(k-i) entrywise with i = k // 2, so
-    only powers up to ceil(n/2) are formed. Every entry of A^k is at most
-    (n-1)^k and every partial sum at most n(n-1)^k <= 8 * 7^8 < 2^53, so
-    float64 holds them all exactly.
+    The block is worked ``KEY_CHUNK`` matrices at a time, so its matrix
+    powers stay small beside it. trace(A^k) is the sum of A^i * A^(k-i)
+    entrywise with i = k // 2: one batched (c, 1, n^2) @ (c, n^2, 1)
+    product of the flattened powers, so only powers up to ceil(n/2) are
+    formed. Every entry of A^k is at most (n-1)^k and every partial sum at
+    most n(n-1)^k <= 8 * 7^8 < 2^53, so float64 holds them all exactly.
     """
-    n = a.shape[1]
-    powers = {1: a}
-    for i in range(2, (n + 1) // 2 + 1):
-        powers[i] = np.matmul(powers[i - 1], a)
-    return np.stack([np.einsum("bij,bij->b", powers[k // 2],
-                               powers[k - k // 2])
-                     for k in range(2, n + 1)], axis=1)
+    b, n = a.shape[:2]
+    sums = np.empty((b, n - 1), dtype=np.int64)
+    for lo in range(0, b, KEY_CHUNK):
+        chunk = a[lo:lo + KEY_CHUNK]
+        c = len(chunk)
+        powers = [None, chunk]
+        for _ in range(2, (n + 1) // 2 + 1):
+            powers.append(np.matmul(powers[-1], chunk))
+        for k in range(2, n + 1):
+            sums[lo:lo + c, k - 2] = np.matmul(
+                powers[k // 2].reshape(c, 1, n * n),
+                powers[k - k // 2].reshape(c, n * n, 1))[:, 0, 0]
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +260,15 @@ def _key_layout(n: int) -> tuple:
     return tuple(layout)
 
 
-def packed_keys(a: np.ndarray) -> np.ndarray:
-    """The exact power sums of a (b, n, n) float64 block packed into int64
-    words, as a (b, w) array: equal rows iff equal ``power_sums`` rows.
-
-    The powers are formed ``KEY_CHUNK`` matrices at a time.
-    """
-    b, n = a.shape[:2]
+def packed_keys(sums: np.ndarray, n: int) -> np.ndarray:
+    """The (b, n - 1) ``power_sums`` of a block of order n packed into int64
+    words, as a (b, w) array: equal rows iff equal ``sums`` rows."""
     layout = _key_layout(n)
     if not layout:  # n = 1: every graph has the polynomial x
-        return np.zeros((b, 1), dtype=np.int64)
-    words = np.zeros((b, layout[-1][0] + 1), dtype=np.int64)
-    for lo in range(0, b, KEY_CHUNK):
-        sums = power_sums(a[lo:lo + KEY_CHUNK]).astype(np.int64)
-        for column, (word, shift) in enumerate(layout):
-            words[lo:lo + KEY_CHUNK, word] |= sums[:, column] << shift
+        return np.zeros((len(sums), 1), dtype=np.int64)
+    words = np.zeros((len(sums), layout[-1][0] + 1), dtype=np.int64)
+    for column, (word, shift) in enumerate(layout):
+        words[:, word] |= sums[:, column] << shift
     return words
 
 
@@ -256,7 +278,8 @@ class SpectrumTable:
 
     By Newton's identities the power sums trace(A^k), k = 1..n, fix the
     characteristic polynomial, and trace(A) = 0; so graphs with equal
-    ``packed_keys`` share their spectrum. A row is solved, with one batched
+    ``packed_keys`` of their ``power_sums``, which the caller computes once
+    and hands in, share their spectrum. A row is solved, with one batched
     ``eigvalsh`` per block, for the first graph met with its key, and holds
     its ascending eigenvalues ``ev``, the certificate sums of lambda,
     lambda^2 and lambda^3 (``sums``), whether the spectrum is symmetric
@@ -271,11 +294,11 @@ class SpectrumTable:
         self.symmetric = np.empty(0, dtype=bool)
         self.distinct = np.empty(0, dtype=np.int64)
 
-    def facts(self, a: np.ndarray) -> dict:
-        """Each graph's facts for a (b, n, n) float64 block, gathered from
-        its row into arrays named like the stored ones; keys not seen before
-        get new rows."""
-        keys = packed_keys(a)
+    def facts(self, a: np.ndarray, sums: np.ndarray) -> dict:
+        """Each graph's facts for a (b, n, n) float64 block with
+        ``power_sums`` ``sums``, gathered from its row into arrays named
+        like the stored ones; keys not seen before get new rows."""
+        keys = packed_keys(sums, a.shape[1])
         order = np.lexsort(keys.T)  # stable: a group's head is its first graph
         ranked = keys[order]
         first = np.ones(len(a), dtype=bool)
@@ -328,7 +351,7 @@ def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
     return levels
 
 
-def _walk_checks(adj: np.ndarray, degrees: np.ndarray,
+def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
                  open_sums: np.ndarray, max_closed: np.ndarray):
     """Walk inequality and decomposition identity, as the per-graph
     ``walk_inequality_holds`` and ``decomposition_identity_check`` decide
@@ -341,7 +364,7 @@ def _walk_checks(adj: np.ndarray, degrees: np.ndarray,
     them for n <= 8, are checked; both verdicts are False on the rest,
     which hands them to the resolver.
     """
-    fits = degrees.max(axis=1) <= walk_degree_limit(adj.shape[1], WALK_DEPTH)
+    fits = max_deg <= walk_degree_limit(adj.shape[1], WALK_DEPTH)
     levels = walk_levels(adj[fits], WALK_DEPTH)
     open_sums, max_closed = open_sums[fits], max_closed[fits]
     totals = [level.sum(axis=1) for level in levels]
@@ -745,9 +768,11 @@ def audit_range(n: int, start: int, stop: int) -> dict:
             & (np.abs(certified["lam1"] - sqrt_m) <= EQ_EPS)
         out["tight_threshold_not_complete_bipartite"] += \
             masks[at_threshold].tolist()
-        degrees, min_deg = certified["degrees"], certified["min_deg"]
-        in_class = (degrees.max(axis=1) == min_deg) | (
-            (degrees == min_deg[:, None]) | (degrees == n - 1)).all(axis=1)
+        # Vertex-major, as in ``_stats``.
+        columns = np.ascontiguousarray(certified["degrees"].T)
+        min_deg = certified["min_deg"]
+        in_class = (columns.max(axis=0) == min_deg) | (
+            (columns == min_deg) | (columns == n - 1)).all(axis=0)
         out["hsf_tight_not_class"] += \
             masks[connected & tight["hsf"] & ~in_class].tolist()
         out["hsf_class_not_tight"] += \

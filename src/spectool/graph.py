@@ -41,8 +41,12 @@ def _set_bits(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                               bitorder="little").nonzero()
     counts = np.array([row.bit_count() for row in rows], dtype=np.int64)
     first_byte = np.array([*accumulate(sizes, initial=0)][:-1], dtype=np.int64)
-    return (np.arange(len(rows)).repeat(counts),
-            8 * (nonzero[byte] - first_byte.repeat(counts)) + bit, counts)
+    # In place: at most four per-arc arrays are alive at once.
+    heads = nonzero[byte]
+    heads -= first_byte.repeat(counts)
+    heads *= 8
+    heads += bit
+    return np.arange(len(rows)).repeat(counts), heads, counts
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,17 @@ class Graph:
                 raise ValueError(f"loop at vertex {v}")
         tails, heads, degrees = _set_bits(self.adj)
         # The keys v * n + u of the arcs come sorted; the rows are symmetric
-        # iff the reversed arcs sort to the same keys.
-        keys = tails * self.n + heads
-        mirrors = heads * self.n + tails
-        if not (np.sort(mirrors) == keys).all():
+        # iff the reversed arcs sort to the same keys. Both are built and
+        # sorted in place, so no other int64 array per arc is made.
+        keys = tails * self.n
+        keys += heads
+        mirrors = heads * self.n
+        mirrors += tails
+        mirrors.sort()
+        if not np.array_equal(mirrors, keys):
             # The first arc whose reverse is missing is the pair a
             # row-by-row scan meets first.
-            first = np.flatnonzero(~np.isin(mirrors, keys))[0]
+            first = np.flatnonzero(~np.isin(heads * self.n + tails, keys))[0]
             v, u = int(tails[first]), int(heads[first])
             raise ValueError(f"asymmetric adjacency at ({u}, {v})")
         object.__setattr__(self, "_arcs", (tails, heads))

@@ -1,13 +1,14 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the library's own algorithms: triangles by triple
-enumeration, walks by explicit path extension, cycles by subset-and-
-permutation search, the diameter by one breadth-first search per vertex,
-neighbourhood sums neighbour by neighbour, G(n, p) and G(a, b, p) through
-an edge list. ``graph_shard``, ``per_graph_payload`` and
-``fuzz_shard_per_graph`` are the exception: they run a sweep shard, a whole
-sweep or a fuzz shard through the per-graph reference checkers alone, which
-the batch engine must reproduce.
+enumeration (of a graph, or of a block of edge masks with one three-edge
+mask per vertex triple), edge-mask adjacency bit by bit, walks by explicit
+path extension, cycles by subset-and-permutation search, the diameter by
+one breadth-first search per vertex, neighbourhood sums neighbour by
+neighbour, G(n, p) and G(a, b, p) through an edge list. ``graph_shard``,
+``per_graph_payload`` and ``fuzz_shard_per_graph`` are the exception: they
+run a sweep shard, a whole sweep or a fuzz shard through the per-graph
+reference checkers alone, which the batch engine must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -17,7 +18,13 @@ import random
 import numpy as np
 
 from spectool.families import random_regular
-from spectool.graph import Graph, from_edge_mask, from_edges, is_connected
+from spectool.graph import (
+    Graph,
+    edge_order,
+    from_edge_mask,
+    from_edges,
+    is_connected,
+)
 from spectool.verify import (
     SweepConfig,
     _battery,
@@ -36,6 +43,27 @@ def triangles_by_triples(g: Graph) -> int:
         if g.has_edge(i, j) and g.has_edge(i, k) and g.has_edge(j, k):
             count += 1
     return count
+
+
+def triangles_by_triple_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """The triangles of each graph of an int64 block of edge masks: the
+    vertex triples whose three edge bits are all set."""
+    index = {pair: e for e, pair in enumerate(edge_order(n))}
+    tri = np.zeros(len(masks), dtype=np.int64)
+    for i, j, k in combinations(range(n), 3):
+        triple = (1 << index[(i, j)]) | (1 << index[(i, k)]) \
+            | (1 << index[(j, k)])
+        tri += (masks & triple) == triple
+    return tri
+
+
+def adjacency_by_edge_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (b, n, n) uint8 adjacency of a block of edge masks, bit e of each
+    mask written to both entries of the e-th pair of ``edge_order``."""
+    adj = np.zeros((len(masks), n, n), dtype=np.uint8)
+    for e, (u, v) in enumerate(edge_order(n)):
+        adj[:, u, v] = adj[:, v, u] = (masks >> e) & 1
+    return adj
 
 
 def diameter_by_bfs(g: Graph) -> float:

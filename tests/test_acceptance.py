@@ -70,7 +70,7 @@ def audit():
 def test_criterion_01_triangle_trace_identity(audit):
     assert audit.graphs == sum(labeled_graph_count(n) for n in range(1, 8))
     report(1, audit.triangle_mismatches == [],
-           f"sum(lambda^3)/6 rounds to the brute triangle count on all "
+           f"sum(lambda^3)/6 rounds to the exact count trace(A^3)/6 on all "
            f"{audit.graphs} labeled graphs, n <= 7 "
            f"(mismatches: {audit.triangle_mismatches[:5]})")
 

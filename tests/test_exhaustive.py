@@ -58,7 +58,13 @@ from spectool.walks import (
     walk_inequality_holds,
 )
 
-from oracles import graph_shard, power_sums_by_int_powers
+from oracles import (
+    adjacency_by_edge_bits,
+    gnp_by_edge_list,
+    graph_shard,
+    power_sums_by_int_powers,
+    triangles_by_triple_masks,
+)
 
 
 def _assert_structure_matches_reference(n, masks):
@@ -169,11 +175,59 @@ def test_power_sums_exact_at_k8():
 def test_grouped_spectra_match_eigvalsh(n):
     a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
     table = SpectrumTable(n)
-    grouped = table.facts(a)["ev"]
+    grouped = table.facts(a, power_sums(a))["ev"]
     assert grouped.shape == a.shape[:2]
     assert (np.diff(grouped, axis=1) >= 0).all()
     assert np.abs(grouped - np.linalg.eigvalsh(a)).max() <= 1e-12
-    assert table.facts(a[:0])["ev"].shape == (0, n)
+    assert table.facts(a[:0], power_sums(a[:0]))["ev"].shape == (0, n)
+
+
+def _row_major_degree_facts(adj):
+    """m, min_deg, max_open and max_closed of a (b, n, n) 0/1 block from
+    int64 degrees and neighbour sums, reduced along each graph's row."""
+    a = adj.astype(np.int64)
+    degrees = a.sum(axis=2)
+    open_sums = (a @ degrees[:, :, None])[:, :, 0]
+    return {"m": degrees.sum(axis=1) // 2, "min_deg": degrees.min(axis=1),
+            "max_open": open_sums.max(axis=1),
+            "max_closed": (open_sums + degrees).max(axis=1)}
+
+
+def _oracle_blocks(n):
+    """Every labeled graph for n <= 7, block by block; at n = 8, K_8 and
+    3,000 seeded masks."""
+    if n == 8:
+        return [np.concatenate([[labeled_graph_count(8) - 1],
+                                _spectrum_masks(8)]).astype(np.int64)]
+    total = labeled_graph_count(n)
+    return [np.arange(lo, min(lo + BLOCK, total), dtype=np.int64)
+            for lo in range(0, total, BLOCK)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_facts_match_triple_masks_and_row_reductions(n):
+    # The triangles p_3 / 6 against one mask per vertex triple, and the
+    # vertex-major reductions against row-major ones on a bit-by-bit
+    # adjacency, which the byte-table adjacency must equal too.
+    table = SpectrumTable(n)
+    for masks in _oracle_blocks(n):
+        stats = block_stats(n, masks, table=table)
+        adj = adjacency_by_edge_bits(n, masks)
+        assert (adjacency(n, masks) == adj).all()
+        assert (stats["tri"] == triangles_by_triple_masks(n, masks)).all()
+        for key, value in _row_major_degree_facts(adj).items():
+            assert (stats[key] == value).all(), (n, key)
+    if n == 8:
+        assert stats["tri"][0] == 56 and stats["max_closed"][0] == 56
+
+
+@pytest.mark.parametrize("n,p", [(30, 0.5), (64, 0.05)])
+def test_stack_degree_facts_match_row_reductions(n, p):
+    rows = _word_rows([gnp_by_edge_list(n, p, seed) for seed in range(128)])
+    stats = stack_stats(rows)
+    adj = (rows[:, :, None] >> np.arange(n, dtype=np.uint64)) & 1
+    for key, value in _row_major_degree_facts(adj).items():
+        assert (stats[key] == value).all(), key
 
 
 def _cospectral_pair():
@@ -194,9 +248,9 @@ def test_one_solve_per_distinct_power_sum_key(monkeypatch):
         solved.append(x.copy())
         return eigvalsh(x)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    ev = SpectrumTable(n).facts(a)["ev"]
     keys = power_sums(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ev = SpectrumTable(n).facts(a, keys)["ev"]
     assert len(solved) == 1
     solved_keys = power_sums(solved[0])
     assert len(solved_keys) == len(np.unique(keys, axis=0)) \
@@ -223,7 +277,8 @@ def _partition(inverse):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_packed_keys_group_like_power_sums(n):
     a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
-    packed = np.unique(packed_keys(a), axis=0, return_inverse=True)[1]
+    packed = np.unique(packed_keys(power_sums(a), n), axis=0,
+                       return_inverse=True)[1]
     exact = np.unique(power_sums(a), axis=0, return_inverse=True)[1]
     assert _partition(packed) == _partition(exact)
 
@@ -235,7 +290,7 @@ def test_packed_keys_unpack_to_power_sums(n):
     masks = np.concatenate([[labeled_graph_count(n) - 1],
                             _spectrum_masks(n)]).astype(np.int64)
     a = adjacency(n, masks).astype(np.float64)
-    words = packed_keys(a)
+    words = packed_keys(power_sums(a), n)
     assert (words >= 0).all()
     layout = _key_layout(n)
     unpacked = np.stack([
@@ -247,8 +302,14 @@ def test_packed_keys_unpack_to_power_sums(n):
     assert words.shape[1] == {7: 2, 8: 3}.get(n, 1)
 
 
+def _packed_keys_of_masks(n, masks):
+    return packed_keys(power_sums(adjacency(n, masks).astype(np.float64)), n)
+
+
 def test_packed_keys_at_one_vertex():
-    assert packed_keys(np.zeros((3, 1, 1))).tolist() == [[0], [0], [0]]
+    sums = power_sums(np.zeros((3, 1, 1)))
+    assert sums.shape == (3, 0)
+    assert packed_keys(sums, 1).tolist() == [[0], [0], [0]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -270,8 +331,7 @@ def test_table_rows_match_a_fresh_eigensolve(n):
     assert (got["distinct"]
             == (np.diff(ev, axis=1) > CLUSTER_EPS).sum(axis=1) + 1).all()
     assert len(table.index) == len(table.ev) == len(table.sums) \
-        == len(np.unique(packed_keys(adjacency(n, masks).astype(np.float64)),
-                         axis=0))
+        == len(np.unique(_packed_keys_of_masks(n, masks), axis=0))
 
 
 def _spying_eigvalsh(monkeypatch):
@@ -306,13 +366,13 @@ def test_a_shard_solves_each_key_once(monkeypatch):
     values = {"stanley", "lemma1-spectrum-symmetry"}
     solved = _spying_eigvalsh(monkeypatch)
     sweep_range(n, lo, hi, values, False)
-    a = adjacency(n, np.arange(lo, hi, dtype=np.int64)).astype(np.float64)
-    distinct = len(np.unique(packed_keys(a), axis=0))
-    per_block = sum(len(np.unique(packed_keys(a[i:i + BLOCK]), axis=0))
-                    for i in range(0, len(a), BLOCK))
+    keys = _packed_keys_of_masks(n, np.arange(lo, hi, dtype=np.int64))
+    distinct = len(np.unique(keys, axis=0))
+    per_block = sum(len(np.unique(keys[i:i + BLOCK], axis=0))
+                    for i in range(0, len(keys), BLOCK))
     assert len(solved) <= 4
     assert sum(len(x) for x in solved) == distinct < per_block
-    keys = packed_keys(np.concatenate(solved))
+    keys = packed_keys(power_sums(np.concatenate(solved)), n)
     assert len(np.unique(keys, axis=0)) == distinct
 
 
@@ -323,7 +383,7 @@ def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
     # after that graph gets a table of its own and is not affected.
     n, lo, hi = 7, 1 << 20, (1 << 20) + 4 * BLOCK
     masks = np.arange(lo, hi, dtype=np.int64)
-    keys = packed_keys(adjacency(n, masks).astype(np.float64))
+    keys = _packed_keys_of_masks(n, masks)
     first_block = {tuple(key) for key in keys[:BLOCK].tolist()}
     last_block = {tuple(key) for key in keys[-BLOCK:].tolist()}
     key = min(first_block & last_block)
@@ -753,8 +813,9 @@ def test_word_kernels_match_reference(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stack_stats_match_block_stats(n):
-    # Both fact builders on the same graphs: one from edge masks, triangle
-    # masks and walk sets, the other from uint64 rows, trace(A^3) and balls.
+    # Both fact builders on the same graphs: one from edge masks, keyed
+    # power sums and walk sets, the other from uint64 rows, one unkeyed
+    # solve and balls.
     masks = _kernel_masks(n)
     by_masks = block_stats(n, masks, walks=True)
     by_rows = stack_stats(by_masks["rows"].astype(np.uint64), walks=True)

@@ -390,6 +390,20 @@ class TestSampler:
         assert g.m == gnp_by_edge_list(1500, 0.001, 3).m
         assert peak < 12 * 2**20, peak
 
+    def test_dense_graph_check_memory_is_bounded(self):
+        # 561,874 edges are 1,123,748 arcs, 8.6 MB per int64 arc array.
+        # The rows check keeps at most four alive at once (tails, heads and
+        # the sorted keys and mirrors, built in place), about 37 MB with
+        # the sampler's share; five or more would pass 41 MB.
+        tracemalloc.start()
+        try:
+            g = gnp(1500, 0.5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 561_874
+        assert peak < 41 * 2**20, peak
+
 
 class TestStats:
     def test_basic_stats_examples(self):
