@@ -7,6 +7,8 @@ group + 63 gives a printable byte in 63..126. Byte 126 ('~') marks the long
 form, which is out of scope here.
 """
 
+import numpy as np
+
 from .errors import (
     BadPaddingError,
     EdgeListFormatError,
@@ -73,20 +75,42 @@ def to_graph6(g: Graph) -> str:
 
 
 def mask_to_graph6(n: int, mask: int) -> str:
-    """Short-form graph6 of ``from_edge_mask(n, mask)`` without building it.
-
-    Bit k of the mask is edge k of ``edge_order``, which is also the k-th bit
-    of the graph6 body, so the body is the mask's bits read low to high.
-    """
+    """Short-form graph6 of ``from_edge_mask(n, mask)`` without building it."""
     if not 0 <= n <= MAX_GRAPH6_N:
         raise UnsupportedOrderError(f"n = {n} outside the short-form range")
     nbits = n * (n - 1) // 2
     if not 0 <= mask < 1 << nbits:
         raise ValueError(f"mask {mask} has bits beyond the {nbits} edges")
-    body = format(mask, "b").zfill(nbits)[::-1] if nbits else ""
-    body += "0" * (-nbits % 6)
-    return chr(n + 63) + "".join(
-        chr(int(body[i:i + 6], 2) + 63) for i in range(0, len(body), 6))
+    return masks_to_graph6(n, [mask])[0]
+
+
+# Body byte of each 6-bit group value: its bits reversed, plus 63.
+_BODY_BYTES = np.array([int(f"{c:06b}"[::-1], 2) + 63 for c in range(64)],
+                       dtype=np.uint8)
+
+
+def masks_to_graph6(n: int, masks) -> list[str]:
+    """``mask_to_graph6`` of each of a sequence or an integer array of edge
+    masks of order n, each in [0, 2^(n(n-1)/2)).
+
+    Bit k of a mask is edge k of ``edge_order``, which is also the k-th bit
+    of the graph6 body, so body byte i is the table byte of the mask's bits
+    6i..6i+5, read low to high: one gather for all the masks, then one byte
+    string per mask. Masks of up to 63 bits (n <= 11) are int64, and
+    longer ones Python ints.
+    """
+    if not 0 <= n <= MAX_GRAPH6_N:
+        raise UnsupportedOrderError(f"n = {n} outside the short-form range")
+    nbits = n * (n - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    words = np.asarray(masks, dtype=np.int64 if nbits <= 63 else object)
+    if len(words) and ((words < 0) | (words >> nbits != 0)).any():
+        raise ValueError(f"a mask has bits beyond the {nbits} edges")
+    codes = np.empty((len(words), width), dtype=np.uint8)
+    codes[:, 0] = n + 63
+    groups = (words[:, None] >> 6 * np.arange(width - 1)) & 63
+    codes[:, 1:] = _BODY_BYTES[groups.astype(np.intp)]
+    return codes.view(f"S{width}")[:, 0].astype(str).tolist()
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

@@ -52,7 +52,7 @@ from .graph import (
     from_edge_mask,
     neighborhood_degree_sums,
 )
-from .graph6 import from_edge_list, from_graph6, graph_text, mask_to_graph6
+from .graph6 import from_edge_list, from_graph6, graph_text, masks_to_graph6
 from .spectrum import (
     EQ_EPS,
     Spectrum,
@@ -493,17 +493,17 @@ def _battery(g: Graph, theorems, partial: dict) -> None:
             partial["tight"][BOUND_THEOREMS[t].value].append(text)
 
 
-def _resolved(result: dict, text, graph) -> dict:
+def _resolved(result: dict, texts, graph) -> dict:
     """A shard's partial result from the batch engine's ``result``, whose
-    graphs are names that ``text`` turns into their report text and
-    ``graph`` into a ``Graph``.
+    graphs are names: ``texts`` turns a list of them into their report
+    texts and ``graph`` one into a ``Graph``.
 
     The graphs the engine hands back (a failed trace certificate, an
     apparent violation) get the per-graph reference checkers for the
     theorems it left open.
     """
     partial = {"totals": result["counts"], "counterexamples": [],
-               "tight": {bound: [text(name) for name in names]
+               "tight": {bound: texts(names)
                          for bound, names in result["tight"].items()}}
     open_theorems: dict[int, list] = {}
     for tid_value, names in result["resolve"].items():
@@ -526,7 +526,7 @@ def _vector_shard(args) -> dict:
     else:
         result = _exhaustive.sweep_masks(
             n, np.array(masks, dtype=np.int64), values, connected_only)
-    return _resolved(result, lambda mask: mask_to_graph6(n, mask),
+    return _resolved(result, lambda names: masks_to_graph6(n, names),
                      lambda mask: from_edge_mask(n, mask))
 
 
@@ -680,8 +680,9 @@ def _fuzz_shard(args) -> dict:
         def graph(i: int) -> Graph:
             return Graph(n, tuple(rows[i].tolist()))
 
-        _merge(partial, _resolved(_exhaustive.sweep_stack(rows, values),
-                                  lambda i: graph_text(graph(i))[1], graph))
+        _merge(partial, _resolved(
+            _exhaustive.sweep_stack(rows, values),
+            lambda names: [graph_text(graph(i))[1] for i in names], graph))
     return partial
 
 
@@ -762,7 +763,7 @@ def _as_graph6(n: int, value):
     if isinstance(value, dict):
         return {key: _as_graph6(n, item) for key, item in value.items()}
     if isinstance(value, list):
-        return [mask_to_graph6(n, mask) for mask in value]
+        return masks_to_graph6(n, value)
     return value
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: triangles by triple
 enumeration (of a graph, or of a block of edge masks with one three-edge
-mask per vertex triple), edge-mask adjacency bit by bit, walks by explicit
+mask per vertex triple), edge-mask adjacency bit by bit, graph6 names
+from bit strings, walks by explicit
 path extension, cycles by subset-and-permutation search, the diameter by
 one breadth-first search per vertex, neighbourhood sums neighbour by
 neighbour, G(n, p) and G(a, b, p) through an edge list. ``graph_shard``,
@@ -64,6 +65,16 @@ def adjacency_by_edge_bits(n: int, masks: np.ndarray) -> np.ndarray:
     for e, (u, v) in enumerate(edge_order(n)):
         adj[:, u, v] = adj[:, v, u] = (masks >> e) & 1
     return adj
+
+
+def graph6_by_bit_string(n: int, mask: int) -> str:
+    """Short-form graph6 of an edge mask from its bits as a string: read
+    low to high, zero-padded to a multiple of 6, one character per 6."""
+    nbits = n * (n - 1) // 2
+    body = format(mask, "b").zfill(nbits)[::-1] if nbits else ""
+    body += "0" * (-nbits % 6)
+    return chr(n + 63) + "".join(
+        chr(int(body[i:i + 6], 2) + 63) for i in range(0, len(body), 6))
 
 
 def diameter_by_bfs(g: Graph) -> float:

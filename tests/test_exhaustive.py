@@ -123,7 +123,7 @@ def test_walk_levels_match_walk_counts(n):
     levels = walk_levels(adjacency(n, masks), WALK_DEPTH)
     for i, mask in enumerate(masks):
         table = walk_counts(from_edge_mask(n, int(mask)), WALK_DEPTH)
-        got = [tuple(level[i].tolist()) for level in levels]
+        got = [tuple(level[:, i].tolist()) for level in levels]
         assert got == list(table.per_vertex), (n, int(mask))
         assert [sum(level) for level in got] == list(table.totals)
 
@@ -144,8 +144,9 @@ def test_walk_levels_at_the_int64_limit():
     levels = walk_levels(adjacency(8, masks), 21)
     for i, mask in enumerate(masks):
         table = walk_counts(from_edge_mask(8, int(mask)), 21)
-        assert [int(level[i].sum()) for level in levels] == list(table.totals)
-    assert int(levels[21][0].sum()) == 8 * 7 ** 21
+        assert [int(level[:, i].sum()) for level in levels] \
+            == list(table.totals)
+    assert int(levels[21][:, 0].sum()) == 8 * 7 ** 21
 
 
 def _spectrum_masks(n):
@@ -410,13 +411,31 @@ def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_peel_survivors_match_erdos_peel(n):
     masks = _kernel_masks(n)
-    rows = block_stats(n, masks)["rows"]
+    columns = np.ascontiguousarray(block_stats(n, masks)["rows"].T)
     for k in (1, 2, 3):
-        alive = peel_survivors(rows, k).tolist()
+        alive = peel_survivors(columns, k).tolist()
         for i, mask in enumerate(masks):
             peel = erdos_peel(from_edge_mask(n, int(mask)), k)
             assert alive[i] == sum(1 << v for v in peel.surviving), \
                 (n, int(mask), k)
+
+
+def test_peel_survivors_on_uint64_columns_at_vertex_63():
+    # Vertex 63, the top bit of a uint64 word, inside every core of a K_5
+    # and outside them as the centre of a star hung on another K_5: it has
+    # degree 6 there but goes in the second round, after its leaves.
+    inside = from_edges(64, [(u, v) for u in range(59, 64)
+                             for v in range(u + 1, 64)])
+    outside = from_edges(64, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                         + [(v, 63) for v in range(5, 11)])
+    columns = np.ascontiguousarray(_word_rows([inside, outside]).T)
+    top = np.uint64(1) << np.uint64(63)
+    for k in (1, 2, 3):
+        alive = peel_survivors(columns, k)
+        assert alive.dtype == np.uint64
+        assert alive.tolist() == [sum(1 << v for v in erdos_peel(g, k).surviving)
+                                  for g in (inside, outside)], k
+        assert (alive & top).tolist() == [int(top), 0], k
 
 
 def _graph_of_rows(row):
@@ -555,8 +574,8 @@ def test_an_empty_core_goes_to_the_reference(monkeypatch, k):
     lo = total - 4096
     real = _exhaustive.peel_survivors
 
-    def empty_core(rows, j):
-        alive = real(rows, j)
+    def empty_core(columns, j):
+        alive = real(columns, j)
         return alive * 0 if j == k else alive
 
     monkeypatch.setattr(_exhaustive, "peel_survivors", empty_core)
@@ -793,7 +812,8 @@ def test_word_kernels_match_reference(n):
     rows = _word_rows(graphs)
     stats = stack_stats(rows)
     cores = complete_bipartite_cores(rows).tolist()
-    alive = {k: peel_survivors(rows, k).tolist() for k in (1, 2, 3)}
+    columns = np.ascontiguousarray(rows.T)
+    alive = {k: peel_survivors(columns, k).tolist() for k in (1, 2, 3)}
     for i, g in enumerate(graphs):
         conn = connectivity(g)
         expected_diameter = conn.diameter if conn.is_connected else n
@@ -852,7 +872,7 @@ def test_stack_walks_at_the_edge_of_the_int64_rule():
     levels = walk_levels(stats["rows"][:1, :, None]
                          >> np.arange(n, dtype=np.uint64) & 1, K)
     totals = walk_counts(edge, K).totals
-    assert [int(level.sum()) for level in levels] == list(totals)
+    assert [int(level[:, 0].sum()) for level in levels] == list(totals)
     assert totals[K] == n * limit ** K > 2 ** 62
     assert walk_inequality_holds(edge, WALK_DEPTH)
     assert decomposition_identity_check(edge, K)

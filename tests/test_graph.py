@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -53,9 +54,11 @@ from spectool.graph import (
     to_edge_mask,
 )
 from spectool.graph6 import (
+    MAX_GRAPH6_N,
     from_edge_list,
     from_graph6,
     mask_to_graph6,
+    masks_to_graph6,
     read_graph6_lines,
     to_edge_list,
     to_graph6,
@@ -66,6 +69,7 @@ from oracles import (
     complete_bipartite_parts_by_subsets,
     diameter_by_bfs,
     gnp_by_edge_list,
+    graph6_by_bit_string,
     open_sums_by_neighbours,
     triangles_by_triples,
 )
@@ -182,6 +186,33 @@ class TestGraph6:
                     == from_edge_mask(n, mask), (n, mask)
         assert mask_to_graph6(3, 0b111) == "Bw"
         assert mask_to_graph6(4, 0b111111) == "C~"
+
+    def test_masks_to_graph6_match_the_bit_string_encoder(self):
+        # Every mask up to n = 5 and at n = 0, 1; 3,000 seeded masks from
+        # n = 6 to 8, as an int64 array and as a list; and above n = 11,
+        # where the masks no longer fit int64.
+        cases = {n: range(1 << (n * (n - 1) // 2)) for n in range(6)}
+        rng = random.Random(11)
+        for n in (6, 7, 8, 12, 30, MAX_GRAPH6_N):
+            count = 3000 if n <= 8 else 50
+            cases[n] = [rng.getrandbits(n * (n - 1) // 2) for _ in range(count)]
+        for n, masks in cases.items():
+            expected = [graph6_by_bit_string(n, mask) for mask in masks]
+            assert masks_to_graph6(n, list(masks)) == expected, n
+            if n <= 8:
+                assert masks_to_graph6(
+                    n, np.array(masks, dtype=np.int64)) == expected, n
+            assert [mask_to_graph6(n, mask) for mask in masks[:50]] \
+                == expected[:50], n
+        assert masks_to_graph6(7, []) == []
+
+    def test_masks_to_graph6_rejects_stray_bits(self):
+        with pytest.raises(ValueError):
+            masks_to_graph6(3, [7, 8])
+        with pytest.raises(ValueError):
+            masks_to_graph6(4, np.array([-1], dtype=np.int64))
+        with pytest.raises(UnsupportedOrderError):
+            masks_to_graph6(MAX_GRAPH6_N + 1, [0])
 
     def test_mask_to_graph6_rejects_stray_bits(self):
         with pytest.raises(ValueError):
