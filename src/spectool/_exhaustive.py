@@ -30,14 +30,23 @@ mask per vertex triple, because a separate float64 trace(A^3) raised an
 n = 7 mask block from 9.0-13.7 ms to 13.4-16.6 ms; now the key's one
 ``power_sums`` pass yields p_3 for free, and the triple masks are gone.
 
-The walk and peel kernels are shared, and vertex-major like ``_stats``'
-reductions: walk levels are (n, b) int64 arrays stepped by one ``einsum``
-over an (n, n, b) copy of the block, and the peel takes (n, b) rows, so a
-graph's sums run along axis 0. Against the batched int64 ``matmul`` on
-(b, n) rows (4,096-mask blocks, one core, medians of 6 interleaved rounds
-of 15) the walk checks fell from 7.5 / 8.4 / 6.9 ms to 4.2 / 5.2 / 4.1 ms
-at n = 6 / 7 / 8, and the peel for k = 1, 2, 3 from 3.3 / 3.8 / 5.1 ms to
-1.3 / 1.8 / 2.3 ms.
+The walk, peel and cycle kernels are shared and vertex-major like
+``_stats``' reductions, so a graph's sums run along axis 0 (axis 1 of the
+walk levels). None loops in Python over a block's graphs, subsets or walk
+lengths: each takes one numpy pass per walk level (per chunk of graphs),
+peeling round or subset size:
+- the walk checks form one (K - 1, n, c) int64 array of levels W_0..W_{K-2}
+  per ``WALK_CHUNK`` = c graphs, each level one ``einsum`` over an
+  (n, n, c) copy of the adjacency, take w_{K-1} and w_K as dot products of
+  the middle levels, and decide every k in one reduction. Per 4,096-mask
+  block (one core, medians of 6 alternating process rounds of 15) they
+  take 2.3 / 2.9 / 3.9 ms at n = 6 / 7 / 8, against 4.9 / 7.4 / 5.9 ms
+  for all K levels of the whole block and one reduction per k;
+- the peel takes (n, b) rows and starts each k from the survivors of k - 1;
+- ``cycle_lengths`` takes its subsets one size at a time, from cached
+  index tables: 0.12 / 0.93 / 2.1 ms on the Bondy rows of the densest block
+  (46 / 631 / 631 rows) at n = 6 / 7 / 8, against 1.7 / 4.5 / 7.0 ms for
+  one subset at a time.
 """
 
 from functools import lru_cache
@@ -59,6 +68,10 @@ MAX_STACK_N = 64
 # Sampled graphs per stack: enough to share each stack's fixed numpy costs,
 # few enough that a stack of order 64 stays a few megabytes.
 STACK = 128
+# Graphs per pass of the walk checks: at n <= 8 a pass's int64 copy of the
+# adjacency and its walk levels, under 1.3 MB, stay in one core's L2 cache
+# across the K - 2 products.
+WALK_CHUNK = 1024
 # Horizon K of the walk inequality and decomposition identity in sweeps and
 # fuzz runs; int64 walk counts stay exact on every graph up to K = 21 at
 # n = 8 (``walk_degree_limit``).
@@ -350,18 +363,20 @@ def _spectrum_facts(ev: np.ndarray) -> dict:
     }
 
 
-def walk_levels(adj: np.ndarray, K: int) -> list[np.ndarray]:
-    """Per-vertex walk counts W_0..W_K of a (b, n, n) block, each an (n, b)
-    int64 array: vertex-major, so a graph's sums run along axis 0.
+def walk_levels(adj: np.ndarray, K: int) -> np.ndarray:
+    """Per-vertex walk counts W_0..W_K of a (b, n, n) block, as one
+    (K + 1, n, b) int64 array: vertex-major, so a graph's sums run along
+    axis 1.
 
     The block is copied once, to an (n, n, b) int64 array, and W_k = A
-    W_{k-1} is one ``einsum`` over it, exact on the graphs within
-    ``walk_degree_limit(n, K)``.
+    W_{k-1} is one ``einsum`` over it, written in place, exact on the graphs
+    within ``walk_degree_limit(n, K)``.
     """
     a = np.ascontiguousarray(adj.transpose(1, 2, 0), dtype=np.int64)
-    levels = [np.ones(a.shape[1:], dtype=np.int64)]
-    for _ in range(K):
-        levels.append(np.einsum("vub,ub->vb", a, levels[-1]))
+    levels = np.empty((K + 1, *a.shape[1:]), dtype=np.int64)
+    levels[0] = 1
+    for k in range(1, K + 1):
+        np.einsum("vub,ub->vb", a, levels[k - 1], out=levels[k])
     return levels
 
 
@@ -374,29 +389,43 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
     The inequality w_k + w_{k-1} <= max_closed * w_{k-2} is checked for k
     in 2..K with w_{k-2} > 0; the identity needs W_2 to equal the open
     neighbourhood sums, given as (n, b) ``open_columns``, and
-    w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K. Only the graphs within
-    ``walk_degree_limit(n, K)``, which is all of them for n <= 8, are
-    checked; both verdicts are False on the rest, which hands them to the
-    resolver.
+    w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K. Both read only the levels
+    W_0..W_{K-2}: since w_{i+j} = W_i . W_j, the totals w_{K-1} and w_K are
+    dot products of the middle levels, so each ``WALK_CHUNK`` graphs take
+    K - 2 products, and each verdict is one reduction over all k. Only the
+    graphs within ``walk_degree_limit(n, K)``, which is all of them for
+    n <= 8, are checked; both verdicts are False on the rest, which hands
+    them to the resolver.
     """
-    fits = max_deg <= walk_degree_limit(adj.shape[1], WALK_DEPTH)
-    levels = walk_levels(adj[fits], WALK_DEPTH)
-    open_columns, max_closed = open_columns[:, fits], max_closed[fits]
-    totals = [level.sum(axis=0) for level in levels]
-    inequality = np.ones(len(max_closed), dtype=bool)
-    for k in range(2, WALK_DEPTH + 1):
-        inequality &= (totals[k - 2] <= 0) | (
-            totals[k] + totals[k - 1] <= max_closed * totals[k - 2])
-    w2 = levels[2]
-    decomposition = (w2 == open_columns).all(axis=0)
-    for k in range(2, WALK_DEPTH + 1):
-        decomposition &= totals[k] == (levels[k - 2] * w2).sum(axis=0)
-    verdicts = np.zeros((2, len(fits)), dtype=bool)
-    verdicts[:, fits] = inequality, decomposition
-    return verdicts[0], verdicts[1]
+    K = WALK_DEPTH
+    fits = max_deg <= walk_degree_limit(adj.shape[1], K)
+    every = fits.all()
+    if not every:
+        adj = adj[fits]
+        open_columns, max_closed = open_columns[:, fits], max_closed[fits]
+    verdicts = np.empty((2, len(adj)), dtype=bool)
+    for lo in range(0, len(adj), WALK_CHUNK):
+        part = slice(lo, lo + WALK_CHUNK)
+        levels = walk_levels(adj[part], K - 2)
+        w2 = levels[2]
+        totals = np.concatenate([
+            levels.sum(axis=1),
+            [np.einsum("vb,vb->b", levels[(K - 1) // 2], levels[K // 2]),
+             np.einsum("vb,vb->b", levels[K // 2], levels[(K + 1) // 2])]])
+        low, mid, high = totals[:-2], totals[1:-1], totals[2:]
+        bound = max_closed[part] * low
+        verdicts[0, part] = ((low <= 0) | (high + mid <= bound)).all(axis=0)
+        verdicts[1, part] = (w2 == open_columns[:, part]).all(axis=0) & (
+            high == np.einsum("kvb,vb->kb", levels, w2)).all(axis=0)
+    if every:
+        return verdicts[0], verdicts[1]
+    out = np.zeros((2, len(fits)), dtype=bool)
+    out[:, fits] = verdicts
+    return out[0], out[1]
 
 
-def peel_survivors(columns: np.ndarray, k: int) -> np.ndarray:
+def peel_survivors(columns: np.ndarray, k: int,
+                   start: np.ndarray | None = None) -> np.ndarray:
     """Vertex bitmask of each graph's (k+1)-core, which is the survivor set
     of ``cycles.erdos_peel(g, k)``, for (n, b) vertex-major bitset rows
     (``columns[v]`` holds vertex v's row of every graph) of any unsigned
@@ -406,11 +435,14 @@ def peel_survivors(columns: np.ndarray, k: int) -> np.ndarray:
     neighbours. The survivors contain the core, so such a vertex has at most
     k neighbours in it and lies outside it; the rounds therefore stop at the
     core, whatever order the per-graph peel deletes in. Every round but the
-    last deletes a vertex, so n rounds suffice.
+    last deletes a vertex, so n rounds suffice. The rounds begin at every
+    vertex, or at the vertex sets ``start`` when given, each of which must
+    contain its graph's (k+1)-core, as the k-core does.
     """
     n, word = columns.shape[0], columns.dtype
     bits = _vertex_bits(n, word)[:, None]
-    alive = np.full(columns.shape[1], (1 << n) - 1, dtype=word)
+    alive = (np.full(columns.shape[1], (1 << n) - 1, dtype=word)
+             if start is None else start.copy())
     for _ in range(n):
         low = _popcount(columns & alive) <= k
         # Distinct powers of two: the sum is their OR, exact in ``word``.
@@ -443,34 +475,61 @@ def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
     return (rows == sees).all(axis=1)
 
 
-def cycle_lengths(rows: np.ndarray) -> np.ndarray:
-    """The cycle lengths of each graph of (b, n) bitset rows, as an int64
-    bitmask whose bit l is set iff the graph has a cycle on l vertices.
+@lru_cache(maxsize=None)
+def _subset_layers(n: int) -> tuple:
+    """Index tables of ``cycle_lengths``' layers, one per subset size
+    s = 2..n; a layer lists its subsets in increasing order.
 
-    One dynamic program over the vertex subsets S in increasing order
-    (Bellman; Held and Karp): ``ends[S]`` is the set of vertices v at which
-    some path from min(S) through exactly S ends. A path extends only
-    through vertices above min(S), so every cycle is met from its lowest
-    vertex, and every extension of S is a larger subset, met later. S holds
-    a cycle on |S| >= 3 vertices iff ``ends[S]`` meets the row of min(S).
+    A layer is ``(src, grow, starts, low)``: the (S, u) pairs with
+    |S| = s - 1, u > min(S) and u not in S, as the position ``src`` of S in
+    its layer and the vertex ``grow`` = u, sorted by S + {u}; ``starts``,
+    the first pair of each subset of layer s; and ``low``, the minimum of
+    each subset of layer s. Every subset of two or more vertices has a
+    pair, its top vertex added last, so no group is empty.
+    """
+    layer = [1 << v for v in range(n)]
+    tables = []
+    for _ in range(2, n + 1):
+        dest, src, grow = np.array(sorted(
+            (s | 1 << u, i, u) for i, s in enumerate(layer)
+            for u in range((s & -s).bit_length(), n) if not s >> u & 1)).T
+        unique, starts = np.unique(dest, return_index=True)
+        layer = unique.tolist()
+        table = (src, grow, starts,
+                 np.array([(t & -t).bit_length() - 1 for t in layer]))
+        # Cached and shared: nothing may write them.
+        for array in table:
+            array.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def cycle_lengths(rows: np.ndarray) -> np.ndarray:
+    """The cycle lengths of each graph of (b, n) bitset rows of any unsigned
+    width, as an int64 bitmask whose bit l is set iff the graph has a cycle
+    on l vertices.
+
+    One dynamic program over the vertex subsets S (Bellman; Held and Karp):
+    ``ends[S]`` is the set of vertices v at which some path from min(S)
+    through exactly S ends. A path extends only through vertices above
+    min(S), so every cycle is met from its lowest vertex. The subsets are
+    taken layer by layer in size (``_subset_layers``): each layer gathers
+    all its (S, u) extensions at once and folds them into ``ends[S + {u}]``
+    with one ``add.reduceat``, which is their OR since the bits u of one
+    subset's extensions are distinct. S holds a cycle on |S| >= 3 vertices
+    iff ``ends[S]`` meets the row of min(S), tested for a whole layer at
+    once.
     """
     b, n = rows.shape
     columns = np.ascontiguousarray(rows.T)
-    ends = np.zeros((1 << n, b), dtype=np.uint8)
-    for v in range(n):
-        ends[1 << v] = 1 << v
+    bits = _vertex_bits(n, rows.dtype)
+    ends = np.repeat(bits[:, None], b, axis=1)
     lengths = np.zeros(b, dtype=np.int64)
-    for s in range(1, 1 << n):
-        reach = ends[s]
-        if not reach.any():
-            continue
-        low = (s & -s).bit_length() - 1
-        if s.bit_count() >= 3:
-            lengths[(reach & columns[low]) != 0] |= 1 << s.bit_count()
-        grow = [u for u in range(low + 1, n) if not s >> u & 1]
-        if grow:
-            bit = np.uint8(1) << np.array(grow, dtype=np.uint8)
-            ends[s | bit] |= ((reach & columns[grow]) != 0) * bit[:, None]
+    for size, (src, grow, starts, low) in enumerate(_subset_layers(n), 2):
+        found = ((ends[src] & columns[grow]) != 0) * bits[grow, None]
+        ends = np.add.reduceat(found, starts, axis=0, dtype=rows.dtype)
+        if size >= 3:
+            lengths[((ends & columns[low]) != 0).any(axis=0)] |= 1 << size
     return lengths
 
 
@@ -623,10 +682,15 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     if "lemma5-peel" in theorems:
         holds = everywhere.copy()
         columns = np.ascontiguousarray(stats["rows"].T)
+        alive = None
+        # The (k+2)-core lies in the (k+1)-core, so each peel starts from
+        # the previous one's survivors; a k with no graph at m >= k n
+        # leaves no graph for a larger k either.
         for k in (1, 2, 3):
             applies = m >= k * n
             if applies.any():
-                holds &= ~applies | (peel_survivors(columns, k) != 0)
+                alive = peel_survivors(columns, k, alive)
+                holds &= ~applies | (alive != 0)
         decide("lemma5-peel", m >= n, holds)
     if "lemma6-bondy" in theorems:
         nonvac = 2 * stats["min_deg"] > n

@@ -3,10 +3,10 @@
 These deliberately avoid the library's own algorithms: triangles by triple
 enumeration (of a graph, or of a block of edge masks with one three-edge
 mask per vertex triple), edge-mask adjacency bit by bit, graph6 names
-from bit strings, walks by explicit
-path extension, cycles by subset-and-permutation search, the diameter by
-one breadth-first search per vertex, neighbourhood sums neighbour by
-neighbour, G(n, p) and G(a, b, p) through an edge list. ``graph_shard``,
+from bit strings, walks by explicit path extension, cycles by
+subset-and-permutation search, a block's cycle lengths by one subset at a
+time, the diameter by one breadth-first search per vertex, neighbourhood
+sums neighbour by neighbour, G(n, p) and G(a, b, p) through an edge list. ``graph_shard``,
 ``per_graph_payload`` and ``fuzz_shard_per_graph`` are the exception: they
 run a sweep shard, a whole sweep or a fuzz shard through the per-graph
 reference checkers alone, which the batch engine must reproduce.
@@ -166,6 +166,32 @@ def has_cycle_by_subsets(g: Graph, l: int) -> bool:
             if all(g.has_edge(seq[i], seq[(i + 1) % l]) for i in range(l)):
                 return True
     return False
+
+
+def cycle_lengths_by_subsets(rows: np.ndarray) -> np.ndarray:
+    """The cycle-length bitmasks of ``_exhaustive.cycle_lengths``, by one
+    pass over the vertex subsets S in increasing order: ``ends[S]`` is the
+    set of ends of the paths from min(S) through exactly S, each extended
+    one vertex above min(S) at a time, and S holds a cycle on |S| >= 3
+    vertices iff ``ends[S]`` meets the row of min(S)."""
+    b, n = rows.shape
+    columns = np.ascontiguousarray(rows.T)
+    ends = np.zeros((1 << n, b), dtype=np.uint8)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    lengths = np.zeros(b, dtype=np.int64)
+    for s in range(1, 1 << n):
+        reach = ends[s]
+        if not reach.any():
+            continue
+        low = (s & -s).bit_length() - 1
+        if s.bit_count() >= 3:
+            lengths[(reach & columns[low]) != 0] |= 1 << s.bit_count()
+        grow = [u for u in range(low + 1, n) if not s >> u & 1]
+        if grow:
+            bit = np.uint8(1) << np.array(grow, dtype=np.uint8)
+            ends[s | bit] |= ((reach & columns[grow]) != 0) * bit[:, None]
+    return lengths
 
 
 def walk_levels_by_bitsets(g: Graph, k: int) -> list[tuple[int, ...]]:

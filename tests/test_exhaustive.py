@@ -30,7 +30,14 @@ from spectool._exhaustive import (
 from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import cycle_spectrum, erdos_peel
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
-from spectool.families import complete, gnp, random_bipartite, star
+from spectool.families import (
+    complete,
+    complete_bipartite,
+    cycle,
+    gnp,
+    random_bipartite,
+    star,
+)
 from spectool.spectrum import CLUSTER_EPS, EQ_EPS, eigendecompose
 from spectool.graph import (
     bipartition,
@@ -60,6 +67,7 @@ from spectool.walks import (
 
 from oracles import (
     adjacency_by_edge_bits,
+    cycle_lengths_by_subsets,
     gnp_by_edge_list,
     graph_shard,
     power_sums_by_int_powers,
@@ -147,6 +155,21 @@ def test_walk_levels_at_the_int64_limit():
         assert [int(level[:, i].sum()) for level in levels] \
             == list(table.totals)
     assert int(levels[21][:, 0].sum()) == 8 * 7 ** 21
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walk_verdicts_match_the_per_graph_checkers(n):
+    # The batch verdicts take w_{K-1} and w_K as dot products of the
+    # middle levels; the per-graph checkers read all K + 1 levels.
+    masks = _kernel_masks(n)
+    stats = block_stats(n, masks, walks=True)
+    for i, mask in enumerate(masks.tolist()):
+        g = from_edge_mask(n, mask)
+        table = walk_counts(g, WALK_DEPTH)
+        assert bool(stats["walk_inequality"][i]) \
+            == walk_inequality_holds(g, WALK_DEPTH, table), (n, mask)
+        assert bool(stats["decomposition"][i]) \
+            == decomposition_identity_check(g, WALK_DEPTH, table), (n, mask)
 
 
 def _spectrum_masks(n):
@@ -410,10 +433,15 @@ def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_peel_survivors_match_erdos_peel(n):
+    # Each peel from every vertex, and from the previous k's survivors, as
+    # verdict_table chains them.
     masks = _kernel_masks(n)
     columns = np.ascontiguousarray(block_stats(n, masks)["rows"].T)
+    chained = None
     for k in (1, 2, 3):
         alive = peel_survivors(columns, k).tolist()
+        chained = peel_survivors(columns, k, chained)
+        assert chained.tolist() == alive, (n, k)
         for i, mask in enumerate(masks):
             peel = erdos_peel(from_edge_mask(n, int(mask)), k)
             assert alive[i] == sum(1 << v for v in peel.surviving), \
@@ -475,6 +503,35 @@ def test_cycle_lengths_match_cycle_spectrum(n):
     above = 2 * stats["min_deg"] > n
     if n >= 7:
         assert above.any() and not above.all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cycle_lengths_match_the_subset_oracle(n):
+    # The layered DP against the one-subset-at-a-time pass it replaced, on
+    # uint8 rows and on the same rows one uint64 word wide.
+    rows = block_stats(n, _kernel_masks(n))["rows"]
+    expected = cycle_lengths_by_subsets(rows).tolist()
+    for word in (np.uint8, np.uint64):
+        assert cycle_lengths(rows.astype(word)).tolist() == expected, word
+
+
+def test_cycle_lengths_on_named_graphs_and_tiny_blocks():
+    # Blocks of one row: K_n, C_n and K_{4,4}; and blocks of no rows.
+    graphs = [complete(n) for n in range(1, 9)] \
+        + [cycle(n) for n in range(3, 9)] + [complete_bipartite(4, 4)]
+    for word in (np.uint8, np.uint64):
+        for g in graphs:
+            rows = np.array([g.adj], dtype=word)
+            assert cycle_lengths(rows).tolist() \
+                == cycle_lengths_by_subsets(rows).tolist() \
+                == [cycle_spectrum(g, g.n).present], (g.n, g.m, word)
+        for n in range(1, 9):
+            assert cycle_lengths(np.zeros((0, n), dtype=word)).shape == (0,)
+    assert cycle_lengths(np.array([complete(8).adj], dtype=np.uint8)) \
+        .tolist() == [sum(1 << l for l in range(3, 9))]
+    assert cycle_lengths(np.array([complete_bipartite(4, 4).adj],
+                                  dtype=np.uint8)).tolist() \
+        == [(1 << 4) | (1 << 6) | (1 << 8)]
 
 
 def test_sweep_passes_the_cores_test_only_open_candidates(monkeypatch):
@@ -574,8 +631,8 @@ def test_an_empty_core_goes_to_the_reference(monkeypatch, k):
     lo = total - 4096
     real = _exhaustive.peel_survivors
 
-    def empty_core(columns, j):
-        alive = real(columns, j)
+    def empty_core(columns, j, start=None):
+        alive = real(columns, j, start)
         return alive * 0 if j == k else alive
 
     monkeypatch.setattr(_exhaustive, "peel_survivors", empty_core)

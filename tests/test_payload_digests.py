@@ -35,6 +35,14 @@ def test_labeled_sweep_up_to_six_matches_its_digest():
                     "--max-n", "6"]) == REFERENCE["sweep-labeled-n6"]
 
 
+def test_batch_sweep_at_seven_matches_its_digest():
+    # The ten theorems the benchmark's batch workload names.
+    theorems = ("mantel,nosal,spectral-mantel,stanley,hong,hsf,thm11,lemma3,"
+                "lemma1-spectrum-symmetry,lemma2-diameter-distinct")
+    assert _digest(["verify", "--theorem", theorems, "--min-n", "7",
+                    "--max-n", "7"]) == REFERENCE["sweep-batch-n7"]
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_fuzz_gnp30_matches_its_digest(seed):
     assert _digest(["fuzz", "--dist", "gnp:30,0.5", "--count", "1000",
