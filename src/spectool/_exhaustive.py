@@ -7,28 +7,28 @@ thousand are expanded into stacked adjacency matrices for batched LAPACK
 ``SpectrumTable``) and exact int64 walk counts, and into bitset rows for
 the structural facts (connectivity, bipartiteness, diameter, peeling
 cores, the spectral Mantel equality case, cycle lengths). Fuzz runs hand
-it stacks of sampled graphs on up to 64 vertices as ``uint64`` bitset
-rows, one word per vertex (``stack_stats``), which get the same facts
-with one unkeyed solve per stack. Both feed one ``verdict_table``.
-Semantics (thresholds, formulas, epsilons) mirror the per-graph checkers
-exactly. The engine hands back to the caller only the graphs whose
-eigenvalues fail the trace certificate and apparent violations, which
-include the verdicts it does not decide on a stack: Bondy's lemma above 8
-vertices and the walk theorems where int64 could overflow.
+it stacks of sampled graphs of any order as ``uint64`` bitset rows
+(``stack_stats``), which get the same facts with one unkeyed solve per
+stack. Both feed one ``verdict_table``. Semantics (thresholds, formulas,
+epsilons) mirror the per-graph checkers exactly. The engine hands back to
+the caller only the graphs whose eigenvalues fail the trace certificate
+and apparent violations, which include the verdicts it does not decide on
+a stack: Bondy's lemma above 8 vertices, Theorem 7 above its spectral
+threshold from n = 85 on, and the walk theorems where int64 could
+overflow.
 
-Masks and stacks keep two kernel pairs, each chosen by the input and
-faster on its side (4,096-graph blocks, one Xeon core):
-- walk sets (``_walk_facts``) take 0.52-1.45 ms per n = 6..8 mask block,
-  ball growth (``_ball_facts``) 12.6-15.4 ms and one loop over rows of any
-  width 2.4-4.8 ms; on ``gnp:64,0.05`` stacks that loop takes 19.8 ms
-  against 5.9 ms for ball growth;
-- the 2,097,152 graphs at n = 7 share 44,096 characteristic polynomials
-  (``SpectrumTable``), while sampled graphs rarely share one.
+Bitset rows are (b, n, w) arrays: bit u % s of word u // s of
+``rows[g, v]``, with s the word's bit width, is set iff u ~ v in graph g.
+Mask rows are one ``uint8`` word (n <= 8); stack rows are
+w = ceil(n / 64) ``uint64`` words.
 
-Both count triangles as trace(A^3) / 6. Masks once kept a third pair, one
-mask per vertex triple, because a separate float64 trace(A^3) raised an
-n = 7 mask block from 9.0-13.7 ms to 13.4-16.6 ms; now the key's one
-``power_sums`` pass yields p_3 for free, and the triple masks are gone.
+Masks and stacks keep two kernel pairs, each chosen by the input: walk
+sets packed in one word per graph (``_walk_facts``, n <= 8) against ball
+growth over the arcs (``_ball_facts``, any n), and a ``SpectrumTable``
+keyed by characteristic polynomial, which the 2,097,152 graphs at n = 7
+share 44,096 of, against one unkeyed solve, since sampled graphs rarely
+share one. Both count triangles as trace(A^3) / 6, from the key's
+``power_sums`` for masks.
 
 The walk, peel and cycle kernels are shared and vertex-major like
 ``_stats``' reductions, so a graph's sums run along axis 0 (axis 1 of the
@@ -38,15 +38,11 @@ peeling round or subset size:
 - the walk checks form one (K - 1, n, c) int64 array of levels W_0..W_{K-2}
   per ``WALK_CHUNK`` = c graphs, each level one ``einsum`` over an
   (n, n, c) copy of the adjacency, take w_{K-1} and w_K as dot products of
-  the middle levels, and decide every k in one reduction. Per 4,096-mask
-  block (one core, medians of 6 alternating process rounds of 15) they
-  take 2.3 / 2.9 / 3.9 ms at n = 6 / 7 / 8, against 4.9 / 7.4 / 5.9 ms
-  for all K levels of the whole block and one reduction per k;
-- the peel takes (n, b) rows and starts each k from the survivors of k - 1;
+  the middle levels, and decide every k in one reduction;
+- the peel takes (n, b, w) rows and starts each k from the survivors of
+  k - 1;
 - ``cycle_lengths`` takes its subsets one size at a time, from cached
-  index tables: 0.12 / 0.93 / 2.1 ms on the Bondy rows of the densest block
-  (46 / 631 / 631 rows) at n = 6 / 7 / 8, against 1.7 / 4.5 / 7.0 ms for
-  one subset at a time.
+  index tables.
 """
 
 from functools import lru_cache
@@ -63,10 +59,9 @@ BLOCK = 4096
 KEY_CHUNK = 512
 # A vertex's neighbourhood is one byte, so a graph's n rows fit a 64-bit word.
 MAX_EXHAUSTIVE_N = 8
-# In a stack of sampled graphs a vertex's neighbourhood is one 64-bit word.
-MAX_STACK_N = 64
-# Sampled graphs per stack: enough to share each stack's fixed numpy costs,
-# few enough that a stack of order 64 stays a few megabytes.
+# Sampled graphs per stack up to order 64 (``stack_size``): enough to share
+# each stack's fixed numpy costs, few enough that a stack stays a few
+# megabytes.
 STACK = 128
 # Graphs per pass of the walk checks: at n <= 8 a pass's int64 copy of the
 # adjacency and its walk levels, under 1.3 MB, stay in one core's L2 cache
@@ -88,7 +83,7 @@ _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 @lru_cache(maxsize=None)
 def _byte_tables(n: int) -> tuple:
     """For each byte j of an edge mask, the (256, n, n) uint8 adjacency
-    and the (256, n) uint8 bitset rows of the graphs whose masks are the
+    and the (256, n, 1) uint8 bitset rows of the graphs whose masks are the
     byte values put at byte j."""
     # Row-major below the diagonal is ``edge_order``: (v, u) for u < v.
     v_idx, u_idx = np.tril_indices(n, -1)
@@ -101,7 +96,7 @@ def _byte_tables(n: int) -> tuple:
         adj = np.zeros((256, n, n), dtype=np.uint8)
         adj[:, u_idx, v_idx] = bits
         adj[:, v_idx, u_idx] = bits
-        rows = adj @ weights
+        rows = (adj @ weights)[:, :, None]
         # Cached and shared: gathers copy them, and nothing may write them.
         adj.flags.writeable = rows.flags.writeable = False
         tables.append((adj, rows))
@@ -127,13 +122,10 @@ def walk_degree_limit(n: int, K: int) -> int:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """The set bits of each entry of an unsigned integer array, as int64,
-    counted byte by byte (numpy 1.24 has no ``bitwise_count``)."""
-    if x.itemsize == 1:
-        return _POPCOUNT[x]
-    x = np.ascontiguousarray(x)
-    return _POPCOUNT[x.view(np.uint8)].reshape(*x.shape, x.itemsize) \
-        .sum(axis=-1)
+    """The set bits of each row of words of an unsigned integer array,
+    summed along its last axis, as int64; counted byte by byte (numpy 1.24
+    has no ``bitwise_count``)."""
+    return _POPCOUNT[np.ascontiguousarray(x).view(np.uint8)].sum(axis=-1)
 
 
 def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
@@ -142,9 +134,9 @@ def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _bitsets(n: int, masks: np.ndarray):
-    """The (b, n, n) uint8 adjacency and the (b, n) uint8 bitset rows
-    (bit u of ``rows[:, v]`` set iff u ~ v) of a block of edge masks, each
-    an OR of one ``_byte_tables`` gather per mask byte."""
+    """The (b, n, n) uint8 adjacency and the (b, n, 1) uint8 bitset rows
+    (bit u of ``rows[:, v, 0]`` set iff u ~ v) of a block of edge masks,
+    each an OR of one ``_byte_tables`` gather per mask byte."""
     octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8) \
         .reshape(len(masks), 8)
     (adj, rows), *rest = _byte_tables(n)
@@ -182,23 +174,29 @@ def block_stats(n: int, masks: np.ndarray, walks: bool = False,
     return out
 
 
+def stack_size(n: int) -> int:
+    """Sampled graphs per stack of order n: ``STACK`` up to n = 64, and
+    above it as many as keep b n^2, the size of a stack's adjacency, within
+    its value at n = 64."""
+    return max(1, STACK * 64 ** 2 // max(n, 64) ** 2)
+
+
 def stack_stats(rows: np.ndarray, walks: bool = False) -> dict:
-    """``block_stats`` for a stack of sampled graphs of one order n <= 64,
-    given as (b, n) ``uint64`` bitset rows (bit u of ``rows[:, v]`` set iff
-    u ~ v), with every key but ``masks``.
+    """``block_stats`` for a stack of sampled graphs of one order n, given
+    as (b, n, ceil(n / 64)) ``uint64`` bitset rows, with every key but
+    ``masks``.
 
     The spectra come from one ``eigvalsh`` of the whole stack, with no key:
     sampled graphs rarely share one. The triangles are trace(A^3) / 6, and
     connectivity, bipartiteness and the diameter come from ``_ball_facts``.
     """
-    b, n = rows.shape
-    if n > MAX_STACK_N:
-        raise OrderTooLargeError(f"stacks capped at n = {MAX_STACK_N}")
-    # Byte j of a little-endian word holds vertices 8j..8j+7.
-    adj = np.unpackbits(rows.astype("<u8").view(np.uint8).reshape(b, n, 8),
-                        axis=2, count=n, bitorder="little")
+    b, n = rows.shape[:2]
+    # Byte j of a row's little-endian words holds vertices 8j..8j+7.
+    adj = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=2, count=n,
+                        bitorder="little")
     a = adj.astype(np.float64)
-    # Entries of A^2 are at most n, so the float64 trace is exact.
+    # Entries of A^2 are at most n, so the float64 trace is exact while
+    # n^3 < 2^53.
     tri = np.einsum("bij,bij->b", a @ a, a).astype(np.int64) // 6
     return _stats(adj, a, rows, _spectrum_facts(np.linalg.eigvalsh(a)), tri,
                   _ball_facts(adj), walks)
@@ -392,17 +390,13 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
     w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K. Both read only the levels
     W_0..W_{K-2}: since w_{i+j} = W_i . W_j, the totals w_{K-1} and w_K are
     dot products of the middle levels, so each ``WALK_CHUNK`` graphs take
-    K - 2 products, and each verdict is one reduction over all k. Only the
-    graphs within ``walk_degree_limit(n, K)``, which is all of them for
-    n <= 8, are checked; both verdicts are False on the rest, which hands
-    them to the resolver.
+    K - 2 products, and each verdict is one reduction over all k. The
+    counts are exact only on the graphs within ``walk_degree_limit(n, K)``,
+    which is all of them for n <= 8; int64 arithmetic wraps silently on the
+    rest, whose verdicts are then set False, which hands them to the
+    resolver.
     """
     K = WALK_DEPTH
-    fits = max_deg <= walk_degree_limit(adj.shape[1], K)
-    every = fits.all()
-    if not every:
-        adj = adj[fits]
-        open_columns, max_closed = open_columns[:, fits], max_closed[fits]
     verdicts = np.empty((2, len(adj)), dtype=bool)
     for lo in range(0, len(adj), WALK_CHUNK):
         part = slice(lo, lo + WALK_CHUNK)
@@ -417,19 +411,16 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
         verdicts[0, part] = ((low <= 0) | (high + mid <= bound)).all(axis=0)
         verdicts[1, part] = (w2 == open_columns[:, part]).all(axis=0) & (
             high == np.einsum("kvb,vb->kb", levels, w2)).all(axis=0)
-    if every:
-        return verdicts[0], verdicts[1]
-    out = np.zeros((2, len(fits)), dtype=bool)
-    out[:, fits] = verdicts
-    return out[0], out[1]
+    verdicts &= max_deg <= walk_degree_limit(adj.shape[1], K)
+    return verdicts[0], verdicts[1]
 
 
 def peel_survivors(columns: np.ndarray, k: int,
                    start: np.ndarray | None = None) -> np.ndarray:
-    """Vertex bitmask of each graph's (k+1)-core, which is the survivor set
-    of ``cycles.erdos_peel(g, k)``, for (n, b) vertex-major bitset rows
-    (``columns[v]`` holds vertex v's row of every graph) of any unsigned
-    width.
+    """Vertex bitset of each graph's (k+1)-core, which is the survivor set
+    of ``cycles.erdos_peel(g, k)``, as (b, w) words, for (n, b, w)
+    vertex-major bitset rows (``columns[v]`` holds vertex v's row of every
+    graph) of any unsigned word.
 
     Each round deletes every surviving vertex with at most k surviving
     neighbours. The survivors contain the core, so such a vertex has at most
@@ -439,14 +430,15 @@ def peel_survivors(columns: np.ndarray, k: int,
     vertex, or at the vertex sets ``start`` when given, each of which must
     contain its graph's (k+1)-core, as the k-core does.
     """
-    n, word = columns.shape[0], columns.dtype
+    n, b, _ = columns.shape
+    word = columns.dtype
     bits = _vertex_bits(n, word)[:, None]
-    alive = (np.full(columns.shape[1], (1 << n) - 1, dtype=word)
+    # Distinct powers of two: their sums are their ORs, exact in ``word``.
+    alive = (np.tile(bits.sum(axis=0, dtype=word), (b, 1))
              if start is None else start.copy())
     for _ in range(n):
         low = _popcount(columns & alive) <= k
-        # Distinct powers of two: the sum is their OR, exact in ``word``.
-        drop = (low * bits).sum(axis=0, dtype=word) & alive
+        drop = (low[:, :, None] * bits).sum(axis=0, dtype=word) & alive
         if not drop.any():
             break
         alive &= ~drop
@@ -454,25 +446,33 @@ def peel_survivors(columns: np.ndarray, k: int,
 
 
 def _vertex_bits(n: int, word) -> np.ndarray:
-    """1 << v for each vertex v < n, in the unsigned dtype ``word``."""
-    return np.dtype(word).type(1) << np.arange(n, dtype=word)
+    """The (n, w) words of each vertex v < n alone, in the unsigned dtype
+    ``word``: bit v % s of word v // s, with s the word's bit width."""
+    word = np.dtype(word)
+    size = 8 * word.itemsize
+    v = np.arange(n)
+    bits = np.zeros((n, -(-n // size)), dtype=word)
+    bits[v, v // size] = word.type(1) << (v % size).astype(word)
+    return bits
 
 
 def complete_bipartite_cores(rows: np.ndarray) -> np.ndarray:
-    """``is_complete_bipartite_plus_isolated`` on (b, n) bitset rows of any
-    unsigned width.
+    """``is_complete_bipartite_plus_isolated`` on (b, n, w) bitset rows of
+    any unsigned word.
 
     With B the row of the lowest non-isolated vertex and A the other
     non-isolated vertices, a graph qualifies iff every vertex of A sees
     exactly B and every vertex of B sees exactly A. An edgeless graph does.
     """
     support = np.bitwise_or.reduce(rows, axis=1)
-    part_b = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    part_b = rows[np.arange(len(rows)), np.argmax(rows.any(axis=2), axis=1)]
     part_a = support & ~part_b
     bits = _vertex_bits(rows.shape[1], rows.dtype)
-    sees = np.where(part_b[:, None] & bits, part_a[:, None],
-                    np.where(part_a[:, None] & bits, part_b[:, None], 0))
-    return (rows == sees).all(axis=1)
+    in_a, in_b = ((part[:, None] & bits).any(axis=2, keepdims=True)
+                  for part in (part_a, part_b))
+    sees = np.where(in_b, part_a[:, None],
+                    np.where(in_a, part_b[:, None], 0))
+    return (rows == sees).all(axis=(1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -505,9 +505,10 @@ def _subset_layers(n: int) -> tuple:
 
 
 def cycle_lengths(rows: np.ndarray) -> np.ndarray:
-    """The cycle lengths of each graph of (b, n) bitset rows of any unsigned
-    width, as an int64 bitmask whose bit l is set iff the graph has a cycle
-    on l vertices.
+    """The cycle lengths of each graph of (b, n, w) bitset rows of any
+    unsigned word, as an int64 bitmask whose bit l is set iff the graph has
+    a cycle on l vertices. It reads word 0 only, which holds every row of
+    the orders it runs at (n <= 8).
 
     One dynamic program over the vertex subsets S (Bellman; Held and Karp):
     ``ends[S]`` is the set of vertices v at which some path from min(S)
@@ -520,9 +521,9 @@ def cycle_lengths(rows: np.ndarray) -> np.ndarray:
     iff ``ends[S]`` meets the row of min(S), tested for a whole layer at
     once.
     """
-    b, n = rows.shape
-    columns = np.ascontiguousarray(rows.T)
-    bits = _vertex_bits(n, rows.dtype)
+    b, n = rows.shape[:2]
+    columns = np.ascontiguousarray(rows[:, :, 0].T)
+    bits = _vertex_bits(n, rows.dtype)[:, 0]
     ends = np.repeat(bits[:, None], b, axis=1)
     lengths = np.zeros(b, dtype=np.int64)
     for size, (src, grow, starts, low) in enumerate(_subset_layers(n), 2):
@@ -537,7 +538,8 @@ def _walk_facts(n: int, rows: np.ndarray):
     """Connectivity, bipartiteness and diameter from exact-length walk sets.
 
     W_k[v] is the set of ends of walks of length k from v: W_0[v] = {v} and
-    W_k[v] is the OR of rows[u] over u in W_{k-1}[v]. Each graph keeps its
+    W_k[v] is the OR of rows[u] over u in W_{k-1}[v], read from word 0 of
+    the (b, n, 1) rows since n <= 8. Each graph keeps its
     n walk sets in one 64-bit word, W_k[v] in bits 8v..8v+7, so a round is
     n vectorised ORs over the block: for each u, row u is copied into every
     byte and kept in the bytes whose walk set holds u.
@@ -552,7 +554,7 @@ def _walk_facts(n: int, rows: np.ndarray):
     full = (1 << n) - 1
     diag = np.uint64(sum(1 << (9 * v) for v in range(n)))  # v in byte v
     all_full = np.uint64(sum(full << (8 * v) for v in range(n)))
-    spread = [rows[:, u].astype(np.uint64) * _LOW_BITS for u in range(n)]
+    spread = [rows[:, u, 0].astype(np.uint64) * _LOW_BITS for u in range(n)]
     walk = np.full(b, diag, dtype=np.uint64)
     seen = np.zeros(b, dtype=np.uint64)
     diameter = np.zeros(b, dtype=np.int64)
@@ -575,43 +577,50 @@ def _walk_facts(n: int, rows: np.ndarray):
 
 def _ball_facts(adj: np.ndarray):
     """``_walk_facts``' connectivity, bipartiteness and diameter for a
-    (b, n, n) stack with n <= 64, by growing every vertex's ball at once.
+    (b, n, n) stack of any order, by growing every vertex's ball at once.
 
-    As in ``graph._diameter``, ``reach`` holds one 64-bit word per vertex
-    with bit s set when vertex s lies within the current radius, and a
-    round ORs into it the words of its neighbours: one gather and one
+    As in ``graph._diameter``, ``reach`` holds one bitset row of w words
+    per vertex, with vertex s set when it lies within the current radius,
+    and a round ORs into it the rows of its neighbours: one gather and one
     ``bitwise_or.reduceat`` over the stack's arcs and a loop at each vertex
-    (so no group is empty). The rounds stop when no word changes. A graph
-    is connected iff vertex 0's word is then full, and its diameter is the
-    number of rounds at which some word was not full (n if disconnected).
+    (so no group is empty). The rounds stop when no row changes. A graph
+    is connected iff vertex 0's row is then full, and its diameter is the
+    number of rounds at which some row was not full (n if disconnected).
     ``even`` collects the sources at even distance. Adjacent vertices lie
     at distances from a source in their component that differ by at most
     1, and by exactly 1 for every source iff the component is bipartite;
-    so a graph is bipartite iff no edge has ends whose words agree on the
+    so a graph is bipartite iff no edge has ends whose rows agree on the
     parity of a source they reach.
     """
     b, n = adj.shape[:2]
-    full = np.uint64((1 << n) - 1)
+    # Word-major, (w, b n), with ``take`` for the gathers: each word's
+    # gathers and reductions then run along one contiguous axis, as fast as
+    # with a single word, where fancy indexing of 2-D arrays is several
+    # times slower.
+    bits = _vertex_bits(n, np.uint64).T
+    full = bits.sum(axis=1, dtype=np.uint64)[:, None]
     # Arc v -> u of graph g sits at (g n + v) n + u of the flat stack.
     arcs = np.flatnonzero((adj | np.eye(n, dtype=np.uint8)).view(bool))
     tails, heads = arcs // n, arcs // (n * n) * n + arcs % n
     starts = np.searchsorted(tails, np.arange(b * n))
-    reach = np.tile(np.uint64(1) << np.arange(n, dtype=np.uint64), b)
+    reach = np.tile(bits, b)
     even = reach.copy()
     diameter = np.zeros(b, dtype=np.int64)
     for radius in range(1, n + 1):
-        diameter += (reach != full).reshape(b, n).any(axis=1)
-        grown = np.bitwise_or.reduceat(reach[heads], starts)
+        diameter += (reach != full).reshape(-1, b, n).any(axis=(0, 2))
+        grown = np.bitwise_or.reduceat(reach.take(heads, axis=1), starts,
+                                       axis=1)
         if (grown == reach).all():
             break
         if radius % 2 == 0:
             even |= grown & ~reach
         reach = grown
-    connected = reach.reshape(b, n)[:, 0] == full
+    connected = (reach[:, ::n] == full).all(axis=0)
     tails, heads = tails[tails != heads], heads[tails != heads]
-    agree = ~(even[tails] ^ even[heads]) & reach[tails]
+    agree = (~(even.take(tails, axis=1) ^ even.take(heads, axis=1))
+             & reach.take(tails, axis=1)).any(axis=0)
     odd = np.zeros(b, dtype=bool)
-    odd[tails[agree != 0] // n] = True
+    odd[tails[agree] // n] = True
     return connected, ~odd, np.where(connected, diameter, n)
 
 
@@ -638,7 +647,8 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
     ``nonvac & ~holds`` is an apparent violation. A triangle-free graph at
     the spectral Mantel threshold holds iff ``complete_bipartite_cores``
     accepts it, and a graph with 2 * min_deg > n holds Bondy's lemma iff
-    ``cycle_lengths`` finds every length 3..n.
+    ``cycle_lengths`` finds every length 3..n. Theorem 7 is decided only
+    where it is vacuous.
     """
     m, lam1, tri = stats["m"], stats["lam1"], stats["tri"]
     sqrt_m = np.sqrt(m.astype(np.float64))
@@ -681,7 +691,7 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         decide("decomposition-identity", everywhere, stats["decomposition"])
     if "lemma5-peel" in theorems:
         holds = everywhere.copy()
-        columns = np.ascontiguousarray(stats["rows"].T)
+        columns = np.ascontiguousarray(stats["rows"].transpose(1, 0, 2))
         alive = None
         # The (k+2)-core lies in the (k+1)-core, so each peel starts from
         # the previous one's survivors; a k with no graph at m >= k n
@@ -690,7 +700,7 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
             applies = m >= k * n
             if applies.any():
                 alive = peel_survivors(columns, k, alive)
-                holds &= ~applies | (alive != 0)
+                holds &= ~applies | alive.any(axis=1)
         decide("lemma5-peel", m >= n, holds)
     if "lemma6-bondy" in theorems:
         nonvac = 2 * stats["min_deg"] > n
@@ -703,11 +713,10 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
             holds[nonvac] = lengths & every == every
         decide("lemma6-bondy", nonvac, holds)
     if "thm7-even-cycles" in theorems:
-        # No even length lies in [4, ceil(n/28)] at these orders.
-        if math.ceil(n / 28) >= 4:
-            raise OrderTooLargeError(
-                f"thm7-even-cycles is not vacuous at n = {n}")
-        decide("thm7-even-cycles", nowhere, nowhere)
+        # Vacuous at or below the spectral threshold, or with no even length
+        # in [4, ceil(n/28)], as below n = 85; the resolver searches the rest.
+        decide("thm7-even-cycles", (math.ceil(n / 28) >= 4)
+               & (lam1 > math.sqrt(n * n // 4) + EQ_EPS), nowhere)
     return table, tight
 
 
@@ -760,8 +769,8 @@ def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
 
 
 def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
-    """``_tally`` over one ``stack_stats`` stack of (b, n) ``uint64`` rows,
-    with graphs named by their positions in the stack."""
+    """``_tally`` over one ``stack_stats`` stack of (b, n, w) ``uint64``
+    rows, with graphs named by their positions in the stack."""
     stats = stack_stats(rows, not WALK_THEOREMS.isdisjoint(theorems))
     table = verdict_table(rows.shape[1], _select(stats, stats["certified"]),
                           theorems)

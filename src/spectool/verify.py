@@ -4,10 +4,10 @@ Labeled enumeration in edge-bitmask order is the trusted ground truth;
 canonical dedup (lexicographically minimal adjacency bitstring over vertex
 permutations) only selects which masks a sweep visits, one per isomorphism
 class, and sends them to the same batch engine and resolver as labeled
-masks. Fuzz runs draw seeded samples and send stacks of them, up to 64
-vertices, to the same engine and resolver. The per-graph checkers are the
+masks. Fuzz runs draw seeded samples and send stacks of them, of any
+order, to the same engine and resolver. The per-graph checkers are the
 reference and the resolver: they decide only the graphs the engine hands
-back, and every sample above 64 vertices. Sweeps and fuzz runs partition
+back. Sweeps and fuzz runs partition
 their work into fixed shards, so reports are identical for any worker
 count; merging is commutative (counters plus sorted lists).
 """
@@ -33,14 +33,8 @@ from .cycles import (
     erdos_peel,
 )
 from .errors import OrderTooLargeError, PreconditionViolatedError
-from .families import (
-    bernoulli_rows,
-    bipartite_slots,
-    gnp,
-    gnp_slots,
-    random_bipartite,
-    random_regular,
-)
+from .families import (bernoulli_rows, bipartite_slots, gnp_slots,
+                       random_regular)
 from .graph import (
     Bipartition,
     Connectivity,
@@ -624,16 +618,6 @@ def parse_distribution(spec_text: str) -> tuple:
     raise ValueError(f"unknown distribution {name!r}")
 
 
-def sample_distribution(dist: tuple, sample_seed: int) -> Graph:
-    if dist[0] == "gnp":
-        return gnp(dist[1], dist[2], sample_seed)
-    if dist[0] == "bipartite":
-        return random_bipartite(dist[1], dist[2], dist[3], sample_seed)
-    if dist[0] == "regular":
-        return random_regular(dist[1], dist[2], sample_seed)
-    raise ValueError(f"unknown distribution {dist!r}")
-
-
 def _distribution_text(dist: tuple) -> str:
     """The text form of a distribution tuple: ("gnp", 30, 0.5) -> "gnp:30,0.5"."""
     return f"{dist[0]}:{','.join(str(x) for x in dist[1:])}"
@@ -645,40 +629,38 @@ def _sample_seed(seed: int, index: int) -> int:
 
 
 def _stack_rows(dist: tuple, seeds: list) -> np.ndarray:
-    """(len(seeds), n) ``uint64`` rows of the samples drawn from ``seeds``,
-    straight from the draws for ``gnp`` and ``bipartite``."""
+    """(len(seeds), n, ceil(n / 64)) ``uint64`` rows of the samples drawn
+    from ``seeds``, straight from the draws for ``gnp`` and ``bipartite``."""
     if dist[0] == "regular":
-        return np.array([sample_distribution(dist, s).adj for s in seeds],
-                        dtype=np.uint64)
-    slots = (gnp_slots(dist[1]) if dist[0] == "gnp"
-             else bipartite_slots(dist[1], dist[2]))
-    packed = bernoulli_rows(slots, dist[-1], seeds)
-    return np.pad(packed, ((0, 0), (0, 0), (0, 8 - packed.shape[2]))
-                  ).view("<u8")[..., 0]
+        width = 8 * -(-dist[1] // 64)
+        packed = np.frombuffer(b"".join(
+            row.to_bytes(width, "little") for s in seeds
+            for row in random_regular(dist[1], dist[2], s).adj),
+            dtype=np.uint8).reshape(len(seeds), dist[1], width)
+    else:
+        packed = bernoulli_rows(gnp_slots(dist[1]) if dist[0] == "gnp"
+                                else bipartite_slots(dist[1], dist[2]),
+                                dist[-1], seeds)
+    return np.pad(packed, ((0, 0), (0, 0), (0, -packed.shape[2] % 8))
+                  ).view("<u8")
 
 
 def _fuzz_shard(args) -> dict:
-    """The samples lo..hi-1, drawn ``_exhaustive.STACK`` at a time. A stack
-    of at most ``_exhaustive.MAX_STACK_N`` vertices goes through the batch
-    engine as rows, and a row becomes a ``Graph`` only when the per-graph
-    battery or the tight census needs it; a larger sample gets the battery
-    for every theorem."""
+    """The samples lo..hi-1, drawn ``_exhaustive.stack_size(n)`` at a time
+    and sent through the batch engine as rows. A row becomes a ``Graph``
+    only when the per-graph battery or the tight census needs it."""
     dist, lo, hi, seed, theorems = args
     values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
     n = dist[1] + dist[2] if dist[0] == "bipartite" else dist[1]
-    for start in range(lo, hi, _exhaustive.STACK):
-        seeds = [_sample_seed(seed, index)
-                 for index in range(start, min(start + _exhaustive.STACK, hi))]
-        if n > _exhaustive.MAX_STACK_N:
-            for sample_seed in seeds:
-                _battery(sample_distribution(dist, sample_seed), theorems,
-                         partial)
-            continue
-        rows = _stack_rows(dist, seeds)
+    size = _exhaustive.stack_size(n)
+    for start in range(lo, hi, size):
+        rows = _stack_rows(dist, [_sample_seed(seed, index) for index
+                                  in range(start, min(start + size, hi))])
 
         def graph(i: int) -> Graph:
-            return Graph(n, tuple(rows[i].tolist()))
+            return Graph(n, tuple(int.from_bytes(row.tobytes(), "little")
+                                  for row in rows[i]))
 
         _merge(partial, _resolved(
             _exhaustive.sweep_stack(rows, values),

@@ -6,7 +6,8 @@ mask per vertex triple), edge-mask adjacency bit by bit, graph6 names
 from bit strings, walks by explicit path extension, cycles by
 subset-and-permutation search, a block's cycle lengths by one subset at a
 time, the diameter by one breadth-first search per vertex, neighbourhood
-sums neighbour by neighbour, G(n, p) and G(a, b, p) through an edge list. ``graph_shard``,
+sums neighbour by neighbour, G(n, p) and G(a, b, p) through an edge list,
+bitset words by shifting Python ints. ``graph_shard``,
 ``per_graph_payload`` and ``fuzz_shard_per_graph`` are the exception: they
 run a sweep shard, a whole sweep or a fuzz shard through the per-graph
 reference checkers alone, which the batch engine must reproduce.
@@ -75,6 +76,24 @@ def graph6_by_bit_string(n: int, mask: int) -> str:
     body += "0" * (-nbits % 6)
     return chr(n + 63) + "".join(
         chr(int(body[i:i + 6], 2) + 63) for i in range(0, len(body), 6))
+
+
+def word_rows(graphs) -> np.ndarray:
+    """The (b, n, ceil(n / 64)) ``uint64`` bitset rows of graphs of one
+    order n: word j of row v holds bits 64j..64j+63 of ``g.adj[v]``."""
+    words = -(-graphs[0].n // 64)
+    return np.array([[[row >> (64 * j) & (2 ** 64 - 1) for j in range(words)]
+                      for row in g.adj] for g in graphs], dtype=np.uint64)
+
+
+def ints_of_words(words: np.ndarray) -> list:
+    """The Python ints of an array of unsigned bitset words along its last
+    axis, as nested lists: word j holds bits s j..s j + s - 1 of an int,
+    with s the word's bit width."""
+    size = 8 * words.dtype.itemsize
+    ints = [sum(word << (size * j) for j, word in enumerate(row))
+            for row in words.reshape(-1, words.shape[-1]).tolist()]
+    return np.array(ints, dtype=object).reshape(words.shape[:-1]).tolist()
 
 
 def diameter_by_bfs(g: Graph) -> float:

@@ -43,6 +43,7 @@ from spectool.graph import (
     bipartition,
     connectivity,
     edge_order,
+    count_triangles_brute,
     first_triangle,
     from_edge_mask,
     from_edges,
@@ -70,8 +71,10 @@ from oracles import (
     cycle_lengths_by_subsets,
     gnp_by_edge_list,
     graph_shard,
+    ints_of_words,
     power_sums_by_int_powers,
     triangles_by_triple_masks,
+    word_rows,
 )
 
 
@@ -247,9 +250,9 @@ def test_block_facts_match_triple_masks_and_row_reductions(n):
 
 @pytest.mark.parametrize("n,p", [(30, 0.5), (64, 0.05)])
 def test_stack_degree_facts_match_row_reductions(n, p):
-    rows = _word_rows([gnp_by_edge_list(n, p, seed) for seed in range(128)])
+    rows = word_rows([gnp_by_edge_list(n, p, seed) for seed in range(128)])
     stats = stack_stats(rows)
-    adj = (rows[:, :, None] >> np.arange(n, dtype=np.uint64)) & 1
+    adj = (rows >> np.arange(n, dtype=np.uint64)) & 1
     for key, value in _row_major_degree_facts(adj).items():
         assert (stats[key] == value).all(), key
 
@@ -436,12 +439,13 @@ def test_peel_survivors_match_erdos_peel(n):
     # Each peel from every vertex, and from the previous k's survivors, as
     # verdict_table chains them.
     masks = _kernel_masks(n)
-    columns = np.ascontiguousarray(block_stats(n, masks)["rows"].T)
+    columns = np.ascontiguousarray(
+        block_stats(n, masks)["rows"].transpose(1, 0, 2))
     chained = None
     for k in (1, 2, 3):
-        alive = peel_survivors(columns, k).tolist()
+        alive = ints_of_words(peel_survivors(columns, k))
         chained = peel_survivors(columns, k, chained)
-        assert chained.tolist() == alive, (n, k)
+        assert ints_of_words(chained) == alive, (n, k)
         for i, mask in enumerate(masks):
             peel = erdos_peel(from_edge_mask(n, int(mask)), k)
             assert alive[i] == sum(1 << v for v in peel.surviving), \
@@ -456,14 +460,16 @@ def test_peel_survivors_on_uint64_columns_at_vertex_63():
                              for v in range(u + 1, 64)])
     outside = from_edges(64, [(u, v) for u in range(5) for v in range(u + 1, 5)]
                          + [(v, 63) for v in range(5, 11)])
-    columns = np.ascontiguousarray(_word_rows([inside, outside]).T)
+    columns = np.ascontiguousarray(
+        word_rows([inside, outside]).transpose(1, 0, 2))
     top = np.uint64(1) << np.uint64(63)
     for k in (1, 2, 3):
         alive = peel_survivors(columns, k)
-        assert alive.dtype == np.uint64
-        assert alive.tolist() == [sum(1 << v for v in erdos_peel(g, k).surviving)
-                                  for g in (inside, outside)], k
-        assert (alive & top).tolist() == [int(top), 0], k
+        assert alive.dtype == np.uint64 and alive.shape == (2, 1)
+        assert ints_of_words(alive) == [
+            sum(1 << v for v in erdos_peel(g, k).surviving)
+            for g in (inside, outside)], k
+        assert (alive[:, 0] & top).tolist() == [int(top), 0], k
 
 
 def _graph_of_rows(row):
@@ -475,7 +481,7 @@ def _graph_of_rows(row):
 
 def _assert_cores_match_reference(n, rows):
     got = complete_bipartite_cores(rows).tolist()
-    for i, row in enumerate(rows.tolist()):
+    for i, row in enumerate(ints_of_words(rows)):
         g = _graph_of_rows(row)
         assert got[i] == (is_complete_bipartite_plus_isolated(g) is not None), \
             (n, to_edge_mask(g))
@@ -510,7 +516,7 @@ def test_cycle_lengths_match_the_subset_oracle(n):
     # The layered DP against the one-subset-at-a-time pass it replaced, on
     # uint8 rows and on the same rows one uint64 word wide.
     rows = block_stats(n, _kernel_masks(n))["rows"]
-    expected = cycle_lengths_by_subsets(rows).tolist()
+    expected = cycle_lengths_by_subsets(rows[:, :, 0]).tolist()
     for word in (np.uint8, np.uint64):
         assert cycle_lengths(rows.astype(word)).tolist() == expected, word
 
@@ -522,15 +528,16 @@ def test_cycle_lengths_on_named_graphs_and_tiny_blocks():
     for word in (np.uint8, np.uint64):
         for g in graphs:
             rows = np.array([g.adj], dtype=word)
-            assert cycle_lengths(rows).tolist() \
+            assert cycle_lengths(rows[:, :, None]).tolist() \
                 == cycle_lengths_by_subsets(rows).tolist() \
                 == [cycle_spectrum(g, g.n).present], (g.n, g.m, word)
         for n in range(1, 9):
-            assert cycle_lengths(np.zeros((0, n), dtype=word)).shape == (0,)
-    assert cycle_lengths(np.array([complete(8).adj], dtype=np.uint8)) \
-        .tolist() == [sum(1 << l for l in range(3, 9))]
+            assert cycle_lengths(np.zeros((0, n, 1), dtype=word)).shape \
+                == (0,)
+    assert cycle_lengths(np.array([complete(8).adj], dtype=np.uint8)[
+        :, :, None]).tolist() == [sum(1 << l for l in range(3, 9))]
     assert cycle_lengths(np.array([complete_bipartite(4, 4).adj],
-                                  dtype=np.uint8)).tolist() \
+                                  dtype=np.uint8)[:, :, None]).tolist() \
         == [(1 << 4) | (1 << 6) | (1 << 8)]
 
 
@@ -553,7 +560,7 @@ def test_sweep_passes_the_cores_test_only_open_candidates(monkeypatch):
     rows = np.concatenate(seen)
     assert len(rows) == 967
     assert all(_assert_cores_match_reference(n, rows))
-    for row in rows.tolist():
+    for row in ints_of_words(rows):
         g = _graph_of_rows(row)
         assert first_triangle(g) is None
         assert eigendecompose(g).lambda1 >= np.sqrt(g.m) - EQ_EPS
@@ -810,22 +817,19 @@ def test_audit_tight_counts_match_the_sweep_census():
         bound: len(graphs) for bound, graphs in tight.items()}
 
 
-def _word_rows(graphs):
-    """The (b, n) uint64 bitset rows of graphs of one order."""
-    return np.array([g.adj for g in graphs], dtype=np.uint64)
-
-
-def _through_vertex_63():
-    """Graphs on 64 vertices built to use vertex 63, the top bit of a
-    word: K_{a,b} plus isolated vertices, with and without one edge inside
-    a part; paths and cycles relabelled to pass through it; and
-    disconnected unions."""
-    order = np.random.default_rng(63).permutation(64).tolist()
-    order.remove(63)
-    order.insert(5, 63)  # every relabelled shape below uses vertex 63
+def _across_words(n):
+    """Graphs on n >= 64 vertices built to use the vertices at the ends of
+    the words, 63 and, where n allows, 64, 127, 128, 191 and 192: K_{a,b}
+    plus isolated vertices, with and without one edge inside a part; paths
+    and cycles relabelled to pass through them, so that their edges cross
+    word boundaries; and disconnected unions."""
+    order = np.random.default_rng(63).permutation(n).tolist()
+    for i, v in enumerate(v for v in (63, 64, 127, 128, 191, 192) if v < n):
+        order.remove(v)
+        order.insert(5 + 2 * i, v)  # every relabelled shape below uses 63
 
     def relabel(edges):
-        return from_edges(64, [(order[u], order[v]) for u, v in edges])
+        return from_edges(n, [(order[u], order[v]) for u, v in edges])
 
     def cbip(a, b, offset=0):
         return [(offset + u, offset + a + v) for u in range(a)
@@ -846,31 +850,34 @@ def _through_vertex_63():
         relabel(cycle_edges(63) + [(0, 63)]), relabel(cycle_edges(7)),
         relabel(cycle_edges(6) + cycle_edges(5, 6) + cbip(2, 3, 20)),
         relabel(cbip(2, 2) + cbip(3, 3, 4)),
-        from_edges(64, [(0, 63)]), from_edges(64, []),
-    ]
+        from_edges(n, [(0, 63)]), from_edges(n, []),
+    ] + ([from_edges(n, [(v, v + 1) for v in (63, 127, 191) if v + 1 < n]
+                     + [(0, n - 1)])] if n > 64 else [])
 
 
 def _word_graphs(n):
     """Seeded G(n, p) over a range of densities and seeded random
-    bipartite graphs at order n, plus ``_through_vertex_63`` at n = 64."""
+    bipartite graphs at order n, plus ``_across_words`` from n = 64."""
     graphs = [gnp(n, p, seed) for p in (0.02, 0.06, 0.15, 0.4, 0.9)
               for seed in range(8)]
     graphs += [random_bipartite(n // 2, n - n // 2, p, seed)
                for p in (0.05, 0.3, 1.0) for seed in range(3)]
-    return graphs + (_through_vertex_63() if n == 64 else [])
+    return graphs + (_across_words(n) if n >= 64 else [])
 
 
-@pytest.mark.parametrize("n", [9, 30, 63, 64])
+@pytest.mark.parametrize("n", [9, 30, 63, 64, 65, 128, 129, 200])
 def test_word_kernels_match_reference(n):
-    # The peeling cores, the complete bipartite test and the structure of a
-    # uint64 stack against erdos_peel, is_complete_bipartite_plus_isolated,
-    # connectivity and bipartition, on rows one word wide.
+    # The peeling cores, the complete bipartite test and the structure,
+    # degrees and triangles of a uint64 stack against erdos_peel,
+    # is_complete_bipartite_plus_isolated, connectivity, bipartition and the
+    # per-graph counts, on rows one word wide and, from n = 65, two to four.
     graphs = _word_graphs(n)
-    rows = _word_rows(graphs)
+    rows = word_rows(graphs)
+    assert rows.shape == (len(graphs), n, -(-n // 64))
     stats = stack_stats(rows)
     cores = complete_bipartite_cores(rows).tolist()
-    columns = np.ascontiguousarray(rows.T)
-    alive = {k: peel_survivors(columns, k).tolist() for k in (1, 2, 3)}
+    columns = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    alive = {k: ints_of_words(peel_survivors(columns, k)) for k in (1, 2, 3)}
     for i, g in enumerate(graphs):
         conn = connectivity(g)
         expected_diameter = conn.diameter if conn.is_connected else n
@@ -878,6 +885,8 @@ def test_word_kernels_match_reference(n):
                int(stats["diameter"][i]))
         assert got == (conn.is_connected, bipartition(g) is not None,
                        expected_diameter), (n, i)
+        assert stats["degrees"][i].tolist() == g.degrees(), (n, i)
+        assert stats["tri"][i] == count_triangles_brute(g), (n, i)
         assert cores[i] == (is_complete_bipartite_plus_isolated(g)
                             is not None), (n, i)
         for k in (1, 2, 3):
@@ -913,20 +922,21 @@ def _circulant(n, degree):
                           for v in range(n) for d in offsets})
 
 
+@pytest.mark.filterwarnings("error")
 def test_stack_walks_at_the_edge_of_the_int64_rule():
     # D = 26 is the largest degree at n = 64 whose totals, inequality sides
     # and decomposition sums int64 holds at K = 12: the D-regular graph's
     # int64 totals equal walk_counts' Python ints (w_12 = 64 * 26^12 > 2^62)
     # and both walk verdicts are decided; a (D+1)-regular graph is left
-    # to the resolver.
+    # to the resolver, and its wrapped int64 counts raise no warning.
     n, K = 64, WALK_DEPTH
     limit = walk_degree_limit(n, K)
     assert n * (limit + 1) * limit ** (K - 1) < 2 ** 63 \
         <= n * (limit + 2) * (limit + 1) ** (K - 1)
     edge, past = _circulant(n, limit), _circulant(n, limit + 1)
     assert set(edge.degrees()) == {limit} and set(past.degrees()) == {limit + 1}
-    stats = stack_stats(_word_rows([edge, past]), walks=True)
-    levels = walk_levels(stats["rows"][:1, :, None]
+    stats = stack_stats(word_rows([edge, past]), walks=True)
+    levels = walk_levels(stats["rows"][:1]
                          >> np.arange(n, dtype=np.uint64) & 1, K)
     totals = walk_counts(edge, K).totals
     assert [int(level[:, 0].sum()) for level in levels] == list(totals)
@@ -936,7 +946,3 @@ def test_stack_walks_at_the_edge_of_the_int64_rule():
     assert stats["walk_inequality"].tolist() == [True, False]
     assert stats["decomposition"].tolist() == [True, False]
 
-
-def test_stack_stats_rejects_orders_above_64():
-    with pytest.raises(OrderTooLargeError):
-        stack_stats(np.zeros((1, 65), dtype=np.uint64))

@@ -9,7 +9,7 @@ from spectool import _exhaustive, families, verify
 from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import OrderTooLargeError, PreconditionViolatedError
-from spectool.families import complete, cycle, gnp, star
+from spectool.families import complete, cycle, gnp, random_regular, star
 from spectool.graph import from_edge_mask, is_connected
 from spectool.graph6 import to_graph6
 from spectool.spectrum import EQ_EPS, eigendecompose
@@ -36,6 +36,7 @@ from oracles import (
     bipartite_by_edge_list,
     fuzz_shard_per_graph,
     gnp_by_edge_list,
+    ints_of_words,
     per_graph_payload,
 )
 
@@ -385,23 +386,29 @@ def _spy_on_battery(monkeypatch) -> list:
 
 
 class TestFuzzEngine:
-    """Fuzz runs decide through the batch engine up to n = 64, with the
+    """Fuzz runs decide through the batch engine at every order, with the
     same payload as the per-graph battery on every sample."""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dist,count", [
         ("gnp:30,0.5", 300), ("regular:12,3", 300),
         ("bipartite:6,7,0.5", 300), ("gnp:8,0.8", 60), ("gnp:9,0.5", 60),
         ("gnp:64,0.5", 12), ("gnp:65,0.5", 6), ("gnp:20,0.95", 30),
         ("gnp:40,0.99", 12), ("gnp:1,0.5", 4), ("gnp:63,0.3", 12),
-        ("bipartite:32,32,0.5", 12), ("bipartite:33,32,0.5", 6)])
+        ("bipartite:32,32,0.5", 12), ("bipartite:33,32,0.5", 6),
+        ("gnp:90,0.6", 6), ("gnp:129,0.3", 8), ("gnp:200,0.1", 30),
+        ("bipartite:50,50,0.5", 12), ("regular:70,3", 12)])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_payload_matches_the_per_graph_battery(self, monkeypatch, dist,
                                                    count, jobs):
         # gnp:8,0.8 reaches the Bondy kernel; from gnp:9 up, Bondy graphs
         # (most of gnp:20,0.95) go to the resolver, and so do the walk
-        # theorems at gnp:40,0.99 and gnp:64,0.5, past the int64 rule.
-        # gnp:63 and bipartite:32,32 name their graphs by edge lists, past
-        # graph6's cap; bipartite:33,32 is past the stacks' cap.
+        # theorems at gnp:40,0.99 and from gnp:64,0.5 up, past the int64
+        # rule, whose wrapped counts must raise no warning. gnp:63 and
+        # bipartite:32,32 name their graphs by edge lists, past graph6's
+        # cap; from bipartite:33,32 up the rows take two to four words;
+        # gnp:90,0.6 is above Theorem 7's threshold, and gnp:200,0.1 takes
+        # three stacks of at most stack_size(200) = 13.
         expected = _per_graph_fuzz(monkeypatch, dist, count, 7, jobs=jobs)
         assert fuzz(dist, count, 7, jobs=jobs).payload() == expected
 
@@ -410,10 +417,12 @@ class TestFuzzEngine:
         report = fuzz("gnp:30,0.5", 200, 0)
         assert calls == [] and report.violated_count() == 0
 
+    @pytest.mark.filterwarnings("error")
     def test_resolver_gets_only_what_the_stack_cannot_decide(
             self, monkeypatch):
         # At n = 9 only Bondy graphs go back; past the walk rule only the
-        # walk theorems; above n = 64 every theorem.
+        # walk theorems; at n = 65 nothing the stack decides; at n = 90
+        # Theorem 7 only for the graphs above its spectral threshold.
         calls = _spy_on_battery(monkeypatch)
         fuzz("gnp:9,0.9", 40, 1)
         assert calls and {tuple(ids) for _, ids in calls} \
@@ -423,22 +432,42 @@ class TestFuzzEngine:
         assert [ids for _, ids in calls] == [["walk-inequality"]] * 4
         calls.clear()
         fuzz("gnp:65,0.1", 3, 1, ("mantel", "hong"))
-        assert [ids for _, ids in calls] == [["mantel", "hong"]] * 3
+        assert calls == []
+        fuzz("gnp:65,0.5", 3, 1)
+        assert {tuple(ids) for _, ids in calls} \
+            == {("walk-inequality", "decomposition-identity")}
+        calls.clear()
+        dist, count, seed = ("gnp", 90, 0.5), 24, 1
+        report = fuzz(dist, count, seed, ("thm7-even-cycles", "mantel"))
+        above = [verify.graph_text(g)[1] for g in (
+            gnp_by_edge_list(90, 0.5, verify._sample_seed(seed, index))
+            for index in range(count))
+            if eigendecompose(g).lambda1 > 45 + EQ_EPS]
+        assert 0 < len(above) < count
+        assert calls == [(text, ["thm7-even-cycles"]) for text in above]
+        assert report.totals["thm7-even-cycles"]["vacuous"] \
+            == count - len(above)
 
     @pytest.mark.parametrize("dist", [
         ("gnp", 1, 0.5), ("gnp", 2, 0.5), ("gnp", 8, 0.5), ("gnp", 62, 0.3),
         ("gnp", 63, 0.7), ("gnp", 64, 0.5), ("bipartite", 32, 32, 0.5),
-        ("bipartite", 0, 5, 0.5)])
+        ("bipartite", 0, 5, 0.5), ("gnp", 65, 0.5), ("gnp", 128, 0.3),
+        ("gnp", 129, 0.1), ("bipartite", 64, 1, 0.5),
+        ("bipartite", 60, 68, 0.3), ("bipartite", 1, 128, 0.5),
+        ("regular", 65, 4), ("regular", 128, 3), ("regular", 129, 2)])
     def test_stack_rows_are_the_sampled_graphs(self, dist):
         # Rows of 1, 2 and 8 vertices pack into one byte of the word; rows
-        # of 62 to 64 vertices reach its last bits.
-        oracle = {"gnp": gnp_by_edge_list,
-                  "bipartite": bipartite_by_edge_list}[dist[0]]
+        # of 62 to 64 vertices reach its last bits, and rows of 65, 128 and
+        # 129 vertices take two or three words.
+        oracle = {"gnp": gnp_by_edge_list, "bipartite": bipartite_by_edge_list,
+                  "regular": random_regular}[dist[0]]
         seeds = [verify._sample_seed(3, index) for index in range(40)]
         rows = verify._stack_rows(dist, seeds)
+        n = sum(dist[1:-1]) if dist[0] == "bipartite" else dist[1]
         assert rows.dtype == np.uint64
-        assert [tuple(row) for row in rows.tolist()] \
-            == [oracle(*dist[1:], seed).adj for seed in seeds]
+        assert rows.shape == (len(seeds), n, -(-n // 64))
+        assert ints_of_words(rows) \
+            == [list(oracle(*dist[1:], seed).adj) for seed in seeds]
 
     @pytest.mark.parametrize("dist,seed,built", [
         ("gnp:30,0.5", 1, 0), ("gnp:64,0.05", 1, 0),
@@ -475,8 +504,7 @@ class TestFuzzEngine:
         # payload stays as it was.
         dist, seed = "gnp:30,0.5", 7
         expected = fuzz(dist, 40, seed).payload()
-        target = verify.sample_distribution(
-            parse_distribution(dist), verify._sample_seed(seed, 5))
+        target = gnp_by_edge_list(30, 0.5, verify._sample_seed(seed, 5))
         a = np.zeros((30, 30))
         a[target._arcs] = 1
         eigvalsh = np.linalg.eigvalsh
@@ -498,14 +526,13 @@ class TestFuzzEngine:
         # apparent violation, which the per-graph checker finds to hold.
         dist, seed = "regular:12,3", 7
         expected = fuzz(dist, 40, seed).payload()
-        target = verify.sample_distribution(
-            parse_distribution(dist), verify._sample_seed(seed, 3))
-        rows = np.array(target.adj, dtype=np.uint64)
+        target = random_regular(12, 3, verify._sample_seed(seed, 3))
+        rows = np.array(target.adj, dtype=np.uint64)[:, None]
         real = _exhaustive._bound_arrays
 
         def lowered(stats, order):
             values = real(stats, order)
-            hit = (stats["rows"] == rows).all(axis=1)
+            hit = (stats["rows"] == rows).all(axis=(1, 2))
             values["stanley"][hit] = stats["lam1"][hit] - 1
             return values
 
@@ -525,7 +552,7 @@ class TestFuzzEngine:
         def never(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(verify, "sample_distribution", never)
+        monkeypatch.setattr(verify, "random_regular", never)
         monkeypatch.setattr(verify, "bernoulli_rows", never)
         with pytest.raises(ValueError, match="bad distribution spec"):
             fuzz(dist, 2, 1)
