@@ -2,11 +2,12 @@
 
 Sweeps hand it edge bitmasks on up to 8 vertices: a range of labeled ones
 or any array of masks, such as one per isomorphism class. Blocks of a few
-thousand are expanded into stacked adjacency matrices for batched LAPACK
-(one solve per distinct characteristic polynomial in the shard, kept in a
-``SpectrumTable``) and exact int64 walk counts, and into bitset rows for
-the structural facts (connectivity, bipartiteness, diameter, peeling
-cores, the spectral Mantel equality case, cycle lengths). Fuzz runs hand
+thousand are expanded into bitset rows for the structural facts
+(connectivity, diameter, peeling cores, the spectral Mantel equality
+case, cycle lengths), and the rows into stacked adjacency matrices for
+batched LAPACK (one solve per distinct characteristic polynomial in the
+shard, kept in a ``SpectrumTable``), exact power sums (the key, the
+triangles and bipartiteness) and exact int64 walk counts. Fuzz runs hand
 it stacks of sampled graphs of any order as ``uint64`` bitset rows
 (``stack_stats``), which get the same facts with one unkeyed solve per
 stack. Both feed one ``verdict_table``. Semantics (thresholds, formulas,
@@ -19,16 +20,18 @@ overflow.
 
 Bitset rows are (b, n, w) arrays: bit u % s of word u // s of
 ``rows[g, v]``, with s the word's bit width, is set iff u ~ v in graph g.
-Mask rows are one ``uint8`` word (n <= 8); stack rows are
-w = ceil(n / 64) ``uint64`` words.
+Mask rows are one ``uint8`` word (n <= 8), gathered from per-byte tables
+(``mask_rows``); stack rows are w = ceil(n / 64) ``uint64`` words. Rows are
+the only thing built from the input: ``adjacency`` unpacks the (b, n, n)
+``uint8`` adjacency from rows of either word.
 
-Masks and stacks keep two kernel pairs, each chosen by the input: walk
-sets packed in one word per graph (``_walk_facts``, n <= 8) against ball
-growth over the arcs (``_ball_facts``, any n), and a ``SpectrumTable``
-keyed by characteristic polynomial, which the 2,097,152 graphs at n = 7
-share 44,096 of, against one unkeyed solve, since sampled graphs rarely
-share one. Both count triangles as trace(A^3) / 6, from the key's
-``power_sums`` for masks.
+Masks and stacks differ only where the input pays for it. Masks grow
+every ball in one 64-bit word per graph (``_walk_facts``, n <= 8) and read
+bipartiteness off the odd power sums of the ``SpectrumTable`` key, which
+the 2,097,152 graphs at n = 7 share 44,096 of; stacks grow balls over the
+arcs (``_ball_facts``, any n) and take one unkeyed solve, since sampled
+graphs rarely share a key. Both count triangles as trace(A^3) / 6, from
+the key's ``power_sums`` for masks.
 
 The walk, peel and cycle kernels are shared and vertex-major like
 ``_stats``' reductions, so a graph's sums run along axis 0 (axis 1 of the
@@ -81,26 +84,19 @@ _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 
 
 @lru_cache(maxsize=None)
-def _byte_tables(n: int) -> tuple:
-    """For each byte j of an edge mask, the (256, n, n) uint8 adjacency
-    and the (256, n, 1) uint8 bitset rows of the graphs whose masks are the
-    byte values put at byte j."""
+def _byte_tables(n: int) -> np.ndarray:
+    """Table j of the (bytes, 256, n, 1) uint8 array holds the bitset rows
+    of the graphs whose edge masks are the byte values put at byte j."""
     # Row-major below the diagonal is ``edge_order``: (v, u) for u < v.
     v_idx, u_idx = np.tril_indices(n, -1)
-    values = np.arange(256, dtype=np.int64)[:, None]
-    # Distinct powers of two sum to at most 255: the row product is exact.
-    weights = np.uint8(1) << np.arange(n, dtype=np.uint8)
-    tables = []
-    for shift in range(0, max(len(u_idx), 1), 8):
-        bits = ((values << shift) >> np.arange(len(u_idx))) & 1
-        adj = np.zeros((256, n, n), dtype=np.uint8)
-        adj[:, u_idx, v_idx] = bits
-        adj[:, v_idx, u_idx] = bits
-        rows = (adj @ weights)[:, :, None]
-        # Cached and shared: gathers copy them, and nothing may write them.
-        adj.flags.writeable = rows.flags.writeable = False
-        tables.append((adj, rows))
-    return tuple(tables)
+    shifts = np.arange(0, max(len(u_idx), 1), 8)[:, None, None]
+    bits = ((np.arange(256)[:, None] << shifts) >> np.arange(len(u_idx))) & 1
+    adj = np.zeros((len(shifts), 256, n, n), dtype=np.uint8)
+    adj[:, :, u_idx, v_idx] = adj[:, :, v_idx, u_idx] = bits
+    tables = np.packbits(adj, axis=3, bitorder="little")
+    # Cached and shared: gathers copy it, and nothing may write it.
+    tables.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=None)
@@ -128,48 +124,58 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return _POPCOUNT[np.ascontiguousarray(x).view(np.uint8)].sum(axis=-1)
 
 
-def adjacency(n: int, masks: np.ndarray) -> np.ndarray:
-    """The (b, n, n) uint8 adjacency matrices of a block of edge masks."""
-    return _bitsets(n, masks)[0]
-
-
-def _bitsets(n: int, masks: np.ndarray):
-    """The (b, n, n) uint8 adjacency and the (b, n, 1) uint8 bitset rows
-    (bit u of ``rows[:, v, 0]`` set iff u ~ v) of a block of edge masks,
-    each an OR of one ``_byte_tables`` gather per mask byte."""
+def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """The (b, n, 1) uint8 bitset rows of a block of edge masks, an OR of
+    one ``_byte_tables`` gather per mask byte."""
     octets = np.ascontiguousarray(masks, dtype="<i8").view(np.uint8) \
         .reshape(len(masks), 8)
-    (adj, rows), *rest = _byte_tables(n)
-    adj, rows = adj[octets[:, 0]], rows[octets[:, 0]]
-    for j, (adj_j, rows_j) in enumerate(rest, 1):
-        adj |= adj_j[octets[:, j]]
-        rows |= rows_j[octets[:, j]]
-    return adj, rows
+    tables = _byte_tables(n)
+    rows = tables[0][octets[:, 0]]
+    for j in range(1, len(tables)):
+        rows |= tables[j][octets[:, j]]
+    return rows
+
+
+def adjacency(rows: np.ndarray) -> np.ndarray:
+    """The (b, n, n) uint8 adjacency matrices of (b, n, w) bitset rows of
+    any unsigned word."""
+    # Byte j of a row's little-endian words holds vertices 8j..8j+7.
+    octets = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder("<"))
+    return np.unpackbits(octets.view(np.uint8), axis=2, count=rows.shape[1],
+                         bitorder="little")
 
 
 def block_stats(n: int, masks: np.ndarray, walks: bool = False,
                 table: "SpectrumTable | None" = None) -> dict:
     """Vectorized per-graph quantities for a block of edge masks.
 
-    The spectral facts come from ``table`` (a fresh one if None), which
-    solves only the characteristic polynomials it has not met before.
-    One ``power_sums`` pass gives the exact p_2..p_n that key the table
-    and count the triangles, p_3 / 6. ``certified`` flags the graphs whose
-    eigenvalues meet the exact trace identities sum(lambda) = 0,
-    sum(lambda^2) = 2m and sum(lambda^3) = p_3 = 6 * triangles within
-    ``TRACE_EPS``. ``walks`` adds the walk inequality and decomposition
-    identity verdicts at depth ``WALK_DEPTH``.
+    The masks become bitset rows (``mask_rows``), and the rows the
+    adjacency. The spectral facts come from ``table`` (a fresh one if
+    None), which solves only the characteristic polynomials it has not met
+    before. One ``power_sums`` pass gives the exact p_2..p_n that key the
+    table, count the triangles, p_3 / 6, and decide bipartiteness: a graph
+    is bipartite iff it has no closed walk of odd length k <= n, that is
+    iff p_k = 0 for every odd k <= n, since a shortest odd closed walk is
+    an odd cycle. Connectivity and the diameter come from ``_walk_facts``.
+    ``certified`` flags the graphs whose eigenvalues meet the exact trace
+    identities sum(lambda) = 0, sum(lambda^2) = 2m and
+    sum(lambda^3) = p_3 = 6 * triangles within ``TRACE_EPS``. ``walks``
+    adds the walk inequality and decomposition identity verdicts at depth
+    ``WALK_DEPTH``.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(
             f"batch engine capped at n = {MAX_EXHAUSTIVE_N}")
-    adj, rows = _bitsets(n, masks)
+    rows = mask_rows(n, masks)
+    adj = adjacency(rows)
     a = adj.astype(np.float64)
     table = SpectrumTable(n) if table is None else table
     sums = power_sums(a)
     tri = sums[:, 1] // 6 if n >= 3 else np.zeros(len(masks), dtype=np.int64)
+    connected, diameter = _walk_facts(n, rows)
+    # Column k - 2 holds p_k, so the odd k are columns 1, 3, ...
     out = _stats(adj, a, rows, table.facts(a, sums), tri,
-                 _walk_facts(n, rows), walks)
+                 (connected, ~sums[:, 1::2].any(axis=1), diameter), walks)
     out["masks"] = masks
     return out
 
@@ -186,14 +192,12 @@ def stack_stats(rows: np.ndarray, walks: bool = False) -> dict:
     as (b, n, ceil(n / 64)) ``uint64`` bitset rows, with every key but
     ``masks``.
 
-    The spectra come from one ``eigvalsh`` of the whole stack, with no key:
-    sampled graphs rarely share one. The triangles are trace(A^3) / 6, and
-    connectivity, bipartiteness and the diameter come from ``_ball_facts``.
+    The adjacency is unpacked from the rows as for masks. The spectra come
+    from one ``eigvalsh`` of the whole stack, with no key: sampled graphs
+    rarely share one. The triangles are trace(A^3) / 6, and connectivity,
+    bipartiteness and the diameter come from ``_ball_facts``.
     """
-    b, n = rows.shape[:2]
-    # Byte j of a row's little-endian words holds vertices 8j..8j+7.
-    adj = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=2, count=n,
-                        bitorder="little")
+    adj = adjacency(rows)
     a = adj.astype(np.float64)
     # Entries of A^2 are at most n, so the float64 trace is exact while
     # n^3 < 2^53.
@@ -535,49 +539,44 @@ def cycle_lengths(rows: np.ndarray) -> np.ndarray:
 
 
 def _walk_facts(n: int, rows: np.ndarray):
-    """Connectivity, bipartiteness and diameter from exact-length walk sets.
+    """Connectivity and diameter of a block of (b, n, 1) mask rows, n <= 8,
+    by growing every vertex's ball at once.
 
-    W_k[v] is the set of ends of walks of length k from v: W_0[v] = {v} and
-    W_k[v] is the OR of rows[u] over u in W_{k-1}[v], read from word 0 of
-    the (b, n, 1) rows since n <= 8. Each graph keeps its
-    n walk sets in one 64-bit word, W_k[v] in bits 8v..8v+7, so a round is
-    n vectorised ORs over the block: for each u, row u is copied into every
-    byte and kept in the bytes whose walk set holds u.
+    B_k[v], the vertices within distance k of v, is the set of ends of the
+    walks of length k from v in A + I: B_0[v] = {v}, and B_k[v] is the OR
+    of row u plus u itself over u in B_{k-1}[v]. Each graph keeps its n
+    balls in one 64-bit word, B_k[v] in bits 8v..8v+7, so a round is n
+    vectorised ORs over the block: for each u, row u plus u is copied into
+    every byte and kept in the bytes whose ball holds u. The rounds stop
+    once no ball of the block grows.
 
-    The graph is connected iff the walks of length < n from vertex 0 reach
-    every vertex, and bipartite iff no odd k <= n has v in W_k[v]. The
-    diameter is the number of k in 0..n-1 at which some ball of radius k is
-    not the whole vertex set: the first k at which all balls are whole, 0
-    for n = 1 and n for disconnected graphs.
+    The graph is connected iff the ball of vertex 0 is then whole. The
+    diameter is the number of radii k at which some ball is not whole: 0
+    for n = 1, and n for disconnected graphs.
     """
-    b = len(rows)
     full = (1 << n) - 1
-    diag = np.uint64(sum(1 << (9 * v) for v in range(n)))  # v in byte v
     all_full = np.uint64(sum(full << (8 * v) for v in range(n)))
-    spread = [rows[:, u, 0].astype(np.uint64) * _LOW_BITS for u in range(n)]
-    walk = np.full(b, diag, dtype=np.uint64)
-    seen = np.zeros(b, dtype=np.uint64)
-    diameter = np.zeros(b, dtype=np.int64)
-    odd_closed = np.zeros(b, dtype=bool)
-    for k in range(n + 1):
-        if k:
-            step = np.zeros(b, dtype=np.uint64)
-            for u in range(n):
-                holds_u = ((walk >> np.uint64(u)) & _LOW_BITS) * np.uint64(0xFF)
-                step |= spread[u] & holds_u
-            walk = step
-        if k < n:
-            seen |= walk
-            diameter += seen != all_full
-        if k % 2:
-            odd_closed |= (walk & diag) != 0
-    connected = (seen & np.uint64(0xFF)) == np.uint64(full)
-    return connected, ~odd_closed, diameter
+    spread = [(rows[:, u, 0].astype(np.uint64) | np.uint64(1 << u))
+              * _LOW_BITS for u in range(n)]
+    ball = np.full(len(rows), sum(1 << (9 * v) for v in range(n)),
+                   dtype=np.uint64)  # v in byte v
+    diameter = np.zeros(len(rows), dtype=np.int64)
+    for _ in range(n):
+        diameter += ball != all_full
+        grown = np.zeros_like(ball)
+        for u in range(n):
+            holds_u = ((ball >> np.uint64(u)) & _LOW_BITS) * np.uint64(0xFF)
+            grown |= spread[u] & holds_u
+        if (grown == ball).all():
+            break
+        ball = grown
+    connected = (ball & np.uint64(0xFF)) == np.uint64(full)
+    return connected, np.where(connected, diameter, n)
 
 
 def _ball_facts(adj: np.ndarray):
-    """``_walk_facts``' connectivity, bipartiteness and diameter for a
-    (b, n, n) stack of any order, by growing every vertex's ball at once.
+    """Connectivity, bipartiteness and diameter of a (b, n, n) stack of
+    any order, by growing every vertex's ball at once.
 
     As in ``graph._diameter``, ``reach`` holds one bitset row of w words
     per vertex, with vertex s set when it lies within the current radius,

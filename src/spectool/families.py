@@ -147,8 +147,9 @@ def bipartite_slots(a: int, b: int) -> np.ndarray:
     return slots
 
 
-def _graph(packed: np.ndarray) -> Graph:
-    """The graph of one sample's packed ``bernoulli_rows``."""
+def graph_of_rows(packed: np.ndarray) -> Graph:
+    """The graph of one sample's (n, w) bitset rows of any unsigned word,
+    little-endian: ``bernoulli_rows`` bytes or stack words."""
     return Graph(len(packed), tuple(int.from_bytes(row.tobytes(), "little")
                                     for row in packed))
 
@@ -161,7 +162,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise InvalidOrderError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    return _graph(bernoulli_rows(gnp_slots(n), p, [seed])[0])
+    return graph_of_rows(bernoulli_rows(gnp_slots(n), p, [seed])[0])
 
 
 def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
@@ -171,7 +172,7 @@ def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
         raise InvalidOrderError("part sizes must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p = {p} outside [0, 1]")
-    return _graph(bernoulli_rows(bipartite_slots(a, b), p, [seed])[0])
+    return graph_of_rows(bernoulli_rows(bipartite_slots(a, b), p, [seed])[0])
 
 
 def _pairing_edges(n: int, k: int, rng: random.Random) -> set | None:

@@ -34,7 +34,7 @@ from .cycles import (
 )
 from .errors import OrderTooLargeError, PreconditionViolatedError
 from .families import (bernoulli_rows, bipartite_slots, gnp_slots,
-                       random_regular)
+                       graph_of_rows, random_regular)
 from .graph import (
     Bipartition,
     Connectivity,
@@ -555,21 +555,24 @@ def _finalize(config_dict: dict, merged: dict, started: float) -> SweepReport:
 SHARDS_PER_ORDER = 64
 
 
+def _shard_step(count: int, unit: int) -> int:
+    """Graphs per shard of ``count``: whole ``unit``s (a ``BLOCK`` of masks,
+    a stack of samples), as few as cut the graphs into at most
+    ``SHARDS_PER_ORDER`` shards, so small runs do not split into many tiny
+    batch calls and every shard but the last ends on a whole unit."""
+    return unit * max(1, math.ceil(count / (SHARDS_PER_ORDER * unit)))
+
+
 def _shards(n_min: int, n_max: int, dedup: str = "labeled") -> list:
     """``(n, masks)`` per shard: each order's masks, a range of labeled ones
-    or a list of canonical ones, cut into up to ``SHARDS_PER_ORDER`` slices.
-
-    Every shard goes to the batch engine and holds at least one whole
-    block, so small orders do not split into many tiny ``block_stats``
-    calls.
-    """
+    or a list of canonical ones, cut by ``_shard_step``."""
     shards = []
     for n in range(n_min, n_max + 1):
         if dedup == "labeled":
             masks = range(labeled_graph_count(n))
         else:
             masks = canonical_masks(n)
-        step = max(_exhaustive.BLOCK, math.ceil(len(masks) / SHARDS_PER_ORDER))
+        step = _shard_step(len(masks), _exhaustive.BLOCK)
         shards += [(n, masks[i:i + step]) for i in range(0, len(masks), step)]
     return shards
 
@@ -645,22 +648,26 @@ def _stack_rows(dist: tuple, seeds: list) -> np.ndarray:
                   ).view("<u8")
 
 
+def _stack_size(dist: tuple) -> int:
+    """``_exhaustive.stack_size`` at the order of ``dist``'s samples."""
+    return _exhaustive.stack_size(
+        dist[1] + dist[2] if dist[0] == "bipartite" else dist[1])
+
+
 def _fuzz_shard(args) -> dict:
-    """The samples lo..hi-1, drawn ``_exhaustive.stack_size(n)`` at a time
-    and sent through the batch engine as rows. A row becomes a ``Graph``
-    only when the per-graph battery or the tight census needs it."""
+    """The samples lo..hi-1, drawn ``_stack_size(dist)`` at a time and sent
+    through the batch engine as rows. A row becomes a ``Graph`` only when
+    the per-graph battery or the tight census needs it."""
     dist, lo, hi, seed, theorems = args
     values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
-    n = dist[1] + dist[2] if dist[0] == "bipartite" else dist[1]
-    size = _exhaustive.stack_size(n)
+    size = _stack_size(dist)
     for start in range(lo, hi, size):
         rows = _stack_rows(dist, [_sample_seed(seed, index) for index
                                   in range(start, min(start + size, hi))])
 
         def graph(i: int) -> Graph:
-            return Graph(n, tuple(int.from_bytes(row.tobytes(), "little")
-                                  for row in rows[i]))
+            return graph_of_rows(rows[i])
 
         _merge(partial, _resolved(
             _exhaustive.sweep_stack(rows, values),
@@ -681,8 +688,7 @@ def fuzz(distribution, count: int, seed: int,
         raise ValueError("jobs must be positive")
     theorem_ids = coerce_theorems(theorems)
     started = time.perf_counter()
-    # A shard holds at least one whole stack, as a sweep shard holds a block.
-    step = max(_exhaustive.STACK, math.ceil(count / SHARDS_PER_ORDER))
+    step = _shard_step(count, _stack_size(dist))
     shard_args = [(dist, lo, min(lo + step, count), seed, theorem_ids)
                   for lo in range(0, count, step)]
     merged = _run_shards(_fuzz_shard, shard_args, jobs,

@@ -19,6 +19,7 @@ from spectool._exhaustive import (
     block_stats,
     complete_bipartite_cores,
     cycle_lengths,
+    mask_rows,
     packed_keys,
     peel_survivors,
     power_sums,
@@ -97,6 +98,49 @@ def test_structure_kernel_every_labeled_graph(n):
         n, np.arange(labeled_graph_count(n), dtype=np.int64))
 
 
+def _cycle_edges(k, offset=0):
+    return [(offset + v, offset + (v + 1) % k) for v in range(k)]
+
+
+def _named_structures(n):
+    """Edge masks of named graphs padded with isolated vertices to order n,
+    with whether each is bipartite: odd cycles (with an even one beside
+    them when n allows) are not; even cycles, K_{a,b}, paths, stars, a
+    matching and the edgeless graph are."""
+    odd = [_cycle_edges(k) for k in (3, 5, 7) if k <= n]
+    if n >= 7:
+        odd.append(_cycle_edges(3) + _cycle_edges(4, 3))
+    even = [_cycle_edges(k) for k in (4, 6, 8) if k <= n]
+    even += [[(u, a + v) for u in range(a) for v in range(b)]
+             for a, b in ((1, 1), (2, 3), (3, 3), (3, 5), (4, 4), (1, n - 1))
+             if 1 <= b and a + b <= n]
+    even += [[(v, v + 1) for v in range(n - 1)],
+             [(v, v + 1) for v in range(0, n - 1, 2)], []]
+    if n >= 6:
+        even.append([(0, 1), (1, 2), (3, 4), (3, 5)])
+    graphs = [(edges, False) for edges in odd] \
+        + [(edges, True) for edges in even]
+    return (np.array([to_edge_mask(from_edges(n, edges))
+                      for edges, _ in graphs], dtype=np.int64),
+            [bipartite for _, bipartite in graphs])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bipartiteness_from_odd_power_sums_on_named_graphs(n):
+    # block_stats reads bipartiteness off the odd power sums p_3, p_5, ...
+    # up to p_n. A padded odd cycle has no shorter odd closed walk than
+    # itself, so C_7 at n = 7 is seen by p_7, the last column, alone. In a
+    # block of one graph the ball rounds stop as soon as its own balls do,
+    # which a disconnected graph's diameter n must not depend on.
+    masks, bipartite = _named_structures(n)
+    stats = _assert_structure_matches_reference(n, masks)
+    assert stats["bipartite"].tolist() == bipartite
+    if n >= 3:
+        assert not all(bipartite)
+    for mask in masks:
+        _assert_structure_matches_reference(n, mask[None])
+
+
 def _random_masks(n, count, seed):
     """Edge masks of mixed density; every other one keeps only the edges
     across a random vertex 2-colouring, so it is bipartite."""
@@ -131,7 +175,7 @@ def _kernel_masks(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_walk_levels_match_walk_counts(n):
     masks = _kernel_masks(n)
-    levels = walk_levels(adjacency(n, masks), WALK_DEPTH)
+    levels = walk_levels(adjacency(mask_rows(n, masks)), WALK_DEPTH)
     for i, mask in enumerate(masks):
         table = walk_counts(from_edge_mask(n, int(mask)), WALK_DEPTH)
         got = [tuple(level[:, i].tolist()) for level in levels]
@@ -152,7 +196,7 @@ def test_walk_levels_at_the_int64_limit():
     assert walk_degree_limit(8, 21) == 7 and walk_degree_limit(8, 22) == 6
     masks = np.concatenate([[labeled_graph_count(8) - 1],
                             _random_masks(8, 50, 23)]).astype(np.int64)
-    levels = walk_levels(adjacency(8, masks), 21)
+    levels = walk_levels(adjacency(mask_rows(8, masks)), 21)
     for i, mask in enumerate(masks):
         table = walk_counts(from_edge_mask(8, int(mask)), 21)
         assert [int(level[:, i].sum()) for level in levels] \
@@ -184,7 +228,7 @@ def _spectrum_masks(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_power_sums_match_int64_matrix_powers(n):
-    adj = adjacency(n, _spectrum_masks(n))
+    adj = adjacency(mask_rows(n, _spectrum_masks(n)))
     keys = power_sums(adj.astype(np.float64))
     expected = power_sums_by_int_powers(adj)
     assert (keys == expected).all()
@@ -193,14 +237,15 @@ def test_power_sums_match_int64_matrix_powers(n):
 
 def test_power_sums_exact_at_k8():
     # K_8 has the largest entries: trace(A^8) = 7^8 + 7 * 1 = 5,764,808.
-    adj = adjacency(8, np.array([labeled_graph_count(8) - 1], dtype=np.int64))
+    adj = adjacency(mask_rows(
+        8, np.array([labeled_graph_count(8) - 1], dtype=np.int64)))
     keys = power_sums(adj.astype(np.float64))
     assert keys[0].tolist() == [7 ** k + 7 * (-1) ** k for k in range(2, 9)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_grouped_spectra_match_eigvalsh(n):
-    a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
+    a = adjacency(mask_rows(n, _spectrum_masks(n))).astype(np.float64)
     table = SpectrumTable(n)
     grouped = table.facts(a, power_sums(a))["ev"]
     assert grouped.shape == a.shape[:2]
@@ -235,12 +280,13 @@ def _oracle_blocks(n):
 def test_block_facts_match_triple_masks_and_row_reductions(n):
     # The triangles p_3 / 6 against one mask per vertex triple, and the
     # vertex-major reductions against row-major ones on a bit-by-bit
-    # adjacency, which the byte-table adjacency must equal too.
+    # adjacency, which the adjacency unpacked from the byte-table rows must
+    # equal too.
     table = SpectrumTable(n)
     for masks in _oracle_blocks(n):
         stats = block_stats(n, masks, table=table)
         adj = adjacency_by_edge_bits(n, masks)
-        assert (adjacency(n, masks) == adj).all()
+        assert (adjacency(mask_rows(n, masks)) == adj).all()
         assert (stats["tri"] == triangles_by_triple_masks(n, masks)).all()
         for key, value in _row_major_degree_facts(adj).items():
             assert (stats[key] == value).all(), (n, key)
@@ -267,7 +313,7 @@ def _cospectral_pair():
 def test_one_solve_per_distinct_power_sum_key(monkeypatch):
     n = 5
     masks = np.arange(labeled_graph_count(n), dtype=np.int64)
-    a = adjacency(n, masks).astype(np.float64)
+    a = adjacency(mask_rows(n, masks)).astype(np.float64)
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -303,7 +349,7 @@ def _partition(inverse):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_packed_keys_group_like_power_sums(n):
-    a = adjacency(n, _spectrum_masks(n)).astype(np.float64)
+    a = adjacency(mask_rows(n, _spectrum_masks(n))).astype(np.float64)
     packed = np.unique(packed_keys(power_sums(a), n), axis=0,
                        return_inverse=True)[1]
     exact = np.unique(power_sums(a), axis=0, return_inverse=True)[1]
@@ -316,7 +362,7 @@ def test_packed_keys_unpack_to_power_sums(n):
     # so no field spills into its neighbour or past bit 62.
     masks = np.concatenate([[labeled_graph_count(n) - 1],
                             _spectrum_masks(n)]).astype(np.int64)
-    a = adjacency(n, masks).astype(np.float64)
+    a = adjacency(mask_rows(n, masks)).astype(np.float64)
     words = packed_keys(power_sums(a), n)
     assert (words >= 0).all()
     layout = _key_layout(n)
@@ -330,7 +376,8 @@ def test_packed_keys_unpack_to_power_sums(n):
 
 
 def _packed_keys_of_masks(n, masks):
-    return packed_keys(power_sums(adjacency(n, masks).astype(np.float64)), n)
+    a = adjacency(mask_rows(n, masks)).astype(np.float64)
+    return packed_keys(power_sums(a), n)
 
 
 def test_packed_keys_at_one_vertex():
@@ -348,7 +395,8 @@ def test_table_rows_match_a_fresh_eigensolve(n):
     table = SpectrumTable(n)
     parts = [block_stats(n, part, table=table)
              for part in (masks[:half], masks[half:])]
-    ev = np.linalg.eigvalsh(adjacency(n, masks).astype(np.float64))
+    ev = np.linalg.eigvalsh(
+        adjacency(mask_rows(n, masks)).astype(np.float64))
     got = {key: np.concatenate([part[key] for part in parts])
            for key in ("lam1", "sum_cubes", "symmetric", "distinct")}
     assert np.abs(got["lam1"] - ev[:, -1]).max() <= 1e-12
@@ -416,7 +464,7 @@ def test_a_failed_certificate_reaches_the_key_in_every_block(monkeypatch):
     key = min(first_block & last_block)
     group = masks[(keys == key).all(axis=1)]
     assert group[0] < lo + BLOCK <= hi - BLOCK <= group[-1]
-    rep = adjacency(n, group[:1])[0]
+    rep = adjacency(mask_rows(n, group[:1]))[0]
     eigvalsh = np.linalg.eigvalsh
 
     def perturbed(a):
@@ -737,11 +785,11 @@ def test_failed_certificate_reaches_every_graph_sharing_the_spectrum(
     config = SweepConfig(n_min=n, n_max=n, theorems=ALL_THEOREMS)
     expected = sweep(config).payload()
     masks = np.arange(total, dtype=np.int64)
-    keys = power_sums(adjacency(n, masks).astype(np.float64))
+    keys = power_sums(adjacency(mask_rows(n, masks)).astype(np.float64))
     s, c = _cospectral_pair()
     group = masks[(keys == keys[s]).all(axis=1)].tolist()
     assert len(group) == 20 and s in group and c in group
-    rep = adjacency(n, masks[group[:1]])[0]
+    rep = adjacency(mask_rows(n, masks[group[:1]]))[0]
     eigvalsh = np.linalg.eigvalsh
 
     def perturbed(a):

@@ -412,6 +412,25 @@ class TestFuzzEngine:
         expected = _per_graph_fuzz(monkeypatch, dist, count, 7, jobs=jobs)
         assert fuzz(dist, count, 7, jobs=jobs).payload() == expected
 
+    def test_shards_are_whole_stacks_at_every_order(self, monkeypatch):
+        # gnp:200,0.1 stacks 13 samples, so 100 of them make eight shards,
+        # which --jobs can spread, each a whole number of stacks but the
+        # last, with the same payload at any job count.
+        sizes = []
+        real = verify._run_shards
+
+        def spy(worker, shard_args, jobs, merged):
+            sizes.extend(hi - lo for _, lo, hi, _, _ in shard_args)
+            return real(worker, shard_args, jobs, merged)
+
+        monkeypatch.setattr(verify, "_run_shards", spy)
+        payload = fuzz("gnp:200,0.1", 100, 7, jobs=2).payload()
+        unit = _exhaustive.stack_size(200)
+        assert len(sizes) > 1 and sum(sizes) == 100
+        assert all(size % unit == 0 for size in sizes[:-1])
+        assert sizes == [13] * 7 + [9]
+        assert payload == fuzz("gnp:200,0.1", 100, 7, jobs=1).payload()
+
     def test_reference_samples_need_no_resolver(self, monkeypatch):
         calls = _spy_on_battery(monkeypatch)
         report = fuzz("gnp:30,0.5", 200, 0)
@@ -478,13 +497,13 @@ class TestFuzzEngine:
         # tight-list entry: gnp:8,0.5 seed 1 has one graph tight for thm11
         # and lemma3.
         made = []
-        real = verify.Graph
+        real = verify.graph_of_rows
 
         def counted(*args):
             made.append(args)
             return real(*args)
 
-        monkeypatch.setattr(verify, "Graph", counted)
+        monkeypatch.setattr(verify, "graph_of_rows", counted)
         calls = _spy_on_battery(monkeypatch)
         report = fuzz(dist, 1000, seed)
         assert calls == [] and len(made) == built
