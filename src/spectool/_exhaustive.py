@@ -598,10 +598,15 @@ def _ball_facts(adj: np.ndarray):
     # times slower.
     bits = _vertex_bits(n, np.uint64).T
     full = bits.sum(axis=1, dtype=np.uint64)[:, None]
-    # Arc v -> u of graph g sits at (g n + v) n + u of the flat stack.
+    # Arc v -> u of graph g sits at r n + u of the flat stack, in row
+    # r = g n + v, and runs from r to g n + u. The rows' first arcs split
+    # the arcs into tails and heads without dividing every index by n.
     arcs = np.flatnonzero((adj | np.eye(n, dtype=np.uint8)).view(bool))
-    tails, heads = arcs // n, arcs // (n * n) * n + arcs % n
-    starts = np.searchsorted(tails, np.arange(b * n))
+    rows = np.arange(b * n)
+    starts = np.searchsorted(arcs, rows * n)
+    degrees = np.diff(starts, append=len(arcs))
+    tails = np.repeat(rows, degrees)
+    heads = arcs - np.repeat(rows * n - rows // n * n, degrees)
     reach = np.tile(bits, b)
     even = reach.copy()
     diameter = np.zeros(b, dtype=np.int64)

@@ -1,6 +1,9 @@
 """Enumeration, the sweep/fuzz harness, determinism, and replay."""
 
-from unittest import mock
+import contextlib
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from spectool import _exhaustive, families, verify
 from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
-from spectool.errors import OrderTooLargeError, PreconditionViolatedError
+from spectool.errors import (OrderTooLargeError, PreconditionViolatedError,
+                             RedrawLimitError)
 from spectool.families import complete, cycle, gnp, random_regular, star
 from spectool.graph import from_edge_mask, is_connected
 from spectool.graph6 import to_graph6
@@ -232,30 +236,27 @@ class TestSweep:
         assert sweep(config1).payload()["totals"] \
             == sweep(config2).payload()["totals"]
 
-    def test_pool_holds_one_worker_per_shard_at_most(self, monkeypatch):
-        # A fake pool records its size and maps in this process, so no
-        # worker is started. n <= 6 is 13 shards (8 of them at n = 6), and
-        # 300 samples are 3 shards of one stack each.
-        sizes = []
+    def test_one_worker_per_shard_at_most(self, monkeypatch):
+        # A spy on the fork context's Process counts the workers each run
+        # starts. n <= 6 is 13 shards (8 of them at n = 6), and 300 samples
+        # are 3 shards of one stack each; the 13 workers outnumber the
+        # cores, and a shard lost or run twice between them would change
+        # the payload.
+        started = []
+        ctx = verify.multiprocessing.get_context("fork")
 
-        class Pool:
-            def __init__(self, size):
-                sizes.append(size)
+        class Process(ctx.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, args, chunksize=1):
-                return list(map(worker, args))
-
-        monkeypatch.setattr(verify.multiprocessing, "get_context",
-                            lambda method: mock.Mock(Pool=Pool))
+        monkeypatch.setattr(ctx, "Process", Process)
         swept = sweep(SweepConfig(n_max=6, jobs=1000)).payload()
+        sizes = [len(started)]
         fuzzed = fuzz("gnp:12,0.5", 300, 7, jobs=64).payload()
+        sizes.append(len(started) - sizes[0])
         assert sizes == [13, 3]
+        assert multiprocessing.active_children() == []
         monkeypatch.undo()
         assert swept == sweep(SweepConfig(n_max=6, jobs=1)).payload()
         assert fuzzed == fuzz("gnp:12,0.5", 300, 7, jobs=1).payload()
@@ -314,6 +315,76 @@ class TestSweep:
             config.validate()
         with pytest.raises(ValueError, match="no theorem"):
             sweep(config)
+
+
+def _shard_part(shard: int) -> dict:
+    return {"shards": [shard]}
+
+
+def _raise_on_shard_1(shard: int) -> dict:
+    if shard == 1:
+        raise RedrawLimitError("no simple draw in shard 1")
+    return _shard_part(shard)
+
+
+def _raise_unpicklable_on_shard_1(shard: int) -> dict:
+    if shard == 1:
+        raise ValueError(lambda: shard)
+    return _shard_part(shard)
+
+
+def _exit_on_shard_1(shard: int) -> dict:
+    if shard == 1:
+        os._exit(1)
+    return _shard_part(shard)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestShardWorkers:
+    """``_run_shards`` with two forked workers over six shards: parts merge
+    in shard order, a failing worker fails the call, and no child is left
+    running either way."""
+
+    SHARDS = list(range(6))
+
+    def test_parts_merge_in_shard_order(self):
+        with _time_limit(60):
+            merged = verify._run_shards(_shard_part, self.SHARDS, 2, {})
+        assert merged == {"shards": self.SHARDS}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_the_caller(self):
+        with _time_limit(60), pytest.raises(
+                RedrawLimitError, match="^no simple draw in shard 1$"):
+            verify._run_shards(_raise_on_shard_1, self.SHARDS, 2, {})
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_exception_arrives_as_its_repr(self):
+        with _time_limit(60), pytest.raises(
+                RuntimeError, match="^ValueError\\(<function"):
+            verify._run_shards(_raise_unpicklable_on_shard_1, self.SHARDS, 2,
+                               {})
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_an_error_not_a_hang(self):
+        with _time_limit(60), pytest.raises(RuntimeError,
+                                            match="exited with code 1 "):
+            verify._run_shards(_exit_on_shard_1, self.SHARDS, 2, {})
+        assert multiprocessing.active_children() == []
 
 
 class TestFuzz:
