@@ -28,10 +28,12 @@ the only thing built from the input: ``adjacency`` unpacks the (b, n, n)
 Masks and stacks differ only where the input pays for it. Masks grow
 every ball in one 64-bit word per graph (``_walk_facts``, n <= 8) and read
 bipartiteness off the odd power sums of the ``SpectrumTable`` key, which
-the 2,097,152 graphs at n = 7 share 44,096 of; stacks grow balls over the
-arcs (``_ball_facts``, any n) and take one unkeyed solve, since sampled
-graphs rarely share a key. Both count triangles as trace(A^3) / 6, from
-the key's ``power_sums`` for masks.
+the 2,097,152 graphs at n = 7 share 44,096 of; stacks take one unkeyed
+solve, since sampled graphs rarely share a key, read the structure of a
+sample whose pairs all lie within distance 2 and which has a triangle off
+the A^2 of its triangle count, and grow balls over the arcs
+(``_ball_facts``, any n) for the rest. Both count triangles as
+trace(A^3) / 6, from the key's ``power_sums`` for masks.
 
 The walk, peel and cycle kernels are shared and vertex-major like
 ``_stats``' reductions, so a graph's sums run along axis 0 (axis 1 of the
@@ -39,9 +41,10 @@ walk levels). None loops in Python over a block's graphs, subsets or walk
 lengths: each takes one numpy pass per walk level (per chunk of graphs),
 peeling round or subset size:
 - the walk checks form one (K - 1, n, c) int64 array of levels W_0..W_{K-2}
-  per ``WALK_CHUNK`` = c graphs, each level one ``einsum`` over an
-  (n, n, c) copy of the adjacency, take w_{K-1} and w_K as dot products of
-  the middle levels, and decide every k in one reduction;
+  per ``WALK_CHUNK`` = c graphs that holds a graph within the int64 rule,
+  each level one ``einsum`` over an (n, n, c) copy of the adjacency, take
+  w_{K-1} and w_K as dot products of the middle levels, and decide every k
+  in one reduction;
 - the peel takes (n, b, w) rows and starts each k from the survivors of
   k - 1;
 - ``cycle_lengths`` takes its subsets one size at a time, from cached
@@ -79,7 +82,6 @@ WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
 # The bound theorems, whose tight graphs the sweeps list and the audit counts.
 BOUNDS = ("stanley", "hong", "hsf", "lemma3", "thm11")
 
-_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 
 
@@ -119,9 +121,8 @@ def walk_degree_limit(n: int, K: int) -> int:
 
 def _popcount(x: np.ndarray) -> np.ndarray:
     """The set bits of each row of words of an unsigned integer array,
-    summed along its last axis, as int64; counted byte by byte (numpy 1.24
-    has no ``bitwise_count``)."""
-    return _POPCOUNT[np.ascontiguousarray(x).view(np.uint8)].sum(axis=-1)
+    summed along its last axis, as int64."""
+    return np.bitwise_count(x).sum(axis=-1, dtype=np.int64)
 
 
 def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -194,16 +195,31 @@ def stack_stats(rows: np.ndarray, walks: bool = False) -> dict:
 
     The adjacency is unpacked from the rows as for masks. The spectra come
     from one ``eigvalsh`` of the whole stack, with no key: sampled graphs
-    rarely share one. The triangles are trace(A^3) / 6, and connectivity,
-    bipartiteness and the diameter come from ``_ball_facts``.
+    rarely share one. The triangles are trace(A^3) / 6, the entrywise sum
+    of A^2 * A. That A^2 also settles the structure of most dense samples:
+    every pair of a graph lies within distance 2 iff A^2 + A + I has no
+    zero entry, and then the graph is connected, of diameter 1 if it is
+    complete (trace(A^2) = 2m = n(n - 1)) and 2 otherwise, and not
+    bipartite if it has a triangle. Connectivity, bipartiteness and the
+    diameter of the other samples come from ``_ball_facts``.
     """
     adj = adjacency(rows)
     a = adj.astype(np.float64)
-    # Entries of A^2 are at most n, so the float64 trace is exact while
+    b, n = adj.shape[:2]
+    # Entries of A^2 are at most n, so the float64 sums are exact while
     # n^3 < 2^53.
-    tri = np.einsum("bij,bij->b", a @ a, a).astype(np.int64) // 6
+    a2 = a @ a
+    tri = np.einsum("bij,bij->b", a2, a).astype(np.int64) // 6
+    within_two = (adj.view(bool) | (a2 > 0) | np.eye(n, dtype=bool)).all(
+        axis=(1, 2))
+    rest = ~(within_two & (tri > 0))
+    connected, bipartite = np.ones(b, dtype=bool), np.zeros(b, dtype=bool)
+    diameter = np.where(np.einsum("bii->b", a2) == n * (n - 1), 1, 2)
+    if rest.any():
+        connected[rest], bipartite[rest], diameter[rest] = _ball_facts(
+            adj[rest])
     return _stats(adj, a, rows, _spectrum_facts(np.linalg.eigvalsh(a)), tri,
-                  _ball_facts(adj), walks)
+                  (connected, bipartite, diameter), walks)
 
 
 def _stats(adj, a, rows, spectrum, tri, structure, walks) -> dict:
@@ -398,12 +414,15 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
     counts are exact only on the graphs within ``walk_degree_limit(n, K)``,
     which is all of them for n <= 8; int64 arithmetic wraps silently on the
     rest, whose verdicts are then set False, which hands them to the
-    resolver.
+    resolver. A chunk with no graph within the rule forms no level.
     """
     K = WALK_DEPTH
-    verdicts = np.empty((2, len(adj)), dtype=bool)
+    fits = max_deg <= walk_degree_limit(adj.shape[1], K)
+    verdicts = np.zeros((2, len(adj)), dtype=bool)
     for lo in range(0, len(adj), WALK_CHUNK):
         part = slice(lo, lo + WALK_CHUNK)
+        if not fits[part].any():
+            continue
         levels = walk_levels(adj[part], K - 2)
         w2 = levels[2]
         totals = np.concatenate([
@@ -415,7 +434,7 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
         verdicts[0, part] = ((low <= 0) | (high + mid <= bound)).all(axis=0)
         verdicts[1, part] = (w2 == open_columns[:, part]).all(axis=0) & (
             high == np.einsum("kvb,vb->kb", levels, w2)).all(axis=0)
-    verdicts &= max_deg <= walk_degree_limit(adj.shape[1], K)
+    verdicts &= fits
     return verdicts[0], verdicts[1]
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, verify, fuzz, gen.
 
 Exit codes: 0 success / no violations, 1 violations found, 2 input parse
-error, 3 configuration error. All randomness flows from --seed; worker
+error, 3 configuration error, or a ``verify`` or ``fuzz`` shard worker that
+died without sending its results. All randomness flows from --seed; worker
 count comes from --jobs or the SPECTOOL_JOBS environment variable.
 """
 
@@ -19,6 +20,7 @@ from .errors import (
     RedrawLimitError,
     SearchBudgetExceededError,
     SpectoolError,
+    WorkerExitError,
 )
 from .families import complete, complete_bipartite, cycle, path, petersen, star
 from .graph import Graph, basic_stats, connectivity, count_triangles_brute
@@ -211,7 +213,10 @@ def cmd_verify(args) -> int:
         config.validate()
     except (OrderTooLargeError, ValueError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    report = sweep(config)
+    try:
+        report = sweep(config)
+    except WorkerExitError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     return _emit_sweep(report, args)
 
 
@@ -225,7 +230,7 @@ def cmd_fuzz(args) -> int:
         report = fuzz(dist, args.count, args.seed, theorems, jobs=args.jobs)
     except RedrawLimitError as exc:
         return _fail(EXIT_CONFIG, f"--dist {args.dist}: {exc}")
-    except ValueError as exc:
+    except (ValueError, WorkerExitError) as exc:
         return _fail(EXIT_CONFIG, str(exc))
     return _emit_sweep(report, args)
 

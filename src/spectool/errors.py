@@ -83,3 +83,7 @@ class InvalidWalkTableError(SpectoolError, ValueError):
 
 class RedrawLimitError(SpectoolError):
     """Rejection sampler found no valid draw within its redraw bound."""
+
+
+class WorkerExitError(SpectoolError, RuntimeError):
+    """A forked shard worker exited without sending its results."""

@@ -15,8 +15,9 @@ With more than one job, ``_run_shards`` forks one worker per job (and per
 shard at most). Each worker claims the next unclaimed shard from a shared
 counter until none is left, then sends its parts back over its own pipe;
 the parent merges them in shard order. A worker's exception is raised in
-the caller, and a worker that dies without sending, say killed by the OOM
-killer, is an error naming its exit code, not a hang.
+the caller, caused by one that holds the worker's traceback, and a worker
+that dies without sending, say killed by the OOM killer, is a
+``WorkerExitError`` naming its exit code, not a hang.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,8 @@ from .cycles import (
     consecutive_even_cycles_check,
     erdos_peel,
 )
-from .errors import OrderTooLargeError, PreconditionViolatedError
+from .errors import (OrderTooLargeError, PreconditionViolatedError,
+                     WorkerExitError)
 from .families import (bernoulli_rows, bipartite_slots, gnp_slots,
                        graph_of_rows, random_regular)
 from .graph import (
@@ -533,9 +535,9 @@ def _vector_shard(args) -> dict:
 
 def _claim_shards(worker, shard_args, counter, sender) -> None:
     """A forked worker's body: run ``worker`` on each shard whose index it
-    claims from ``counter``, until none is left, then send its
-    ``(index, part)`` pairs, or the exception a shard raised, to the
-    parent."""
+    claims from ``counter``, until none is left, then send the parent its
+    ``(index, part)`` pairs and None, or the exception a shard raised and
+    its formatted traceback."""
     try:
         parts = []
         while True:
@@ -545,21 +547,26 @@ def _claim_shards(worker, shard_args, counter, sender) -> None:
             if index >= len(shard_args):
                 break
             parts.append((index, worker(shard_args[index])))
+        sent = (parts, None)
     except Exception as exc:
-        parts = exc
+        import traceback  # only a failing worker pays for the import
+
+        sent = (exc, traceback.format_exc())
     try:
-        sender.send(parts)
-    except Exception:  # an exception that does not pickle
-        sender.send(RuntimeError(repr(parts)))
+        sender.send(sent)
+    except Exception as exc:  # parts or an exception that do not pickle
+        sender.send((RuntimeError(repr(sent[0])), sent[1] or repr(exc)))
 
 
 def _fork_join(worker, shard_args, workers: int) -> list:
     """Each shard's part, in shard order, from ``workers`` forked processes
     that claim shards from one shared counter and send back what they did
     over a pipe each, read as they arrive. A worker's exception is raised
-    here, and a worker that exits without sending raises ``RuntimeError``
-    with its exit code, without waiting for the others. Every child is
-    terminated and joined on the way out."""
+    here, caused by a ``RemoteTraceback`` that holds the worker's
+    traceback, as ``multiprocessing.pool`` raises it; a worker that exits
+    without sending raises ``WorkerExitError`` with its exit code, without
+    waiting for the others. Every child is terminated and joined on the
+    way out."""
     # Imported here: at module level it would add about 5 ms to every
     # start-up, forking or not.
     from multiprocessing.connection import wait
@@ -580,14 +587,16 @@ def _fork_join(worker, shard_args, workers: int) -> list:
             receiver = wait(list(pending))[0]
             child = pending.pop(receiver)
             try:
-                sent = receiver.recv()
+                sent, trace = receiver.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(
+                raise WorkerExitError(
                     f"a shard worker exited with code {child.exitcode} "
                     "before sending its results") from None
-            if isinstance(sent, Exception):
-                raise sent
+            if trace is not None:
+                from multiprocessing.pool import RemoteTraceback
+
+                raise sent from RemoteTraceback(trace)
             parts += sent
     finally:
         for receiver, child in children.items():

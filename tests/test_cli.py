@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 import pytest
 
-from spectool import cli
+from spectool import cli, verify
 from spectool.cli import MAX_WALKS, main
 from spectool.cycles import DEFAULT_BUDGET
 from spectool.errors import SearchBudgetExceededError
@@ -327,6 +328,24 @@ def test_fuzz_unreachable_regular_exit3():
     assert result.returncode == 3
     assert "regular:30,10" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def _exit_in_worker(args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("argv, worker", [
+    (["verify", "--min-n", "1", "--max-n", "4"], "_vector_shard"),
+    (["fuzz", "--dist", "gnp:5,0.5", "--count", "300"], "_fuzz_shard"),
+])
+def test_dead_shard_worker_exits_3(monkeypatch, capsys, argv, worker):
+    # A worker that dies before sending is a configuration-level failure,
+    # not "violations found" through a traceback.
+    monkeypatch.setattr(verify, worker, _exit_in_worker)
+    assert main(argv + ["--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "exited with code 1 before sending" in err
+    assert "Traceback" not in err
 
 
 def test_env_var_sets_default_jobs(monkeypatch):

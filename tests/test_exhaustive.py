@@ -36,6 +36,7 @@ from spectool.families import (
     complete_bipartite,
     cycle,
     gnp,
+    petersen,
     random_bipartite,
     star,
 )
@@ -994,3 +995,75 @@ def test_stack_walks_at_the_edge_of_the_int64_rule():
     assert stats["walk_inequality"].tolist() == [True, False]
     assert stats["decomposition"].tolist() == [True, False]
 
+
+def _structure_graphs():
+    """Named graphs on both sides of the A^2 test (complete, complete
+    bipartite, triangle-free of diameter 2, diameter 3, disconnected with
+    triangles) and ``_word_graphs(30)``, grouped by order."""
+    tri_path = from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    two_triangles = from_edges(6, _cycle_edges(3) + _cycle_edges(3, 3))
+    graphs = [complete(1), complete(2), complete(30),
+              complete_bipartite(15, 15), cycle(5), petersen(), tri_path,
+              two_triangles] + _word_graphs(30)
+    orders = sorted({g.n for g in graphs})
+    return [[g for g in graphs if g.n == n] for n in orders]
+
+
+def test_stack_structure_from_a_squared_and_balls(monkeypatch):
+    # A sample whose pairs all lie within distance 2 and which has a
+    # triangle takes its structure from A^2; only the others reach
+    # _ball_facts, and every sample's facts match connectivity and
+    # bipartition.
+    seen = []
+    ball_facts = _exhaustive._ball_facts
+
+    def spy(adj):
+        seen.append(adj.copy())
+        return ball_facts(adj)
+
+    monkeypatch.setattr(_exhaustive, "_ball_facts", spy)
+    decided = []
+    for graphs in _structure_graphs():
+        n = graphs[0].n
+        seen.clear()
+        rows = word_rows(graphs)
+        stats = stack_stats(rows)
+        open_ = []
+        for i, g in enumerate(graphs):
+            conn = connectivity(g)
+            expected = (conn.is_connected, bipartition(g) is not None,
+                        conn.diameter if conn.is_connected else n)
+            assert (bool(stats["connected"][i]), bool(stats["bipartite"][i]),
+                    int(stats["diameter"][i])) == expected, (n, i)
+            open_.append(not (conn.is_connected and conn.diameter <= 2
+                              and count_triangles_brute(g) > 0))
+        decided += [(n, int(d)) for d, o in zip(stats["diameter"], open_)
+                    if not o]
+        assert len(seen) == any(open_), n
+        if seen:
+            assert np.array_equal(seen[0], adjacency(rows)[np.array(open_)]), n
+    # K_30 and the dense G(30, p) samples are decided; K_1, K_2, K_15,15,
+    # C_5, Petersen, the pendant path and the two triangles are not.
+    assert (30, 1) in decided and (30, 2) in decided
+    assert {n for n, _ in decided} == {30}
+
+
+def test_walk_checks_form_no_level_past_the_int64_rule(monkeypatch):
+    # Every graph of the stack is 27-regular at n = 64, one past
+    # walk_degree_limit(64, 12): no chunk forms a level, and both walk
+    # verdicts stay False.
+    calls = []
+    levels = _exhaustive.walk_levels
+
+    def spy(adj, K):
+        calls.append(len(adj))
+        return levels(adj, K)
+
+    monkeypatch.setattr(_exhaustive, "walk_levels", spy)
+    n = 64
+    past = _circulant(n, walk_degree_limit(n, WALK_DEPTH) + 1)
+    assert set(past.degrees()) == {27}
+    stats = stack_stats(word_rows([past] * 3), walks=True)
+    assert calls == []
+    assert stats["walk_inequality"].tolist() == [False] * 3
+    assert stats["decomposition"].tolist() == [False] * 3

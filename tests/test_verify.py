@@ -12,7 +12,7 @@ from spectool import _exhaustive, families, verify
 from spectool.bounds import bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import (OrderTooLargeError, PreconditionViolatedError,
-                             RedrawLimitError)
+                             RedrawLimitError, WorkerExitError)
 from spectool.families import complete, cycle, gnp, random_regular, star
 from spectool.graph import from_edge_mask, is_connected
 from spectool.graph6 import to_graph6
@@ -373,6 +373,14 @@ class TestShardWorkers:
             verify._run_shards(_raise_on_shard_1, self.SHARDS, 2, {})
         assert multiprocessing.active_children() == []
 
+    def test_worker_traceback_is_the_cause(self):
+        with _time_limit(60), pytest.raises(RedrawLimitError) as caught:
+            verify._run_shards(_raise_on_shard_1, self.SHARDS, 2, {})
+        cause = str(caught.value.__cause__)
+        assert "Traceback (most recent call last)" in cause
+        assert "_raise_on_shard_1" in cause
+        assert multiprocessing.active_children() == []
+
     def test_unpicklable_exception_arrives_as_its_repr(self):
         with _time_limit(60), pytest.raises(
                 RuntimeError, match="^ValueError\\(<function"):
@@ -381,7 +389,7 @@ class TestShardWorkers:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_is_an_error_not_a_hang(self):
-        with _time_limit(60), pytest.raises(RuntimeError,
+        with _time_limit(60), pytest.raises(WorkerExitError,
                                             match="exited with code 1 "):
             verify._run_shards(_exit_on_shard_1, self.SHARDS, 2, {})
         assert multiprocessing.active_children() == []
