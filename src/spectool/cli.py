@@ -1,9 +1,11 @@
 """Command-line front end: analyze, verify, fuzz, gen.
 
-Exit codes: 0 success / no violations, 1 violations found, 2 input parse
-error, 3 configuration error, or a ``verify`` or ``fuzz`` shard worker that
-died without sending its results. All randomness flows from --seed; worker
-count comes from --jobs or the SPECTOOL_JOBS environment variable.
+Exit codes: 0 success / no violations, 1 violations found, 2 an
+``InputError`` (input that cannot be read or parsed), 3 any other error:
+another ``SpectoolError`` with its message, or a defect with its
+traceback. ``main`` is the one place that maps an error to its code; the
+commands only raise. All randomness flows from --seed; worker count comes
+from --jobs or the SPECTOOL_JOBS environment variable.
 """
 
 import argparse
@@ -11,29 +13,22 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from .bounds import evaluate_all, spectral_mantel_classify
 from .cycles import DEFAULT_BUDGET, cycle_spectrum
 from .errors import (
-    Graph6Error,
-    OrderTooLargeError,
+    ConfigurationError,
+    InputError,
     RedrawLimitError,
     SearchBudgetExceededError,
     SpectoolError,
-    WorkerExitError,
 )
 from .families import complete, complete_bipartite, cycle, path, petersen, star
 from .graph import Graph, basic_stats, connectivity, count_triangles_brute
 from .graph6 import HEADER_LINE, MAX_GRAPH6_N, from_graph6, to_graph6
 from .spectrum import eigendecompose, triangle_count_spectral
-from .verify import (
-    ALL_THEOREMS,
-    SweepConfig,
-    coerce_theorems,
-    fuzz,
-    parse_distribution,
-    sweep,
-)
+from .verify import ALL_THEOREMS, SweepConfig, fuzz, sweep
 from .walks import walk_counts
 
 EXIT_OK = 0
@@ -48,22 +43,22 @@ MAX_WALKS = 2407
 
 
 def _default_jobs() -> int:
-    env = os.environ.get("SPECTOOL_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    env = os.environ.get("SPECTOOL_JOBS") or "1"
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigurationError(
+            f"SPECTOOL_JOBS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _read_graphs(source: str | None) -> list[Graph]:
-    if source is None or source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if source is None or source == "-":
+            text = sys.stdin.read()
+        else:
             with open(source, "r", encoding="ascii") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SystemExit(_fail(EXIT_PARSE, f"cannot read {source}: {exc}"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source or 'stdin'}: {exc}") from exc
     graphs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,19 +70,12 @@ def _read_graphs(source: str | None) -> list[Graph]:
                 continue
         try:
             g = from_graph6(line)
-        except Graph6Error as exc:
-            raise SystemExit(
-                _fail(EXIT_PARSE, f"line {lineno}: {exc}"))
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
         if g.n == 0:
-            raise SystemExit(
-                _fail(EXIT_PARSE, f"line {lineno}: graph has no vertices"))
+            raise InputError(f"line {lineno}: graph has no vertices")
         graphs.append(g)
     return graphs
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _analyze_one(g: Graph, args) -> dict:
@@ -122,10 +110,10 @@ def _analyze_one(g: Graph, args) -> dict:
         try:
             spectrum = cycle_spectrum(g, min(args.cycles, g.n))
         except SearchBudgetExceededError as exc:
-            raise SystemExit(_fail(
-                EXIT_CONFIG, f"--cycles {args.cycles}: the cycle search on "
+            raise SearchBudgetExceededError(
+                f"--cycles {args.cycles}: the cycle search on "
                 f"{report['graph6']} exceeded its budget of {DEFAULT_BUDGET} "
-                f"node expansions ({exc})"))
+                f"node expansions ({exc})") from exc
         report["cycles"] = {"l_max": spectrum.l_max,
                             "present": spectrum.lengths()}
     return report
@@ -157,9 +145,9 @@ def _print_analysis_table(report: dict) -> None:
 def cmd_analyze(args) -> int:
     for flag, value in (("--walks", args.walks), ("--cycles", args.cycles)):
         if value < 0:
-            return _fail(EXIT_CONFIG, f"{flag} must be nonnegative")
+            raise ConfigurationError(f"{flag} must be nonnegative")
     if args.walks > MAX_WALKS:
-        return _fail(EXIT_CONFIG, f"--walks must be at most {MAX_WALKS}")
+        raise ConfigurationError(f"--walks must be at most {MAX_WALKS}")
     graphs = _read_graphs(args.input)
     reports = [_analyze_one(g, args) for g in graphs]
     if args.json:
@@ -170,15 +158,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_theorems(value: str):
-    if value == "all":
-        return ALL_THEOREMS
-    try:
-        return coerce_theorems(value.split(","))
-    except ValueError as exc:
-        raise SystemExit(_fail(
-            EXIT_CONFIG,
-            f"{exc}; valid ids: " + ", ".join(t.value for t in ALL_THEOREMS)))
+def _theorems(value: str) -> tuple:
+    """The ids a --theorem value lists; ``SweepConfig`` and ``fuzz`` check
+    them."""
+    return ALL_THEOREMS if value == "all" else tuple(value.split(","))
 
 
 def _emit_sweep(report, args) -> int:
@@ -199,39 +182,24 @@ def _emit_sweep(report, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    theorems = _parse_theorems(args.theorem)
     config = SweepConfig(
         n_min=args.min_n,
         n_max=args.max_n,
         connected_only=args.connected,
         dedup=args.dedup,
-        theorems=theorems,
+        theorems=_theorems(args.theorem),
         jobs=args.jobs,
         long_run=args.long_run,
     )
-    try:
-        config.validate()
-    except (OrderTooLargeError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    try:
-        report = sweep(config)
-    except WorkerExitError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    return _emit_sweep(report, args)
+    return _emit_sweep(sweep(config), args)
 
 
 def cmd_fuzz(args) -> int:
     try:
-        dist = parse_distribution(args.dist)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    theorems = _parse_theorems(args.theorem)
-    try:
-        report = fuzz(dist, args.count, args.seed, theorems, jobs=args.jobs)
+        report = fuzz(args.dist, args.count, args.seed,
+                      _theorems(args.theorem), jobs=args.jobs)
     except RedrawLimitError as exc:
-        return _fail(EXIT_CONFIG, f"--dist {args.dist}: {exc}")
-    except (ValueError, WorkerExitError) as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+        raise RedrawLimitError(f"--dist {args.dist}: {exc}") from exc
     return _emit_sweep(report, args)
 
 
@@ -249,11 +217,12 @@ def cmd_gen(args) -> int:
         # checked before any row is built.
         order = 10 if build is petersen else sum(values)
         if order > MAX_GRAPH6_N:
-            return _fail(EXIT_CONFIG, f"order {order} of {args.family} exceeds "
-                         f"the graph6 short-form cap {MAX_GRAPH6_N}")
+            raise ConfigurationError(f"order {order} exceeds the graph6 "
+                                     f"short-form cap {MAX_GRAPH6_N}")
         g = build(*values)
     except (TypeError, ValueError, SpectoolError) as exc:
-        return _fail(EXIT_CONFIG, f"bad params for {args.family}: {exc}")
+        raise ConfigurationError(
+            f"bad params for {args.family}: {exc}") from exc
     print(to_graph6(g))
     return EXIT_OK
 
@@ -313,14 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code, which the type of any
+    error it raises decides (see the module docstring). The parser is built
+    inside the ``try``, since a bad SPECTOOL_JOBS fails there."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK
+    except SpectoolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, InputError) else EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

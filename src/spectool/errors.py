@@ -1,11 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type of an error decides the command line's exit code: an
+``InputError`` (unreadable or unparsable input) exits 2, any other
+``SpectoolError`` exits 3 with its message, and any other exception is a
+defect that exits 3 with its traceback. None exits 1, which means
+"violations found".
+"""
 
 
 class SpectoolError(Exception):
     """Base class for all spectool errors."""
 
 
-class Graph6Error(SpectoolError, ValueError):
+class InputError(SpectoolError):
+    """Input that cannot be read or parsed as a graph."""
+
+
+class ConfigurationError(SpectoolError, ValueError):
+    """A parameter, option or environment value outside its domain."""
+
+
+class Graph6Error(InputError, ValueError):
     """Base class for graph6 codec failures."""
 
 
@@ -25,7 +40,7 @@ class UnsupportedOrderError(Graph6Error):
     """Order outside the short-form range (n > 62)."""
 
 
-class EdgeListFormatError(SpectoolError, ValueError):
+class EdgeListFormatError(InputError, ValueError):
     """Malformed plain edge-list text."""
 
 

@@ -22,7 +22,7 @@ that dies without sending, say killed by the OOM killer, is a
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 import itertools
 import json
 import math
@@ -40,8 +40,8 @@ from .cycles import (
     consecutive_even_cycles_check,
     erdos_peel,
 )
-from .errors import (OrderTooLargeError, PreconditionViolatedError,
-                     WorkerExitError)
+from .errors import (ConfigurationError, OrderTooLargeError,
+                     PreconditionViolatedError, WorkerExitError)
 from .families import (bernoulli_rows, bipartite_slots, gnp_slots,
                        graph_of_rows, random_regular)
 from .graph import (
@@ -103,16 +103,23 @@ BOUND_THEOREMS = {
 }
 
 def coerce_theorems(values) -> tuple[TheoremId, ...]:
-    """The ids of ``values``, in order. An empty list raises ValueError,
-    since the run would check nothing, and so does a repeated id, since each
-    one would count every graph again."""
-    ids = tuple(TheoremId(v) for v in values)
-    if not ids:
-        raise ValueError("no theorem ids given")
-    repeated = sorted({t.value for t in ids if ids.count(t) > 1})
-    if repeated:
-        raise ValueError(f"theorem ids listed more than once: "
-                         f"{', '.join(repeated)}")
+    """The ids of ``values``, in order. An unknown id raises
+    ``ConfigurationError`` (a ``ValueError``; the command line exits 3)
+    naming the valid ids, and so do an empty list, since the run would check
+    nothing, and a repeated id, since each one would count every graph
+    again."""
+    try:
+        ids = tuple(TheoremId(v) for v in values)
+        if not ids:
+            raise ValueError("no theorem ids given")
+        repeated = sorted({t.value for t in ids if ids.count(t) > 1})
+        if repeated:
+            raise ValueError(f"theorem ids listed more than once: "
+                             f"{', '.join(repeated)}")
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{exc}; valid ids: "
+            + ", ".join(t.value for t in ALL_THEOREMS)) from None
     return ids
 
 
@@ -395,7 +402,7 @@ class SweepConfig:
 
     def validate(self) -> None:
         if not 1 <= self.n_min <= self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
+            raise ConfigurationError("need 1 <= n_min <= n_max")
         if self.n_max > MAX_EXHAUSTIVE_N:
             raise OrderTooLargeError(
                 f"exhaustive sweeps capped at n = {MAX_EXHAUSTIVE_N}")
@@ -406,9 +413,9 @@ class SweepConfig:
             raise OrderTooLargeError(
                 f"canonical dedup capped at n = {MAX_CANONICAL_N}")
         if self.dedup not in ("labeled", "canonical"):
-            raise ValueError(f"unknown dedup mode {self.dedup!r}")
+            raise ConfigurationError(f"unknown dedup mode {self.dedup!r}")
         if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+            raise ConfigurationError("jobs must be positive")
         self.theorem_ids()  # raises on an unknown or repeated id
 
     def theorem_ids(self) -> tuple[TheoremId, ...]:
@@ -678,7 +685,8 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 def parse_distribution(spec_text: str) -> tuple:
     """Parse "gnp:30,0.5" / "bipartite:8,8,0.7" / "regular:20,3", checking
-    every parameter; raises ValueError naming a bad spec."""
+    every parameter; raises ``ConfigurationError`` (a ``ValueError``; the
+    command line exits 3) naming a bad spec."""
     name, _, params_text = spec_text.partition(":")
     params = [p for p in params_text.split(",") if p]
     try:
@@ -699,8 +707,9 @@ def parse_distribution(spec_text: str) -> tuple:
                 raise ValueError
             return ("regular", n, k)
     except (ValueError, IndexError):
-        raise ValueError(f"bad distribution spec {spec_text!r}") from None
-    raise ValueError(f"unknown distribution {name!r}")
+        raise ConfigurationError(
+            f"bad distribution spec {spec_text!r}") from None
+    raise ConfigurationError(f"unknown distribution {name!r}")
 
 
 def _distribution_text(dist: tuple) -> str:
@@ -738,8 +747,10 @@ def _stack_size(dist: tuple) -> int:
 
 def _fuzz_shard(args) -> dict:
     """The samples lo..hi-1, drawn ``_stack_size(dist)`` at a time and sent
-    through the batch engine as rows. A row becomes a ``Graph`` only when
-    the per-graph battery or the tight census needs it."""
+    through the batch engine as rows. A row becomes a ``Graph``, and a
+    ``Graph`` its report text, only when the per-graph battery or the tight
+    census needs it, and at most once per stack, however many bounds it is
+    tight for."""
     dist, lo, hi, seed, theorems = args
     values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
@@ -748,12 +759,17 @@ def _fuzz_shard(args) -> dict:
         rows = _stack_rows(dist, [_sample_seed(seed, index) for index
                                   in range(start, min(start + size, hi))])
 
+        @cache
         def graph(i: int) -> Graph:
             return graph_of_rows(rows[i])
 
+        @cache
+        def text(i: int) -> str:
+            return graph_text(graph(i))[1]
+
         _merge(partial, _resolved(
             _exhaustive.sweep_stack(rows, values),
-            lambda names: [graph_text(graph(i))[1] for i in names], graph))
+            lambda names: [text(i) for i in names], graph))
     return partial
 
 
@@ -765,9 +781,9 @@ def fuzz(distribution, count: int, seed: int,
     dist = parse_distribution(distribution if isinstance(distribution, str)
                               else _distribution_text(distribution))
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise ConfigurationError("count must be nonnegative")
     if jobs < 1:
-        raise ValueError("jobs must be positive")
+        raise ConfigurationError("jobs must be positive")
     theorem_ids = coerce_theorems(theorems)
     started = time.perf_counter()
     step = _shard_step(count, _stack_size(dist))
@@ -857,10 +873,10 @@ def exhaustive_spectral_audit(n_min: int = 1, n_max: int = 7,
     certificate are listed in ``uncertified`` and get no other check.
     """
     if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+        raise ConfigurationError("need 1 <= n_min <= n_max")
     if n_max > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(f"audit capped at n = {MAX_EXHAUSTIVE_N}")
     if jobs < 1:
-        raise ValueError("jobs must be positive")
+        raise ConfigurationError("jobs must be positive")
     return SpectralAudit(**_run_shards(
         _audit_shard, _shards(n_min, n_max), jobs, {}))

@@ -13,12 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 import pytest
 
-from spectool import cli, verify
+from spectool import _exhaustive, cli, errors, verify
 from spectool.cli import MAX_WALKS, main
 from spectool.cycles import DEFAULT_BUDGET
-from spectool.errors import SearchBudgetExceededError
+from spectool.errors import (
+    ConfigurationError,
+    EdgeListFormatError,
+    Graph6Error,
+    InputError,
+    SearchBudgetExceededError,
+)
 from spectool.graph6 import HEADER_LINE, mask_to_graph6
-from spectool.verify import ALL_THEOREMS
+from spectool.verify import (
+    ALL_THEOREMS,
+    SweepConfig,
+    coerce_theorems,
+    exhaustive_spectral_audit,
+    parse_distribution,
+)
 
 CLI = [sys.executable, "-m", "spectool.cli"]
 
@@ -346,6 +358,75 @@ def test_dead_shard_worker_exits_3(monkeypatch, capsys, argv, worker):
     err = capsys.readouterr().err
     assert "exited with code 1 before sending" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_bad_env_jobs_exit3(monkeypatch, capsys, value):
+    # Checked like --jobs, not read as one job.
+    monkeypatch.setenv("SPECTOOL_JOBS", value)
+    assert main(["verify", "--max-n", "3", "--theorem", "mantel"]) == 3
+    captured = capsys.readouterr()
+    assert "SPECTOOL_JOBS" in captured.err and repr(value) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _raising(error):
+    def raise_it(*args, **kwargs):
+        raise error("boom")
+
+    return raise_it
+
+
+ERROR_TYPES = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda e: e.__name__)
+def test_every_spectool_error_exits_by_its_type(monkeypatch, capsys, error):
+    # 2 for input errors, 3 for the rest, with the message alone; never 1,
+    # which means "violations found".
+    monkeypatch.setattr(cli, "sweep", _raising(error))
+    code = main(["verify", "--max-n", "3"])
+    captured = capsys.readouterr()
+    assert code == (2 if issubclass(error, InputError) else 3)
+    assert captured.err == "error: boom\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+@pytest.mark.parametrize("target, name, argv", [
+    (cli, "sweep", ["verify", "--max-n", "3"]),
+    (_exhaustive, "sweep_stack",
+     ["fuzz", "--dist", "gnp:8,0.5", "--count", "10", "--jobs", "1"]),
+    (_exhaustive, "sweep_stack",
+     ["fuzz", "--dist", "gnp:5,0.5", "--count", "300", "--jobs", "2"]),
+    (cli, "eigendecompose", ["analyze", "--json"]),
+], ids=["verify", "fuzz", "fuzz-jobs-2", "analyze"])
+def test_a_defect_exits_3_with_its_traceback(monkeypatch, capsys, error,
+                                             target, name, argv):
+    # An exception that is no SpectoolError is a defect: it is neither a
+    # "violations found" exit nor an error message without its traceback.
+    monkeypatch.setattr(target, name, _raising(error))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n"))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" in captured.err
+    assert f"{error.__name__}: boom" in captured.err
+    assert captured.out == ""
+
+
+def test_configuration_errors_are_value_errors():
+    # Library callers that catch ValueError see no change.
+    for call in (lambda: parse_distribution("gnp:30,1.5"),
+                 lambda: coerce_theorems(["bogus"]),
+                 lambda: SweepConfig(n_min=0).validate(),
+                 lambda: verify.fuzz("gnp:5,0.5", -1, 0),
+                 lambda: verify.fuzz("gnp:5,0.5", 3, 0, jobs=0),
+                 lambda: exhaustive_spectral_audit(2, 1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert isinstance(info.value, ConfigurationError)
+    assert issubclass(Graph6Error, InputError)
+    assert issubclass(EdgeListFormatError, InputError)
 
 
 def test_env_var_sets_default_jobs(monkeypatch):

@@ -567,14 +567,14 @@ class TestFuzzEngine:
         assert ints_of_words(rows) \
             == [list(oracle(*dist[1:], seed).adj) for seed in seeds]
 
-    @pytest.mark.parametrize("dist,seed,built", [
+    @pytest.mark.parametrize("dist,seed,entries", [
         ("gnp:30,0.5", 1, 0), ("gnp:64,0.05", 1, 0),
         ("bipartite:10,10,0.5", 1, 0), ("gnp:8,0.5", 1, 2)])
     def test_graphs_are_built_only_for_the_tight_census(self, monkeypatch,
-                                                        dist, seed, built):
-        # Without resolver graphs, a stack row becomes a Graph once per
-        # tight-list entry: gnp:8,0.5 seed 1 has one graph tight for thm11
-        # and lemma3.
+                                                        dist, seed, entries):
+        # Without resolver graphs, a stack row becomes a Graph once however
+        # many tight lists name it: gnp:8,0.5 seed 1 has one graph tight for
+        # thm11 and lemma3, two entries.
         made = []
         real = verify.graph_of_rows
 
@@ -585,8 +585,27 @@ class TestFuzzEngine:
         monkeypatch.setattr(verify, "graph_of_rows", counted)
         calls = _spy_on_battery(monkeypatch)
         report = fuzz(dist, 1000, seed)
-        assert calls == [] and len(made) == built
-        assert sum(map(len, report.tight.values())) == built
+        assert sum(map(len, report.tight.values())) == entries
+        assert calls == [] and len(made) == len(set().union(
+            *report.tight.values()))
+
+    def test_tight_samples_are_named_once_per_stack(self, monkeypatch):
+        # Every 3-regular sample is tight for hsf, thm11 and lemma3; each is
+        # decoded once, not once per tight list that names it.
+        made = []
+        real = verify.graph_of_rows
+
+        def counted(rows):
+            made.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(verify, "graph_of_rows", counted)
+        calls = _spy_on_battery(monkeypatch)
+        report = fuzz("regular:30,3", 512, 0)
+        assert calls == []
+        assert [len(report.tight[b]) for b in ("hsf", "thm11", "lemma3")] \
+            == [512] * 3
+        assert len(made) == 512
 
     @pytest.mark.parametrize("dist", ["gnp:30,0.5", "bipartite:6,7,0.5",
                                       "gnp:8,0.5"])
