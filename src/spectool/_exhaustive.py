@@ -12,11 +12,12 @@ it stacks of sampled graphs of any order as ``uint64`` bitset rows
 (``stack_stats``), which get the same facts with one unkeyed solve per
 stack. Both feed one ``verdict_table``. Semantics (thresholds, formulas,
 epsilons) mirror the per-graph checkers exactly. The engine hands back to
-the caller only the graphs whose eigenvalues fail the trace certificate
-and apparent violations, which include the verdicts it does not decide on
-a stack: Bondy's lemma above 8 vertices, Theorem 7 above its spectral
-threshold from n = 85 on, and the walk theorems where int64 could
-overflow.
+the caller, for the per-graph resolver, two kinds of graph per theorem,
+and ``verdict_table`` alone decides which is which: apparent violations,
+and undecided graphs. A graph is undecided when its eigenvalues fail the
+trace certificate, or when it lies outside the exact range of a kernel:
+the walk theorems where int64 could overflow, Bondy's lemma above 8
+vertices, and Theorem 7 above its spectral threshold from n = 85 on.
 
 Bitset rows are (b, n, w) arrays: bit u % s of word u // s of
 ``rows[g, v]``, with s the word's bit width, is set iff u ~ v in graph g.
@@ -41,8 +42,8 @@ walk levels). None loops in Python over a block's graphs, subsets or walk
 lengths: each takes one numpy pass per walk level (per chunk of graphs),
 peeling round or subset size:
 - the walk checks form one (K - 1, n, c) int64 array of levels W_0..W_{K-2}
-  per ``WALK_CHUNK`` = c graphs that holds a graph within the int64 rule,
-  each level one ``einsum`` over an (n, n, c) copy of the adjacency, take
+  per ``WALK_CHUNK`` = c graphs within the int64 rule, each level one
+  ``einsum`` over an (n, n, c) copy of the adjacency, take
   w_{K-1} and w_K as dot products of the middle levels, and decide every k
   in one reduction;
 - the peel takes (n, b, w) rows and starts each k from the survivors of
@@ -162,7 +163,8 @@ def block_stats(n: int, masks: np.ndarray, walks: bool = False,
     identities sum(lambda) = 0, sum(lambda^2) = 2m and
     sum(lambda^3) = p_3 = 6 * triangles within ``TRACE_EPS``. ``walks``
     adds the walk inequality and decomposition identity verdicts at depth
-    ``WALK_DEPTH``.
+    ``WALK_DEPTH`` and ``walks_exact``, the graphs on which they are exact
+    (``_walk_checks``).
     """
     if n > MAX_EXHAUSTIVE_N:
         raise OrderTooLargeError(
@@ -202,6 +204,10 @@ def stack_stats(rows: np.ndarray, walks: bool = False) -> dict:
     complete (trace(A^2) = 2m = n(n - 1)) and 2 otherwise, and not
     bipartite if it has a triangle. Connectivity, bipartiteness and the
     diameter of the other samples come from ``_ball_facts``.
+
+    Every sample keeps its facts, certified or not; ``walks_exact`` marks
+    the samples whose walk verdicts are exact, and ``verdict_table``
+    decides which samples go back to the resolver.
     """
     adj = adjacency(rows)
     a = adj.astype(np.float64)
@@ -253,7 +259,8 @@ def _stats(adj, a, rows, spectrum, tri, structure, walks) -> dict:
     out["symmetric"] = spectrum["symmetric"]
     out["distinct"] = spectrum["distinct"]
     if walks:
-        out["walk_inequality"], out["decomposition"] = _walk_checks(
+        (out["walk_inequality"], out["decomposition"],
+         out["walks_exact"]) = _walk_checks(
             adj, columns.max(axis=0), open_columns.astype(np.int64),
             max_closed)
     return out
@@ -410,19 +417,19 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
     w_k = sum_i W_{k-2}(i) W_2(i) for k in 2..K. Both read only the levels
     W_0..W_{K-2}: since w_{i+j} = W_i . W_j, the totals w_{K-1} and w_K are
     dot products of the middle levels, so each ``WALK_CHUNK`` graphs take
-    K - 2 products, and each verdict is one reduction over all k. The
-    counts are exact only on the graphs within ``walk_degree_limit(n, K)``,
-    which is all of them for n <= 8; int64 arithmetic wraps silently on the
-    rest, whose verdicts are then set False, which hands them to the
-    resolver. A chunk with no graph within the rule forms no level.
+    K - 2 products, and each verdict is one reduction over all k.
+
+    Returns the two verdicts and ``fits``, the graphs within
+    ``walk_degree_limit(n, K)``, which is all of them for n <= 8. int64
+    arithmetic would wrap silently on the rest, so they form no level and
+    their verdicts stay False; ``verdict_table`` marks them undecided.
     """
     K = WALK_DEPTH
     fits = max_deg <= walk_degree_limit(adj.shape[1], K)
+    exact = np.flatnonzero(fits)
     verdicts = np.zeros((2, len(adj)), dtype=bool)
-    for lo in range(0, len(adj), WALK_CHUNK):
-        part = slice(lo, lo + WALK_CHUNK)
-        if not fits[part].any():
-            continue
+    for lo in range(0, len(exact), WALK_CHUNK):
+        part = exact[lo:lo + WALK_CHUNK]
         levels = walk_levels(adj[part], K - 2)
         w2 = levels[2]
         totals = np.concatenate([
@@ -434,8 +441,7 @@ def _walk_checks(adj: np.ndarray, max_deg: np.ndarray,
         verdicts[0, part] = ((low <= 0) | (high + mid <= bound)).all(axis=0)
         verdicts[1, part] = (w2 == open_columns[:, part]).all(axis=0) & (
             high == np.einsum("kvb,vb->kb", levels, w2)).all(axis=0)
-    verdicts &= fits
-    return verdicts[0], verdicts[1]
+    return verdicts[0], verdicts[1], fits
 
 
 def peel_survivors(columns: np.ndarray, k: int,
@@ -662,26 +668,37 @@ def _bound_arrays(stats: dict, n: int) -> dict:
 
 
 def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
-    """Each requested theorem's verdict on a block of certified graphs.
+    """Each requested theorem's verdict on every graph of a block, and the
+    one place that decides which graphs go back to the per-graph resolver.
 
-    Returns ``{theorem: (nonvac, holds)}``, boolean arrays over the block
-    with ``holds`` inside ``nonvac``, and ``{bound: tight}``, the graphs on
-    which a requested bound applies and meets lambda_1 within ``EQ_EPS``.
-    ``nonvac & ~holds`` is an apparent violation. A triangle-free graph at
-    the spectral Mantel threshold holds iff ``complete_bipartite_cores``
+    Returns ``{theorem: (nonvac, holds, undecided)}``, boolean arrays over
+    the block, and ``{bound: tight}``. ``undecided`` marks the graphs the
+    batch leaves to the resolver: for every theorem those that fail the
+    trace certificate, and for its own theorem those outside a kernel's
+    exact range, which are the walk theorems past ``walk_degree_limit``,
+    Bondy's lemma with 2 * min_deg > n above n = 8 and Theorem 7 above its
+    spectral threshold from n = 85 on. ``nonvac``, ``holds`` (inside
+    ``nonvac``) and ``tight`` (a requested bound applies and meets lambda_1
+    within ``EQ_EPS``) cover only the decided graphs, so vacuous, holds,
+    apparent violation (``nonvac & ~holds``) and undecided partition the
+    block, and the resolver re-checks the last two. A triangle-free graph
+    at the spectral Mantel threshold holds iff ``complete_bipartite_cores``
     accepts it, and a graph with 2 * min_deg > n holds Bondy's lemma iff
-    ``cycle_lengths`` finds every length 3..n. Theorem 7 is decided only
-    where it is vacuous.
+    ``cycle_lengths`` finds every length 3..n.
     """
     m, lam1, tri = stats["m"], stats["lam1"], stats["tri"]
     sqrt_m = np.sqrt(m.astype(np.float64))
     everywhere = np.ones(len(m), dtype=bool)
-    nowhere = ~everywhere
     table: dict = {}
     tight: dict = {}
 
-    def decide(theorem, nonvac, holds):
-        table[theorem] = (nonvac, nonvac & holds)
+    def decide(theorem, nonvac, holds, beyond=False):
+        """Record a verdict; ``beyond`` marks the graphs outside the
+        kernel's exact range. Returns the decided ``nonvac``."""
+        undecided = ~stats["certified"] | beyond
+        nonvac = nonvac & ~undecided
+        table[theorem] = (nonvac, nonvac & holds, undecided)
+        return nonvac
 
     if "mantel" in theorems:
         decide("mantel", 4 * m > n * n, tri > 0)
@@ -700,7 +717,7 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         # Hong's bound needs every vertex to have a neighbour.
         nonvac = stats["min_deg"] >= 1 if bound == "hong" else everywhere
         slack = values[bound] - lam1
-        decide(bound, nonvac, slack >= -EQ_EPS)
+        nonvac = decide(bound, nonvac, slack >= -EQ_EPS)
         tight[bound] = nonvac & (np.abs(slack) <= EQ_EPS)
     if "lemma1-spectrum-symmetry" in theorems:
         decide("lemma1-spectrum-symmetry", everywhere,
@@ -709,9 +726,11 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         decide("lemma2-diameter-distinct", stats["connected"],
                stats["distinct"] >= stats["diameter"] + 1)
     if "walk-inequality" in theorems:
-        decide("walk-inequality", m > 0, stats["walk_inequality"])
+        decide("walk-inequality", m > 0, stats["walk_inequality"],
+               ~stats["walks_exact"])
     if "decomposition-identity" in theorems:
-        decide("decomposition-identity", everywhere, stats["decomposition"])
+        decide("decomposition-identity", everywhere, stats["decomposition"],
+               ~stats["walks_exact"])
     if "lemma5-peel" in theorems:
         holds = everywhere.copy()
         columns = np.ascontiguousarray(stats["rows"].transpose(1, 0, 2))
@@ -727,34 +746,34 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         decide("lemma5-peel", m >= n, holds)
     if "lemma6-bondy" in theorems:
         nonvac = 2 * stats["min_deg"] > n
-        # The kernel visits all 2^n subsets however few rows it gets, so
-        # above n = 8 the resolver decides the lemma.
-        holds = nonvac & (n <= MAX_EXHAUSTIVE_N)
-        if holds.any():
+        holds = nonvac.copy()
+        if n <= MAX_EXHAUSTIVE_N and nonvac.any():
             every = sum(1 << l for l in range(3, n + 1))
             lengths = cycle_lengths(stats["rows"][nonvac])
             holds[nonvac] = lengths & every == every
-        decide("lemma6-bondy", nonvac, holds)
+        # The kernel visits all 2^n subsets however few rows it gets, so
+        # above n = 8 the resolver decides the lemma.
+        decide("lemma6-bondy", nonvac, holds, nonvac & (n > MAX_EXHAUSTIVE_N))
     if "thm7-even-cycles" in theorems:
         # Vacuous at or below the spectral threshold, or with no even length
-        # in [4, ceil(n/28)], as below n = 85; the resolver searches the rest.
-        decide("thm7-even-cycles", (math.ceil(n / 28) >= 4)
-               & (lam1 > math.sqrt(n * n // 4) + EQ_EPS), nowhere)
+        # in [4, ceil(n/28)], as below n = 85; the resolver decides the rest.
+        nonvac = (math.ceil(n / 28) >= 4) \
+            & (lam1 > math.sqrt(n * n // 4) + EQ_EPS)
+        decide("thm7-even-cycles", nonvac, False, beyond=nonvac)
     return table, tight
 
 
 def _blocks(n: int, masks, theorems, connected_only: bool = False):
     """Edge masks, a range or an int64 array, block by block, as
-    ``(stats, certified, table)``. A range becomes an array one block at a
-    time, so a shard's masks are never all held at once.
+    ``(stats, table)``. A range becomes an array one block at a time, so a
+    shard's masks are never all held at once.
 
     One ``SpectrumTable`` serves all the blocks, so each characteristic
     polynomial of the masks is solved once.
 
     ``stats`` covers the block's graphs (the connected ones only, with
-    ``connected_only``), ``certified`` the part of it whose eigenvalues pass
-    the trace certificate, and ``table`` is ``verdict_table`` on that part.
-    A graph that fails the certificate gets no batch verdict.
+    ``connected_only``), certified or not, and ``table`` is
+    ``verdict_table`` on all of them.
     """
     walks = not WALK_THEOREMS.isdisjoint(theorems)
     table = SpectrumTable(n)
@@ -765,8 +784,7 @@ def _blocks(n: int, masks, theorems, connected_only: bool = False):
         stats = block_stats(n, block, walks, table)
         if connected_only:
             stats = _select(stats, stats["connected"])
-        certified = _select(stats, stats["certified"])
-        yield stats, certified, verdict_table(n, certified, theorems)
+        yield stats, verdict_table(n, stats, theorems)
 
 
 def _select(stats: dict, keep: np.ndarray) -> dict:
@@ -785,47 +803,41 @@ def sweep_range(n: int, start: int, stop: int, theorems: set,
 def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
     """``_tally`` over edge masks, a range or an int64 array, with graphs
     named by their masks."""
-    return _tally(((stats["masks"], stats["certified"], table)
-                   for stats, _, table in _blocks(n, masks, theorems,
-                                                  connected_only)),
-                  theorems)
+    return _tally(((stats["masks"], table) for stats, table
+                   in _blocks(n, masks, theorems, connected_only)), theorems)
 
 
 def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
     """``_tally`` over one ``stack_stats`` stack of (b, n, w) ``uint64``
-    rows, with graphs named by their positions in the stack."""
+    rows, certified or not, with graphs named by their positions in the
+    stack."""
     stats = stack_stats(rows, not WALK_THEOREMS.isdisjoint(theorems))
-    table = verdict_table(rows.shape[1], _select(stats, stats["certified"]),
-                          theorems)
-    return _tally([(np.arange(len(rows)), stats["certified"], table)],
-                  theorems)
+    return _tally([(np.arange(len(rows)),
+                    verdict_table(rows.shape[1], stats, theorems))], theorems)
 
 
 def _tally(blocks, theorems: set) -> dict:
-    """Tally theorems over ``(names, certified, (table, tight))`` blocks:
-    the graphs' names, the trace certificate's flags and ``verdict_table``
-    on the certified graphs.
+    """Tally theorems over ``(names, (table, tight))`` blocks: the graphs'
+    names and ``verdict_table`` on them.
 
     Returns counts, tight-census names per bound, and ``resolve`` names that
-    the caller must re-check per graph: the apparent violations in
-    ``verdict_table``, and every requested theorem on the graphs that fail
-    the trace certificate.
+    the caller must re-check per graph: each theorem's undecided graphs and
+    apparent violations, as ``verdict_table`` marks them. A vacuous graph
+    is a decided one outside ``nonvac``.
     """
     counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
               for t in theorems}
     tight: dict = {b: [] for b in BOUNDS if b in theorems}
     resolve: dict = {}
-    for names, certified, (table, tight_names) in blocks:
-        uncertified = names[~certified].tolist()
-        decided = names[certified]
-        for theorem, (nonvac, holds) in table.items():
-            counts[theorem]["vacuous"] += int((~nonvac).sum())
+    for names, (table, tight_names) in blocks:
+        for theorem, (nonvac, holds, undecided) in table.items():
+            counts[theorem]["vacuous"] += int((~nonvac & ~undecided).sum())
             counts[theorem]["holds"] += int(holds.sum())
-            open_names = uncertified + decided[nonvac & ~holds].tolist()
+            open_names = names[undecided | (nonvac & ~holds)].tolist()
             if open_names:
                 resolve.setdefault(theorem, []).extend(open_names)
         for bound, is_tight in tight_names.items():
-            tight[bound].extend(decided[is_tight].tolist())
+            tight[bound].extend(names[is_tight].tolist())
     return {"counts": counts, "tight": tight, "resolve": resolve}
 
 
@@ -855,19 +867,18 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         "lemma2_violations": [],
         "tight_counts": dict.fromkeys(BOUNDS, 0),
     }
-    for stats, certified, (table, tight) in _blocks(
-            n, range(start, stop), AUDIT_THEOREMS):
-        masks = stats["masks"]
+    for stats, (table, tight) in _blocks(n, range(start, stop),
+                                         AUDIT_THEOREMS):
+        masks, certified = stats["masks"], stats["certified"]
         out["graphs"] += len(masks)
-        out["uncertified"] += masks[~stats["certified"]].tolist()
+        out["uncertified"] += masks[~certified].tolist()
         spectral_tri = stats["sum_cubes"] / 6.0
         mismatch = (np.abs(spectral_tri - stats["tri"]) > TRACE_EPS) \
             | (np.rint(spectral_tri).astype(np.int64) != stats["tri"])
         out["triangle_mismatches"] += masks[mismatch].tolist()
 
-        masks = certified["masks"]
         open_masks = {theorem: masks[nonvac & ~holds].tolist()
-                      for theorem, (nonvac, holds) in table.items()}
+                      for theorem, (nonvac, holds, _) in table.items()}
         out["spectral_mantel_failures"] += open_masks["spectral-mantel"]
         out["lemma1_mismatches"] += open_masks["lemma1-spectrum-symmetry"]
         out["lemma2_violations"] += open_masks["lemma2-diameter-distinct"]
@@ -875,24 +886,25 @@ def audit_range(n: int, start: int, stop: int) -> dict:
             out["bound_violations"][bound] += open_masks[bound]
             out["tight_counts"][bound] += int(tight[bound].sum())
 
-        connected = certified["connected"]
+        # The lists below name certified graphs only.
+        connected = stats["connected"] & certified
         # The open spectral Mantel graphs, connected and at the threshold.
-        nonvac, holds = table["spectral-mantel"]
-        sqrt_m = np.sqrt(certified["m"].astype(np.float64))
+        nonvac, holds, _ = table["spectral-mantel"]
+        sqrt_m = np.sqrt(stats["m"].astype(np.float64))
         at_threshold = connected & nonvac & ~holds \
-            & (np.abs(certified["lam1"] - sqrt_m) <= EQ_EPS)
+            & (np.abs(stats["lam1"] - sqrt_m) <= EQ_EPS)
         out["tight_threshold_not_complete_bipartite"] += \
             masks[at_threshold].tolist()
         # Vertex-major, as in ``_stats``.
-        columns = np.ascontiguousarray(certified["degrees"].T)
-        min_deg = certified["min_deg"]
+        columns = np.ascontiguousarray(stats["degrees"].T)
+        min_deg = stats["min_deg"]
         in_class = (columns.max(axis=0) == min_deg) | (
             (columns == min_deg) | (columns == n - 1)).all(axis=0)
         out["hsf_tight_not_class"] += \
             masks[connected & tight["hsf"] & ~in_class].tolist()
         out["hsf_class_not_tight"] += \
             masks[connected & in_class & ~tight["hsf"]].tolist()
-        values = _bound_arrays(certified, n)
+        values = _bound_arrays(stats, n)
         above = values["thm11"] > values["stanley"] + EQ_EPS
-        out["thm11_above_stanley"] += masks[above].tolist()
+        out["thm11_above_stanley"] += masks[certified & above].tolist()
     return out

@@ -508,9 +508,11 @@ def _resolved(result: dict, texts, graph) -> dict:
     graphs are names: ``texts`` turns a list of them into their report
     texts and ``graph`` one into a ``Graph``.
 
-    The graphs the engine hands back (a failed trace certificate, an
-    apparent violation) get the per-graph reference checkers for the
-    theorems it left open.
+    The graphs the engine hands back get the per-graph reference checkers
+    for the theorems it left open: per theorem, the graphs
+    ``_exhaustive.verdict_table`` marks undecided (a failed trace
+    certificate, or outside a batch kernel's exact range) and its apparent
+    violations.
     """
     partial = {"totals": result["counts"], "counterexamples": [],
                "tight": {bound: texts(names)

@@ -12,6 +12,7 @@ from spectool._exhaustive import (
     BLOCK,
     MAX_EXHAUSTIVE_N,
     WALK_DEPTH,
+    WALK_THEOREMS,
     SpectrumTable,
     _bound_arrays,
     _key_layout,
@@ -25,6 +26,8 @@ from spectool._exhaustive import (
     power_sums,
     stack_stats,
     sweep_range,
+    sweep_stack,
+    verdict_table,
     walk_degree_limit,
     walk_levels,
 )
@@ -57,9 +60,14 @@ from spectool.verify import (
     ALL_THEOREMS,
     BOUND_THEOREMS,
     SweepConfig,
+    _sample_seed,
+    _stack_rows,
+    _stack_size,
     _vector_shard,
     exhaustive_spectral_audit,
+    fuzz,
     labeled_graph_count,
+    parse_distribution,
     sweep,
 )
 from spectool.walks import (
@@ -770,6 +778,15 @@ def test_failed_trace_certificate_goes_to_the_reference(monkeypatch):
     stats = block_stats(n, np.array([0, k5], dtype=np.int64))
     assert stats["certified"].tolist() == [True, False]
     values = {t.value for t in theorems}
+    # K5 is undecided for every theorem and in no tight list of the batch.
+    table, tight = verdict_table(
+        n, block_stats(n, np.array([0, k5], dtype=np.int64), walks=True),
+        values)
+    assert set(table) == values
+    for value, (nonvac, holds, undecided) in table.items():
+        assert undecided.tolist() == [False, True], value
+        assert not nonvac[1] and not holds[1], value
+    assert len(tight) == 5 and not any(graphs[1] for graphs in tight.values())
     resolve = sweep_range(n, 0, k5 + 1, values, False)["resolve"]
     for value in values:
         assert k5 in resolve[value], value
@@ -1050,8 +1067,9 @@ def test_stack_structure_from_a_squared_and_balls(monkeypatch):
 
 def test_walk_checks_form_no_level_past_the_int64_rule(monkeypatch):
     # Every graph of the stack is 27-regular at n = 64, one past
-    # walk_degree_limit(64, 12): no chunk forms a level, and both walk
-    # verdicts stay False.
+    # walk_degree_limit(64, 12): no chunk forms a level, both walk
+    # verdicts stay False, and the table marks all three graphs undecided
+    # for both walk theorems.
     calls = []
     levels = _exhaustive.walk_levels
 
@@ -1067,3 +1085,134 @@ def test_walk_checks_form_no_level_past_the_int64_rule(monkeypatch):
     assert calls == []
     assert stats["walk_inequality"].tolist() == [False] * 3
     assert stats["decomposition"].tolist() == [False] * 3
+    table, _ = verdict_table(n, stats, WALK_THEOREMS)
+    for theorem in WALK_THEOREMS:
+        nonvac, holds, undecided = table[theorem]
+        assert undecided.tolist() == [True] * 3, theorem
+        assert not nonvac.any() and not holds.any(), theorem
+
+
+def test_walk_checks_on_graphs_either_side_of_the_int64_rule():
+    # 26- and 27-regular circulants at n = 64, alternating: the graphs
+    # within the rule are decided and hold both walk theorems, and exactly
+    # the others form no level, are undecided and are resolved.
+    n = 64
+    limit = walk_degree_limit(n, WALK_DEPTH)
+    edge, past = _circulant(n, limit), _circulant(n, limit + 1)
+    rows = word_rows([past, edge, past, edge])
+    stats = stack_stats(rows, walks=True)
+    assert stats["walks_exact"].tolist() == [False, True, False, True]
+    assert stats["walk_inequality"].tolist() == [False, True, False, True]
+    assert stats["decomposition"].tolist() == [False, True, False, True]
+    table, _ = verdict_table(n, stats, WALK_THEOREMS)
+    for theorem in WALK_THEOREMS:
+        nonvac, holds, undecided = table[theorem]
+        assert undecided.tolist() == [True, False, True, False], theorem
+        assert holds.tolist() == [False, True, False, True], theorem
+    assert sweep_stack(rows, WALK_THEOREMS)["resolve"] \
+        == dict.fromkeys(WALK_THEOREMS, [0, 2])
+
+
+ALL_VALUES = frozenset(t.value for t in ALL_THEOREMS)
+
+
+def _assert_partition(table, tight):
+    """Vacuous, holds, apparent violation and undecided partition the
+    graphs for each theorem, and no undecided graph is tight."""
+    for theorem, (nonvac, holds, undecided) in table.items():
+        parts = np.stack([~nonvac & ~undecided, holds, nonvac & ~holds,
+                          undecided])
+        assert (parts.sum(axis=0) == 1).all(), theorem
+        assert not (holds & ~nonvac).any(), theorem
+    for bound, is_tight in tight.items():
+        assert not (is_tight & table[bound][2]).any(), bound
+
+
+def _swept_blocks():
+    """The labeled blocks the suite sweeps: every graph for n <= 6, and at
+    n = 7 and 8 the sparse, middle and dense 1,200 masks that
+    ``test_vector_shard_matches_graph_shard`` sweeps."""
+    for n in range(1, 9):
+        total = labeled_graph_count(n)
+        if n <= 6:
+            yield n, range(total)
+        else:
+            for lo in (0, total // 2 - 600, total - 1200):
+                yield n, range(lo, lo + 1200)
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_no_swept_labeled_block_leaves_a_graph_undecided(connected_only):
+    for n, masks in _swept_blocks():
+        for _, (table, tight) in _exhaustive._blocks(n, masks, ALL_VALUES,
+                                                     connected_only):
+            assert set(table) == ALL_VALUES
+            _assert_partition(table, tight)
+            assert not any(undecided.any()
+                           for _, _, undecided in table.values()), n
+
+
+def _first_stack(spec, seed):
+    """The rows of the first stack of a fuzz run of ``spec`` at ``seed``."""
+    dist = parse_distribution(spec)
+    return _stack_rows(dist, [_sample_seed(seed, i)
+                              for i in range(_stack_size(dist))])
+
+
+@pytest.mark.parametrize("spec,seed,undecided", [
+    # Every sample past the int64 walk rule (Delta > 26 at n = 64).
+    ("gnp:64,0.5", 0, {"walk-inequality": 128,
+                       "decomposition-identity": 128}),
+    # Walks and Theorem 7 everywhere; Bondy on the samples with 2 delta > n.
+    ("gnp:100,0.6", 7, {"walk-inequality": 52, "decomposition-identity": 52,
+                        "thm7-even-cycles": 52, "lemma6-bondy": 3}),
+    ("gnp:100,0.6", 8, {"walk-inequality": 52, "decomposition-identity": 52,
+                        "thm7-even-cycles": 52, "lemma6-bondy": 1}),
+    ("gnp:20,0.8", 0, {"lemma6-bondy": 108}),
+    ("gnp:30,0.5", 0, {}),
+])
+def test_stacks_leave_only_the_graphs_past_a_kernel_undecided(
+        spec, seed, undecided):
+    rows = _first_stack(spec, seed)
+    n = rows.shape[1]
+    stats = stack_stats(rows, walks=True)
+    assert stats["certified"].all()
+    table, tight = verdict_table(n, stats, ALL_VALUES)
+    _assert_partition(table, tight)
+    assert {theorem: int(marks.sum()) for theorem, (_, _, marks)
+            in table.items() if marks.any()} == undecided
+    # Exactly the graphs outside each kernel's range.
+    past_walks = stats["degrees"].max(axis=1) > walk_degree_limit(
+        n, WALK_DEPTH)
+    for theorem in WALK_THEOREMS:
+        assert (table[theorem][2] == past_walks).all()
+    above = 2 * stats["min_deg"] > n
+    assert (table["lemma6-bondy"][2] == (above & (n > MAX_EXHAUSTIVE_N))).all()
+    spectral = stats["lam1"] > np.sqrt(n * n // 4) + EQ_EPS
+    assert (table["thm7-even-cycles"][2] == (spectral & (n >= 85))).all()
+
+
+def test_a_faked_violation_is_apparent_not_undecided(monkeypatch):
+    # Lemma 1 made to fail on sample 0 of a certified gnp:30,0.5 stack by
+    # flipping its spectral symmetry fact: the table calls it an apparent
+    # violation, not undecided, sweep_stack hands it to the resolver, and
+    # the per-graph checker finds it holds, so the fuzz payload is as it was.
+    rows = _first_stack("gnp:30,0.5", 0)
+    expected = fuzz("gnp:30,0.5", len(rows), 0).payload()
+    real = _exhaustive.stack_stats
+
+    def faked(rows, walks=False):
+        stats = real(rows, walks)
+        stats["symmetric"][0] = ~stats["bipartite"][0]
+        return stats
+
+    monkeypatch.setattr(_exhaustive, "stack_stats", faked)
+    stats = faked(rows, walks=True)
+    assert stats["certified"][0]
+    table, tight = verdict_table(rows.shape[1], stats, ALL_VALUES)
+    _assert_partition(table, tight)
+    nonvac, holds, undecided = table["lemma1-spectrum-symmetry"]
+    assert nonvac[0] and not holds[0] and not undecided.any()
+    assert sweep_stack(rows, ALL_VALUES)["resolve"] \
+        == {"lemma1-spectrum-symmetry": [0]}
+    assert fuzz("gnp:30,0.5", len(rows), 0).payload() == expected
