@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import OrderTooLargeError
 from .spectrum import CLUSTER_EPS, EQ_EPS, TRACE_EPS
+from .verdicts import BOUNDS, STATUSES, TheoremId
 
 BLOCK = 4096
 # Matrices per batch of ``power_sums``, so its matrix powers stay small
@@ -79,9 +80,8 @@ WALK_CHUNK = 1024
 # n = 8 (``walk_degree_limit``).
 WALK_DEPTH = 12
 
-WALK_THEOREMS = frozenset({"walk-inequality", "decomposition-identity"})
-# The bound theorems, whose tight graphs the sweeps list and the audit counts.
-BOUNDS = ("stanley", "hong", "hsf", "lemma3", "thm11")
+WALK_THEOREMS = frozenset({TheoremId.WALK_INEQUALITY,
+                           TheoremId.DECOMPOSITION_IDENTITY})
 
 _LOW_BITS = np.uint64(0x0101010101010101)  # bit 0 of every byte
 
@@ -657,13 +657,15 @@ def _bound_arrays(stats: dict, n: int) -> dict:
     m = stats["m"].astype(np.float64)
     delta = stats["min_deg"].astype(np.float64)
     values = {
-        "stanley": -0.5 + np.sqrt(2 * m + 0.25),
-        "lemma3": np.sqrt(stats["max_open"].astype(np.float64)),
-        "thm11": (-1 + np.sqrt(1 + 4 * stats["max_closed"].astype(np.float64))) / 2,
-        "hsf": (delta - 1) / 2 + np.sqrt(2 * m - n * delta + (delta + 1) ** 2 / 4),
+        TheoremId.STANLEY: -0.5 + np.sqrt(2 * m + 0.25),
+        TheoremId.LEMMA3_BOUND: np.sqrt(stats["max_open"].astype(np.float64)),
+        TheoremId.THM11:
+            (-1 + np.sqrt(1 + 4 * stats["max_closed"].astype(np.float64))) / 2,
+        TheoremId.HSF:
+            (delta - 1) / 2 + np.sqrt(2 * m - n * delta + (delta + 1) ** 2 / 4),
     }
     with np.errstate(invalid="ignore"):
-        values["hong"] = np.sqrt(np.maximum(2 * m - n + 1, 0.0))
+        values[TheoremId.HONG] = np.sqrt(np.maximum(2 * m - n + 1, 0.0))
     return values
 
 
@@ -700,38 +702,38 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
         table[theorem] = (nonvac, nonvac & holds, undecided)
         return nonvac
 
-    if "mantel" in theorems:
-        decide("mantel", 4 * m > n * n, tri > 0)
-    if "nosal" in theorems:
-        decide("nosal", lam1 > sqrt_m + EQ_EPS, tri > 0)
-    if "spectral-mantel" in theorems:
+    if TheoremId.MANTEL in theorems:
+        decide(TheoremId.MANTEL, 4 * m > n * n, tri > 0)
+    if TheoremId.NOSAL in theorems:
+        decide(TheoremId.NOSAL, lam1 > sqrt_m + EQ_EPS, tri > 0)
+    if TheoremId.SPECTRAL_MANTEL in theorems:
         # The triangle-free graphs at the threshold must be complete
         # bipartite plus isolated vertices; only their rows are read.
         nonvac, holds = ~(lam1 < sqrt_m - EQ_EPS), tri > 0
         left = nonvac & ~holds
         holds[left] = complete_bipartite_cores(stats["rows"][left])
-        decide("spectral-mantel", nonvac, holds)
+        decide(TheoremId.SPECTRAL_MANTEL, nonvac, holds)
     bounds = [bound for bound in BOUNDS if bound in theorems]
     values = _bound_arrays(stats, n) if bounds else {}
     for bound in bounds:
         # Hong's bound needs every vertex to have a neighbour.
-        nonvac = stats["min_deg"] >= 1 if bound == "hong" else everywhere
+        nonvac = stats["min_deg"] >= 1 if bound is TheoremId.HONG else everywhere
         slack = values[bound] - lam1
         nonvac = decide(bound, nonvac, slack >= -EQ_EPS)
         tight[bound] = nonvac & (np.abs(slack) <= EQ_EPS)
-    if "lemma1-spectrum-symmetry" in theorems:
-        decide("lemma1-spectrum-symmetry", everywhere,
+    if TheoremId.LEMMA1_SPECTRUM_SYMMETRY in theorems:
+        decide(TheoremId.LEMMA1_SPECTRUM_SYMMETRY, everywhere,
                stats["symmetric"] == stats["bipartite"])
-    if "lemma2-diameter-distinct" in theorems:
-        decide("lemma2-diameter-distinct", stats["connected"],
+    if TheoremId.LEMMA2_DIAMETER_DISTINCT in theorems:
+        decide(TheoremId.LEMMA2_DIAMETER_DISTINCT, stats["connected"],
                stats["distinct"] >= stats["diameter"] + 1)
-    if "walk-inequality" in theorems:
-        decide("walk-inequality", m > 0, stats["walk_inequality"],
+    if TheoremId.WALK_INEQUALITY in theorems:
+        decide(TheoremId.WALK_INEQUALITY, m > 0, stats["walk_inequality"],
                ~stats["walks_exact"])
-    if "decomposition-identity" in theorems:
-        decide("decomposition-identity", everywhere, stats["decomposition"],
+    if TheoremId.DECOMPOSITION_IDENTITY in theorems:
+        decide(TheoremId.DECOMPOSITION_IDENTITY, everywhere, stats["decomposition"],
                ~stats["walks_exact"])
-    if "lemma5-peel" in theorems:
+    if TheoremId.LEMMA5_PEEL in theorems:
         holds = everywhere.copy()
         columns = np.ascontiguousarray(stats["rows"].transpose(1, 0, 2))
         alive = None
@@ -743,8 +745,8 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
             if applies.any():
                 alive = peel_survivors(columns, k, alive)
                 holds &= ~applies | alive.any(axis=1)
-        decide("lemma5-peel", m >= n, holds)
-    if "lemma6-bondy" in theorems:
+        decide(TheoremId.LEMMA5_PEEL, m >= n, holds)
+    if TheoremId.LEMMA6_BONDY in theorems:
         nonvac = 2 * stats["min_deg"] > n
         holds = nonvac.copy()
         if n <= MAX_EXHAUSTIVE_N and nonvac.any():
@@ -753,13 +755,13 @@ def verdict_table(n: int, stats: dict, theorems) -> tuple[dict, dict]:
             holds[nonvac] = lengths & every == every
         # The kernel visits all 2^n subsets however few rows it gets, so
         # above n = 8 the resolver decides the lemma.
-        decide("lemma6-bondy", nonvac, holds, nonvac & (n > MAX_EXHAUSTIVE_N))
-    if "thm7-even-cycles" in theorems:
+        decide(TheoremId.LEMMA6_BONDY, nonvac, holds, nonvac & (n > MAX_EXHAUSTIVE_N))
+    if TheoremId.THM7_EVEN_CYCLES in theorems:
         # Vacuous at or below the spectral threshold, or with no even length
         # in [4, ceil(n/28)], as below n = 85; the resolver decides the rest.
         nonvac = (math.ceil(n / 28) >= 4) \
             & (lam1 > math.sqrt(n * n // 4) + EQ_EPS)
-        decide("thm7-even-cycles", nonvac, False, beyond=nonvac)
+        decide(TheoremId.THM7_EVEN_CYCLES, nonvac, False, beyond=nonvac)
     return table, tight
 
 
@@ -794,20 +796,20 @@ def _select(stats: dict, keep: np.ndarray) -> dict:
     return {key: value[keep] for key, value in stats.items()}
 
 
-def sweep_range(n: int, start: int, stop: int, theorems: set,
+def sweep_range(n: int, start: int, stop: int, theorems,
                 connected_only: bool) -> dict:
     """``sweep_masks`` over the labeled masks [start, stop)."""
     return sweep_masks(n, range(start, stop), theorems, connected_only)
 
 
-def sweep_masks(n: int, masks, theorems: set, connected_only: bool) -> dict:
+def sweep_masks(n: int, masks, theorems, connected_only: bool) -> dict:
     """``_tally`` over edge masks, a range or an int64 array, with graphs
     named by their masks."""
     return _tally(((stats["masks"], table) for stats, table
                    in _blocks(n, masks, theorems, connected_only)), theorems)
 
 
-def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
+def sweep_stack(rows: np.ndarray, theorems) -> dict:
     """``_tally`` over one ``stack_stats`` stack of (b, n, w) ``uint64``
     rows, certified or not, with graphs named by their positions in the
     stack."""
@@ -816,17 +818,17 @@ def sweep_stack(rows: np.ndarray, theorems: set) -> dict:
                     verdict_table(rows.shape[1], stats, theorems))], theorems)
 
 
-def _tally(blocks, theorems: set) -> dict:
+def _tally(blocks, theorems) -> dict:
     """Tally theorems over ``(names, (table, tight))`` blocks: the graphs'
     names and ``verdict_table`` on them.
 
     Returns counts, tight-census names per bound, and ``resolve`` names that
     the caller must re-check per graph: each theorem's undecided graphs and
     apparent violations, as ``verdict_table`` marks them. A vacuous graph
-    is a decided one outside ``nonvac``.
+    is a decided one outside ``nonvac``. ``theorems`` may be ``TheoremId``
+    members or their id strings, which equal them.
     """
-    counts = {t: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
-              for t in theorems}
+    counts = {t: dict.fromkeys(STATUSES, 0) for t in theorems}
     tight: dict = {b: [] for b in BOUNDS if b in theorems}
     resolve: dict = {}
     for names, (table, tight_names) in blocks:
@@ -841,9 +843,9 @@ def _tally(blocks, theorems: set) -> dict:
     return {"counts": counts, "tight": tight, "resolve": resolve}
 
 
-AUDIT_THEOREMS = frozenset({"spectral-mantel", *BOUNDS,
-                            "lemma1-spectrum-symmetry",
-                            "lemma2-diameter-distinct"})
+AUDIT_THEOREMS = frozenset({TheoremId.SPECTRAL_MANTEL, *BOUNDS,
+                            TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
+                            TheoremId.LEMMA2_DIAMETER_DISTINCT})
 
 
 def audit_range(n: int, start: int, stop: int) -> dict:
@@ -879,9 +881,9 @@ def audit_range(n: int, start: int, stop: int) -> dict:
 
         open_masks = {theorem: masks[nonvac & ~holds].tolist()
                       for theorem, (nonvac, holds, _) in table.items()}
-        out["spectral_mantel_failures"] += open_masks["spectral-mantel"]
-        out["lemma1_mismatches"] += open_masks["lemma1-spectrum-symmetry"]
-        out["lemma2_violations"] += open_masks["lemma2-diameter-distinct"]
+        out["spectral_mantel_failures"] += open_masks[TheoremId.SPECTRAL_MANTEL]
+        out["lemma1_mismatches"] += open_masks[TheoremId.LEMMA1_SPECTRUM_SYMMETRY]
+        out["lemma2_violations"] += open_masks[TheoremId.LEMMA2_DIAMETER_DISTINCT]
         for bound in BOUNDS:
             out["bound_violations"][bound] += open_masks[bound]
             out["tight_counts"][bound] += int(tight[bound].sum())
@@ -889,7 +891,7 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         # The lists below name certified graphs only.
         connected = stats["connected"] & certified
         # The open spectral Mantel graphs, connected and at the threshold.
-        nonvac, holds, _ = table["spectral-mantel"]
+        nonvac, holds, _ = table[TheoremId.SPECTRAL_MANTEL]
         sqrt_m = np.sqrt(stats["m"].astype(np.float64))
         at_threshold = connected & nonvac & ~holds \
             & (np.abs(stats["lam1"] - sqrt_m) <= EQ_EPS)
@@ -901,10 +903,10 @@ def audit_range(n: int, start: int, stop: int) -> dict:
         in_class = (columns.max(axis=0) == min_deg) | (
             (columns == min_deg) | (columns == n - 1)).all(axis=0)
         out["hsf_tight_not_class"] += \
-            masks[connected & tight["hsf"] & ~in_class].tolist()
+            masks[connected & tight[TheoremId.HSF] & ~in_class].tolist()
         out["hsf_class_not_tight"] += \
-            masks[connected & in_class & ~tight["hsf"]].tolist()
+            masks[connected & in_class & ~tight[TheoremId.HSF]].tolist()
         values = _bound_arrays(stats, n)
-        above = values["thm11"] > values["stanley"] + EQ_EPS
+        above = values[TheoremId.THM11] > values[TheoremId.STANLEY] + EQ_EPS
         out["thm11_above_stanley"] += masks[certified & above].tolist()
     return out

@@ -31,16 +31,19 @@ from .graph import (
     neighborhood_degree_sums,
 )
 from .spectrum import EQ_EPS, Spectrum, eigendecompose
-from .verdicts import CounterexampleReport, Verdict
+from .verdicts import CounterexampleReport, TheoremId, Verdict
 
 
 class BoundKind(Enum):
-    NOSAL_THRESHOLD = "nosal"
-    STANLEY = "stanley"
-    HONG = "hong"
-    HONG_SHU_FANG_NIKIFOROV = "hsf"
-    OPEN_NEIGHBORHOOD = "lemma3"
-    CLOSED_NEIGHBORHOOD = "thm11"
+    """The bound formulas, each valued by the id of its theorem, so
+    ``BoundKind(theorem)`` is a bound theorem's formula."""
+
+    NOSAL_THRESHOLD = TheoremId.NOSAL
+    STANLEY = TheoremId.STANLEY
+    HONG = TheoremId.HONG
+    HONG_SHU_FANG_NIKIFOROV = TheoremId.HSF
+    OPEN_NEIGHBORHOOD = TheoremId.LEMMA3_BOUND
+    CLOSED_NEIGHBORHOOD = TheoremId.THM11
 
 
 def bound_value(g: Graph, kind: BoundKind,
@@ -211,5 +214,5 @@ def mantel_check(g: Graph) -> Verdict:
     if triangle is not None:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, "mantel",
+        g, TheoremId.MANTEL,
         {"n": g.n, "m": m, "triangles": count_triangles_brute(g)}))

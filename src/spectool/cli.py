@@ -28,7 +28,7 @@ from .families import complete, complete_bipartite, cycle, path, petersen, star
 from .graph import Graph, basic_stats, connectivity, count_triangles_brute
 from .graph6 import HEADER_LINE, MAX_GRAPH6_N, from_graph6, to_graph6
 from .spectrum import eigendecompose, triangle_count_spectral
-from .verify import ALL_THEOREMS, SweepConfig, fuzz, sweep
+from .verify import ALL_THEOREMS, STATUSES, SweepConfig, fuzz, sweep
 from .walks import walk_counts
 
 EXIT_OK = 0
@@ -169,9 +169,8 @@ def _emit_sweep(report, args) -> int:
         print(report.to_json(include_runtime=args.timing))
     else:
         for tid, counts in sorted(report.totals.items()):
-            print(f"{tid}: holds={counts['holds']} vacuous={counts['vacuous']} "
-                  f"violated={counts['violated']} "
-                  f"inconclusive={counts['inconclusive']}")
+            print(f"{tid}: " + " ".join(f"{status}={counts[status]}"
+                                        for status in STATUSES))
         for bound, graphs in sorted(report.tight.items()):
             print(f"tight[{bound}]: {len(graphs)} graphs")
         for ce in report.counterexamples:

@@ -14,7 +14,7 @@ import math
 from .errors import HypothesisNotMetError, SearchBudgetExceededError
 from .graph import Graph, bipartition, bits, induced_subgraph
 from .spectrum import EQ_EPS, Spectrum, eigendecompose
-from .verdicts import CounterexampleReport, Verdict
+from .verdicts import CounterexampleReport, TheoremId, Verdict
 
 DEFAULT_BUDGET = 10 ** 8
 ASYMPTOTIC_SAFE_N = 1000
@@ -300,7 +300,7 @@ def consecutive_even_cycles_check(g: Graph, l_max: int | None = None,
     caveat = ("asymptotic theorem -- report, do not assert"
               if g.n < ASYMPTOTIC_SAFE_N else "")
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, "thm7-even-cycles",
+        g, TheoremId.THM7_EVEN_CYCLES,
         {"n": g.n, "m": g.m, "lambda1": spec.lambda1, "threshold": threshold},
         {"missing_even_lengths": missing, "caveat": caveat}))
 
@@ -319,5 +319,5 @@ def bondy_pancyclicity_check(g: Graph, budget: int = DEFAULT_BUDGET) -> Verdict:
     if not missing:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, "lemma6-bondy", {"n": g.n, "m": g.m, "min_degree": delta},
+        g, TheoremId.LEMMA6_BONDY, {"n": g.n, "m": g.m, "min_degree": delta},
         {"missing_lengths": missing}))

@@ -129,7 +129,9 @@ def read_graph6_lines(text: str) -> list[Graph]:
 
 
 def from_edge_list(text: str) -> Graph:
-    """Parse the plain text format: an "n m" header then m "u v" lines."""
+    """Parse the plain text format: an "n m" header then m "u v" lines, one
+    per edge of a simple graph on the vertices 0..n-1; anything else raises
+    ``EdgeListFormatError``."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise EdgeListFormatError("empty edge list")
@@ -140,20 +142,24 @@ def from_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise EdgeListFormatError(f"non-integer header {lines[0]!r}") from exc
-    if n > MAX_EDGE_LIST_N:
+    if not 0 <= n <= MAX_EDGE_LIST_N:
         raise EdgeListFormatError(
-            f"order {n} exceeds the edge-list cap {MAX_EDGE_LIST_N}")
+            f"order {n} outside 0..{MAX_EDGE_LIST_N}, the edge-list cap")
     if len(lines) - 1 != m:
         raise EdgeListFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise EdgeListFormatError(f"bad edge line {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = sorted((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise EdgeListFormatError(f"non-integer edge line {ln!r}") from exc
+        if not 0 <= u < v < n or (u, v) in edges:
+            raise EdgeListFormatError(f"edge line {ln!r} is a loop, a repeated "
+                                      f"edge or outside 0..{n - 1}")
+        edges.add((u, v))
     return from_edges(n, edges)
 
 

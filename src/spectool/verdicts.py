@@ -1,9 +1,41 @@
-"""Verdict and counterexample types shared by the theorem checkers."""
+"""Theorem ids, verdicts and counterexample types shared by the theorem
+checkers, the batch engine and the reports."""
 
 from dataclasses import dataclass, field
+from enum import StrEnum
 
 from .graph import Graph
 from .graph6 import graph_text
+
+
+class TheoremId(StrEnum):
+    """The paper's results, each named once. A member hashes, compares and
+    JSON-encodes as its id string, so ``TheoremId.NOSAL`` and ``"nosal"``
+    key the same dict entry."""
+
+    MANTEL = "mantel"
+    NOSAL = "nosal"
+    SPECTRAL_MANTEL = "spectral-mantel"
+    STANLEY = "stanley"
+    HONG = "hong"
+    HSF = "hsf"
+    THM11 = "thm11"
+    LEMMA3_BOUND = "lemma3"
+    WALK_INEQUALITY = "walk-inequality"
+    DECOMPOSITION_IDENTITY = "decomposition-identity"
+    LEMMA5_PEEL = "lemma5-peel"
+    LEMMA6_BONDY = "lemma6-bondy"
+    THM7_EVEN_CYCLES = "thm7-even-cycles"
+    LEMMA1_SPECTRUM_SYMMETRY = "lemma1-spectrum-symmetry"
+    LEMMA2_DIAMETER_DISTINCT = "lemma2-diameter-distinct"
+
+
+ALL_THEOREMS = tuple(TheoremId)
+# The bound theorems, whose tight graphs the sweeps list and the audit counts.
+BOUNDS = (TheoremId.STANLEY, TheoremId.HONG, TheoremId.HSF,
+          TheoremId.LEMMA3_BOUND, TheoremId.THM11)
+# A verdict's possible statuses, in report order.
+STATUSES = ("holds", "vacuous", "violated", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -43,7 +75,7 @@ class CounterexampleReport:
 class Verdict:
     """Outcome of one theorem check on one graph."""
 
-    status: str  # "holds" | "vacuous" | "violated" | "inconclusive"
+    status: str  # one of STATUSES
     reason: str = ""
     counterexample: CounterexampleReport | None = None
 

@@ -21,7 +21,6 @@ that dies without sending, say killed by the OOM killer, is a
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, cached_property
 import itertools
 import json
@@ -63,7 +62,8 @@ from .spectrum import (
     eigendecompose,
     is_spectrum_symmetric,
 )
-from .verdicts import CounterexampleReport, Verdict
+from .verdicts import (ALL_THEOREMS, BOUNDS, STATUSES, CounterexampleReport,
+                       TheoremId, Verdict)
 from .walks import (
     WalkTable,
     decomposition_identity_check,
@@ -73,34 +73,6 @@ from .walks import (
 
 MAX_CANONICAL_N = 7
 
-
-class TheoremId(Enum):
-    MANTEL = "mantel"
-    NOSAL = "nosal"
-    SPECTRAL_MANTEL = "spectral-mantel"
-    STANLEY = "stanley"
-    HONG = "hong"
-    HSF = "hsf"
-    THM11 = "thm11"
-    LEMMA3_BOUND = "lemma3"
-    WALK_INEQUALITY = "walk-inequality"
-    DECOMPOSITION_IDENTITY = "decomposition-identity"
-    LEMMA5_PEEL = "lemma5-peel"
-    LEMMA6_BONDY = "lemma6-bondy"
-    THM7_EVEN_CYCLES = "thm7-even-cycles"
-    LEMMA1_SPECTRUM_SYMMETRY = "lemma1-spectrum-symmetry"
-    LEMMA2_DIAMETER_DISTINCT = "lemma2-diameter-distinct"
-
-
-ALL_THEOREMS = tuple(TheoremId)
-
-BOUND_THEOREMS = {
-    TheoremId.STANLEY: BoundKind.STANLEY,
-    TheoremId.HONG: BoundKind.HONG,
-    TheoremId.HSF: BoundKind.HONG_SHU_FANG_NIKIFOROV,
-    TheoremId.THM11: BoundKind.CLOSED_NEIGHBORHOOD,
-    TheoremId.LEMMA3_BOUND: BoundKind.OPEN_NEIGHBORHOOD,
-}
 
 def coerce_theorems(values) -> tuple[TheoremId, ...]:
     """The ids of ``values``, in order. An unknown id raises
@@ -112,14 +84,14 @@ def coerce_theorems(values) -> tuple[TheoremId, ...]:
         ids = tuple(TheoremId(v) for v in values)
         if not ids:
             raise ValueError("no theorem ids given")
-        repeated = sorted({t.value for t in ids if ids.count(t) > 1})
+        repeated = sorted({t for t in ids if ids.count(t) > 1})
         if repeated:
             raise ValueError(f"theorem ids listed more than once: "
                              f"{', '.join(repeated)}")
     except ValueError as exc:
         raise ConfigurationError(
             f"{exc}; valid ids: "
-            + ", ".join(t.value for t in ALL_THEOREMS)) from None
+            + ", ".join(ALL_THEOREMS)) from None
     return ids
 
 
@@ -161,7 +133,7 @@ class GraphFacts:
 def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
     g = facts.g
     try:
-        value = bound_value(g, BOUND_THEOREMS[theorem], facts.sums)
+        value = bound_value(g, BoundKind(theorem), facts.sums)
     except PreconditionViolatedError as exc:
         return Verdict.vacuous(str(exc))
     lambda1 = facts.spec.lambda1
@@ -171,7 +143,7 @@ def _check_bound(facts: GraphFacts, theorem: TheoremId) -> Verdict:
     if slack >= -EQ_EPS:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, theorem.value,
+        g, theorem,
         {"lambda1": lambda1, "bound": value, "slack": slack, "m": g.m}))
 
 
@@ -188,7 +160,7 @@ def _check_nosal(facts: GraphFacts) -> Verdict:
     if first_triangle(g) is not None:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, TheoremId.NOSAL.value,
+        g, TheoremId.NOSAL,
         {"lambda1": lam1, "m": g.m, "sqrt_m": sqrt_m}))
 
 
@@ -200,7 +172,7 @@ def _check_spectral_mantel(facts: GraphFacts) -> Verdict:
     if result.kind in ("has_triangle", "extremal_complete_bipartite"):
         return Verdict.holds(result.kind)
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, TheoremId.SPECTRAL_MANTEL.value,
+        g, TheoremId.SPECTRAL_MANTEL,
         {"lambda1": result.lambda1, "sqrt_m": result.sqrt_m, "m": g.m},
         {"kind": result.kind}))
 
@@ -213,7 +185,7 @@ def _check_walk_inequality(facts: GraphFacts) -> Verdict:
     if walk_inequality_holds(g, WALK_DEPTH, table, facts.sums):
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, TheoremId.WALK_INEQUALITY.value,
+        g, TheoremId.WALK_INEQUALITY,
         {"m": g.m, "K": WALK_DEPTH},
         {"totals": [str(w) for w in table.totals]}))
 
@@ -223,7 +195,7 @@ def _check_decomposition(facts: GraphFacts) -> Verdict:
     if decomposition_identity_check(g, WALK_DEPTH, facts.walks, facts.sums):
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        g, TheoremId.DECOMPOSITION_IDENTITY.value,
+        g, TheoremId.DECOMPOSITION_IDENTITY,
         {"m": g.m, "K": WALK_DEPTH}))
 
 
@@ -237,7 +209,7 @@ def _check_lemma5_peel(facts: GraphFacts) -> Verdict:
         peel = erdos_peel(g, k)
         if peel.n_prime == 0 or peel.min_degree < k + 1:
             return Verdict.violated(CounterexampleReport.of_graph(
-                g, TheoremId.LEMMA5_PEEL.value,
+                g, TheoremId.LEMMA5_PEEL,
                 {"k": k, "m": m, "n": g.n, "surviving": peel.n_prime,
                  "min_degree": peel.min_degree if peel.min_degree is not None else -1}))
     return Verdict.holds()
@@ -257,7 +229,7 @@ def _check_lemma1(facts: GraphFacts) -> Verdict:
     if symmetric == bip:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        facts.g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY.value,
+        facts.g, TheoremId.LEMMA1_SPECTRUM_SYMMETRY,
         {"m": facts.g.m},
         {"spectrum_symmetric": symmetric, "bipartite": bip}))
 
@@ -270,7 +242,7 @@ def _check_lemma2(facts: GraphFacts) -> Verdict:
     if distinct >= conn.diameter + 1:
         return Verdict.holds()
     return Verdict.violated(CounterexampleReport.of_graph(
-        facts.g, TheoremId.LEMMA2_DIAMETER_DISTINCT.value,
+        facts.g, TheoremId.LEMMA2_DIAMETER_DISTINCT,
         {"diameter": conn.diameter, "distinct_eigenvalues": distinct}))
 
 
@@ -297,7 +269,7 @@ def check_theorem(g: Graph, theorem, *,
     theorem = TheoremId(theorem)
     if facts is None:
         facts = GraphFacts(g)
-    if theorem in BOUND_THEOREMS:
+    if theorem in BOUNDS:
         return _check_bound(facts, theorem)
     return _CHECKERS[theorem](facts)
 
@@ -425,7 +397,7 @@ class SweepConfig:
         return {
             "n_min": self.n_min, "n_max": self.n_max,
             "connected_only": self.connected_only, "dedup": self.dedup,
-            "theorems": [TheoremId(t).value for t in self.theorems],
+            "theorems": list(self.theorem_ids()),
             "budget": DEFAULT_BUDGET, "walk_depth": WALK_DEPTH,
         }
 
@@ -433,7 +405,7 @@ class SweepConfig:
 @dataclass
 class SweepReport:
     config: dict
-    totals: dict  # theorem id -> {"holds": int, ...}
+    totals: dict  # theorem id -> {status: int} over STATUSES
     tight: dict  # bound id -> sorted graph6 list
     counterexamples: list
     runtime_ms: float | None = None
@@ -466,12 +438,8 @@ class SweepReport:
 
 def _empty_partial(theorems) -> dict:
     return {
-        "totals": {
-            t.value: {"holds": 0, "vacuous": 0, "violated": 0, "inconclusive": 0}
-            for t in theorems
-        },
-        "tight": {BOUND_THEOREMS[t].value: [] for t in theorems
-                  if t in BOUND_THEOREMS},
+        "totals": {t: dict.fromkeys(STATUSES, 0) for t in theorems},
+        "tight": {t: [] for t in theorems if t in BOUNDS},
         "counterexamples": [],
     }
 
@@ -494,13 +462,13 @@ def _battery(g: Graph, theorems, partial: dict) -> None:
     text = None
     for t in theorems:
         verdict = check_theorem(g, t, facts=facts)
-        partial["totals"][t.value][verdict.status] += 1
+        partial["totals"][t][verdict.status] += 1
         if verdict.counterexample is not None:
             partial["counterexamples"].append(verdict.counterexample)
         if t in facts.tight_bounds:
             if text is None:
                 text = graph_text(g)[1]
-            partial["tight"][BOUND_THEOREMS[t].value].append(text)
+            partial["tight"][t].append(text)
 
 
 def _resolved(result: dict, texts, graph) -> dict:
@@ -518,9 +486,9 @@ def _resolved(result: dict, texts, graph) -> dict:
                "tight": {bound: texts(names)
                          for bound, names in result["tight"].items()}}
     open_theorems: dict[int, list] = {}
-    for tid_value, names in result["resolve"].items():
+    for theorem, names in result["resolve"].items():
         for name in names:
-            open_theorems.setdefault(name, []).append(TheoremId(tid_value))
+            open_theorems.setdefault(name, []).append(theorem)
     for name, ids in open_theorems.items():
         _battery(graph(name), ids, partial)
     return partial
@@ -531,13 +499,12 @@ def _vector_shard(args) -> dict:
     of canonical ones, with the per-graph battery for the graphs it hands
     back."""
     n, masks, theorems, connected_only = args
-    values = {t.value for t in theorems}
     if isinstance(masks, range):
-        result = _exhaustive.sweep_range(n, masks.start, masks.stop, values,
+        result = _exhaustive.sweep_range(n, masks.start, masks.stop, theorems,
                                          connected_only)
     else:
         result = _exhaustive.sweep_masks(
-            n, np.array(masks, dtype=np.int64), values, connected_only)
+            n, np.array(masks, dtype=np.int64), theorems, connected_only)
     return _resolved(result, lambda names: masks_to_graph6(n, names),
                      lambda mask: from_edge_mask(n, mask))
 
@@ -754,7 +721,6 @@ def _fuzz_shard(args) -> dict:
     census needs it, and at most once per stack, however many bounds it is
     tight for."""
     dist, lo, hi, seed, theorems = args
-    values = {t.value for t in theorems}
     partial = _empty_partial(theorems)
     size = _stack_size(dist)
     for start in range(lo, hi, size):
@@ -770,7 +736,7 @@ def _fuzz_shard(args) -> dict:
             return graph_text(graph(i))[1]
 
         _merge(partial, _resolved(
-            _exhaustive.sweep_stack(rows, values),
+            _exhaustive.sweep_stack(rows, theorems),
             lambda names: [text(i) for i in names], graph))
     return partial
 
@@ -796,7 +762,7 @@ def fuzz(distribution, count: int, seed: int,
     config = {
         "distribution": _distribution_text(dist),
         "count": count, "seed": seed,
-        "theorems": [t.value for t in theorem_ids],
+        "theorems": list(theorem_ids),
     }
     return _finalize(config, merged, started)
 

@@ -58,8 +58,9 @@ from spectool.graph import (
 from spectool.graph6 import to_graph6
 from spectool.verify import (
     ALL_THEOREMS,
-    BOUND_THEOREMS,
+    BOUNDS,
     SweepConfig,
+    TheoremId,
     _sample_seed,
     _stack_rows,
     _stack_size,
@@ -736,7 +737,7 @@ def test_bound_arrays_match_bound_value(n):
         masks = np.random.default_rng(17).integers(0, total, 2000)
     stats = block_stats(n, masks)
     values = _bound_arrays(stats, n)
-    kinds = set(BOUND_THEOREMS.values())
+    kinds = {BoundKind(t) for t in BOUNDS}
     assert set(values) == {kind.value for kind in kinds}
     for i, mask in enumerate(masks.tolist()):
         g = from_edge_mask(n, mask)
@@ -877,7 +878,7 @@ def test_a_lowered_bound_reaches_the_sweep_and_the_audit(monkeypatch):
 
 
 def test_audit_tight_counts_match_the_sweep_census():
-    config = SweepConfig(n_min=1, n_max=6, theorems=tuple(BOUND_THEOREMS))
+    config = SweepConfig(n_min=1, n_max=6, theorems=BOUNDS)
     tight = sweep(config).payload()["tight"]
     assert exhaustive_spectral_audit(1, 6).tight_counts == {
         bound: len(graphs) for bound, graphs in tight.items()}
@@ -1216,3 +1217,24 @@ def test_a_faked_violation_is_apparent_not_undecided(monkeypatch):
     assert sweep_stack(rows, ALL_VALUES)["resolve"] \
         == {"lemma1-spectrum-symmetry": [0]}
     assert fuzz("gnp:30,0.5", len(rows), 0).payload() == expected
+
+
+
+@pytest.mark.parametrize("spec", ["gnp:12,0.5", "gnp:20,0.8"])
+def test_the_engine_takes_the_callers_ids(spec):
+    # TheoremId members and their plain strings are one vocabulary: the
+    # engine gives the same counts, tight lists and hand-backs for either,
+    # and counts or hands back every graph once per theorem. The n = 4
+    # sweep hands back nothing, the gnp:20,0.8 stack Bondy's lemma.
+    assert hash(TheoremId.MANTEL) == hash("mantel")
+    rows = _first_stack(spec, 0)
+    for run, graphs in ((lambda ids: sweep_range(4, 0, 64, ids, False), 64),
+                        (lambda ids: sweep_stack(rows, ids), len(rows))):
+        result = run(ALL_THEOREMS)
+        assert result == run(ALL_VALUES)
+        assert set(result["counts"]) == ALL_VALUES
+        for theorem, counts in result["counts"].items():
+            handed_back = len(result["resolve"].get(theorem, []))
+            assert sum(counts.values()) + handed_back == graphs, theorem
+    assert set(result["resolve"]) == (
+        {"lemma6-bondy"} if spec == "gnp:20,0.8" else set())

@@ -294,6 +294,10 @@ class TestEdgeList:
             from_edge_list("3\n0 1")
         with pytest.raises(EdgeListFormatError):
             from_edge_list("3 2\n0 1")
+        # A repeated edge, a negative order, a loop, a vertex out of range.
+        for text in ("2 2\n0 1\n0 1", "-1 0", "2 1\n0 0", "2 1\n0 2"):
+            with pytest.raises(EdgeListFormatError):
+                from_edge_list(text)
 
     def test_order_cap(self):
         from spectool.errors import EdgeListFormatError

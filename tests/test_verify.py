@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spectool import _exhaustive, families, verify
-from spectool.bounds import bound_value
+from spectool.bounds import BoundKind, bound_value
 from spectool.cycles import bondy_pancyclicity_check
 from spectool.errors import (OrderTooLargeError, PreconditionViolatedError,
                              RedrawLimitError, WorkerExitError)
@@ -20,7 +20,7 @@ from spectool.spectrum import EQ_EPS, eigendecompose
 from spectool.verdicts import CounterexampleReport
 from spectool.verify import (
     ALL_THEOREMS,
-    BOUND_THEOREMS,
+    BOUNDS,
     SweepConfig,
     TheoremId,
     _battery,
@@ -107,7 +107,7 @@ class TestCheckTheorem:
 def _fresh_tight(g, theorem) -> bool:
     """Tightness recomputed from scratch, the way the census used to."""
     try:
-        value = bound_value(g, BOUND_THEOREMS[theorem])
+        value = bound_value(g, BoundKind(theorem))
     except PreconditionViolatedError:
         return False
     return abs(value - eigendecompose(g).lambda1) <= EQ_EPS
@@ -124,9 +124,9 @@ def _assert_battery_matches_fresh_checks(g):
             (to_graph6(g), t, counts, fresh)
         if fresh.counterexample is not None:
             expected_counterexamples.append(fresh.counterexample)
-        if t in BOUND_THEOREMS:
+        if t in BOUNDS:
             tight = fresh.status == "holds" and _fresh_tight(g, t)
-            entries = partial["tight"][BOUND_THEOREMS[t].value]
+            entries = partial["tight"][BoundKind(t).value]
             assert entries == ([to_graph6(g)] if tight else []), (g, t)
     assert partial["counterexamples"] == expected_counterexamples
 
